@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError
-from .identities import (ALL_IDENTITIES, DEFAULT_NS, DEFAULT_QS, SuiteConfig,
-                         reports_to_json, run_suite)
+from .identities import ALL_IDENTITIES, DEFAULT_NS, DEFAULT_QS, SuiteConfig, run_suite
 from .qexp import eval_log_qexp, eval_qexp, log_coeffs_closed, log_coeffs_recursive, qexp_series
-from .scalars import QParam, parse_rational
+from .scalars import QParam, check_int, check_tol, parse_rational
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?$")
 
@@ -27,11 +28,24 @@ FORMATS = ("text", "csv", "json")
 COEFF_COLUMNS = ("k", "qexp_coeff", "log_closed", "log_recursion", "difference")
 
 
-def _qparam_arg(text: str) -> QParam:
-    try:
-        return QParam(parse_rational(text))
-    except DomainError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg(convert):
+    """An argparse type from ``convert``, which parses the text and runs the
+    library's own check on it; a ValueError (DomainError included) becomes
+    a usage error."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+_qparam_arg = _arg(lambda text: QParam(parse_rational(text)))
+_tol_arg = _arg(lambda text: check_tol(float(text)))
+
+
+def _int_arg(name: str, minimum: int):
+    return _arg(lambda text: check_int(int(text), name, minimum))
 
 
 def _scalar_arg(text: str):
@@ -45,40 +59,6 @@ def _scalar_arg(text: str):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative: {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = _nonneg_int(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
-
-
-def _factor_count(text: str) -> int:
-    value = _nonneg_int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2: {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qexp",
@@ -89,9 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     coeffs = sub.add_parser("coeffs", help="emit 1/[k]_q! and the log coefficients two ways")
     coeffs.add_argument("--q", type=_qparam_arg, required=True, metavar="P/Q")
-    coeffs.add_argument("--order", type=_nonneg_int, required=True)
+    coeffs.add_argument("--order", type=_int_arg("order", 0), required=True)
     coeffs.add_argument("--format", choices=FORMATS, default="text")
-    coeffs.add_argument("--decimals", type=_positive_int, default=None,
+    coeffs.add_argument("--decimals", type=_int_arg("decimals", 1), default=None,
                         help="add decimal-approximation columns with this many significant digits")
     coeffs.set_defaults(func=cmd_coeffs)
 
@@ -99,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--q", type=_qparam_arg, required=True, metavar="P/Q")
     ev.add_argument("--z", type=_scalar_arg, required=True,
                     help='argument; "p/q" or integer stays exact, decimals go binary64')
-    ev.add_argument("--tol", type=_positive_float, default=1e-12)
-    ev.add_argument("--max-terms", type=_positive_int, default=1000)
+    ev.add_argument("--tol", type=_tol_arg, default=1e-12)
+    ev.add_argument("--max-terms", type=_int_arg("max-terms", 1), default=1000)
     ev.add_argument("--format", choices=FORMATS, default="text")
     ev.set_defaults(func=cmd_eval)
 
@@ -108,16 +88,47 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", choices=("all",) + ALL_IDENTITIES, default="all")
     verify.add_argument("--q", type=_qparam_arg, action="append", metavar="P/Q",
                         help="grid value; repeatable (default: built-in grid)")
-    verify.add_argument("--n", type=_factor_count, action="append",
+    verify.add_argument("--n", type=_int_arg("n", 2), action="append",
                         help="factor count for the product identities; repeatable (default: 2..5)")
-    verify.add_argument("--order", type=_positive_int, default=32)
-    verify.add_argument("--numeric-order", type=_positive_int, default=24)
-    verify.add_argument("--kmax", type=_positive_int, default=64)
-    verify.add_argument("--tol", type=_positive_float, default=1e-12)
+    verify.add_argument("--order", type=_int_arg("order", 1), default=32)
+    verify.add_argument("--numeric-order", type=_int_arg("numeric-order", 1), default=24)
+    verify.add_argument("--kmax", type=_int_arg("kmax", 1), default=64)
+    verify.add_argument("--tol", type=_tol_arg, default=1e-12)
     verify.add_argument("--format", choices=FORMATS, default="text")
     verify.set_defaults(func=cmd_verify)
 
     return parser
+
+
+def _table(columns, cells) -> "list[str]":
+    """Text lines of a table, each column padded to its widest cell."""
+    lines = [columns] + cells
+    widths = [max(len(str(line[i])) for line in lines) for i in range(len(columns))]
+    return ["  ".join(str(v).ljust(w) for v, w in zip(line, widths)) for line in lines]
+
+
+def _write(fmt: str, columns, rows, payload, text=_table) -> None:
+    """Print ``rows`` under ``columns`` in the one selected format.
+
+    This is where exact values become text: each Fraction cell goes through
+    str() once, and only the selected format is rendered from the cells.
+    ``payload(cells)`` gives the JSON document, ``text(columns, cells)`` the
+    text lines.
+    """
+    try:
+        cells = [[str(v) if isinstance(v, Fraction) else v for v in row] for row in rows]
+    except ValueError as exc:   # CPython's cap on the digits of int -> str
+        raise DomainError(f"{exc}; the PYTHONINTMAXSTRDIGITS environment "
+                          "variable raises the cap") from None
+    if fmt == "json":
+        out = json.dumps(payload(cells), sort_keys=True, indent=2) + "\n"
+    elif fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows([columns] + cells)
+        out = buf.getvalue()
+    else:
+        out = "".join(line + "\n" for line in text(columns, cells))
+    sys.stdout.write(out)
 
 
 def _fmt_decimal(value: Fraction, digits: int) -> str:
@@ -127,73 +138,37 @@ def _fmt_decimal(value: Fraction, digits: int) -> str:
 def cmd_coeffs(args) -> int:
     order = args.order
     series = qexp_series(args.q, order).series
-    closed = log_coeffs_closed(order, args.q) if order >= 1 else None
-    recursive = log_coeffs_recursive(order, args.q) if order >= 1 else None
-    rows = []
-    for k in range(order + 1):
-        lc = closed.coeff(k) if k >= 1 else Fraction(0)
-        lr = recursive.coeff(k) if k >= 1 else Fraction(0)
-        row = {
-            "k": k,
-            "qexp_coeff": str(series.coeffs[k]),
-            "log_closed": str(lc),
-            "log_recursion": str(lr),
-            "difference": str(lc - lr),
-        }
-        if args.decimals is not None:
-            row["qexp_coeff_dec"] = _fmt_decimal(series.coeffs[k], args.decimals)
-            row["log_closed_dec"] = _fmt_decimal(lc, args.decimals)
-        rows.append(row)
-
+    closed = log_coeffs_closed(order, args.q).values if order >= 1 else (Fraction(0),)
+    recursive = log_coeffs_recursive(order, args.q).values if order >= 1 else (Fraction(0),)
     columns = list(COEFF_COLUMNS)
     if args.decimals is not None:
         columns += ["qexp_coeff_dec", "log_closed_dec"]
-    if args.format == "json":
-        print(json.dumps({"q": str(args.q), "order": order, "rows": rows},
-                         sort_keys=True, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
-    else:
-        widths = [max(len(str(row[c])) for row in rows + [dict(zip(columns, columns))])
-                  for c in columns]
-        print("  ".join(c.ljust(w) for c, w in zip(columns, widths)))
-        for row in rows:
-            print("  ".join(str(row[c]).ljust(w) for c, w in zip(columns, widths)))
+    rows = []
+    for k, (coeff, lc, lr) in enumerate(zip(series.coeffs, closed, recursive)):
+        row = [k, coeff, lc, lr, lc - lr]
+        if args.decimals is not None:
+            row += [_fmt_decimal(coeff, args.decimals), _fmt_decimal(lc, args.decimals)]
+        rows.append(row)
+    _write(args.format, columns, rows, lambda cells: {
+        "q": str(args.q), "order": order,
+        "rows": [dict(zip(columns, row)) for row in cells]})
     return 0
 
 
 def cmd_eval(args) -> int:
     z_text = str(args.z)
-    try:
-        e = eval_qexp(args.q, args.z, args.tol, args.max_terms)
-        l = eval_log_qexp(args.q, args.z, args.tol, args.max_terms)
-    except (DomainError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.format == "json":
-        payload = {
-            "q": str(args.q),
-            "z": z_text,
-            "tol": args.tol,
-            "qexp": {"value": e.value, "order": e.order,
-                     "tail_bound": e.tail_bound, "method": e.method},
-            "log_qexp": {"value": l.value, "order": l.order,
-                         "tail_bound": l.tail_bound, "method": l.method},
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["function", "value", "order", "tail_bound", "method"])
-        writer.writerow(["qexp", repr(e.value), e.order, e.tail_bound, e.method])
-        writer.writerow(["log_qexp", repr(l.value), l.order, l.tail_bound, l.method])
-    else:
-        print(f"E_q(z)    = {e.value!r}   [q={args.q}, z={z_text}, "
-              f"through z^{e.order}, tail <= {e.tail_bound:.3e}]")
-        print(f"ln E_q(z) = {l.value!r}   [{l.method}, "
-              f"through z^{l.order}, tail <= {l.tail_bound:.3e}]")
+    e = eval_qexp(args.q, args.z, args.tol, args.max_terms)
+    l = eval_log_qexp(args.q, args.z, args.tol, args.max_terms)
+    rows = [["qexp", repr(e.value), e.order, e.tail_bound, e.method],
+            ["log_qexp", repr(l.value), l.order, l.tail_bound, l.method]]
+    _write(args.format, ["function", "value", "order", "tail_bound", "method"], rows,
+           lambda cells: {"q": str(args.q), "z": z_text, "tol": args.tol,
+                          "qexp": asdict(e), "log_qexp": asdict(l)},
+           lambda columns, cells: [
+               f"E_q(z)    = {e.value!r}   [q={args.q}, z={z_text}, "
+               f"through z^{e.order}, tail <= {e.tail_bound:.3e}]",
+               f"ln E_q(z) = {l.value!r}   [{l.method}, "
+               f"through z^{l.order}, tail <= {l.tail_bound:.3e}]"])
     return 0
 
 
@@ -201,44 +176,43 @@ def _params_text(report) -> str:
     return " ".join(f"{k}={v}" for k, v in sorted(report.params.items()))
 
 
+def _verify_line(r) -> str:
+    status = "PASS" if r.passed else "FAIL"
+    line = f"{status} {r.mode:7s} {r.identity:22s} q={r.q} {_params_text(r)}"
+    if r.mode == "numeric" and r.residuals:
+        line += f"  max|res|={max(res for _, res in r.residuals):.3e}"
+    if not r.passed and r.residuals:
+        worst_k, worst = r.residuals[0]
+        line += f"  worst k={worst_k} residual={worst}"
+    if r.note:
+        line += f"  ({r.note})"
+    return line
+
+
 def cmd_verify(args) -> int:
-    qs = tuple(qp.value for qp in args.q) if args.q else DEFAULT_QS
-    ns = tuple(args.n) if args.n else DEFAULT_NS
-    checks = ALL_IDENTITIES if args.suite == "all" else (args.suite,)
-    config = SuiteConfig(qs=qs, ns=ns, order=args.order,
-                         numeric_order=args.numeric_order,
-                         k_max=args.kmax, tol=args.tol, checks=checks)
+    config = SuiteConfig(qs=tuple(args.q or DEFAULT_QS), ns=tuple(args.n or DEFAULT_NS),
+                         order=args.order, numeric_order=args.numeric_order,
+                         k_max=args.kmax, tol=args.tol,
+                         checks=ALL_IDENTITIES if args.suite == "all" else (args.suite,))
     reports = run_suite(config)
-    if args.format == "json":
-        print(reports_to_json(reports))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["identity", "q", "params", "mode", "passed", "max_residual", "note"])
-        for r in reports:
-            worst = max((abs(res) for _, res in r.residuals), default=0)
-            writer.writerow([r.identity, str(r.q), _params_text(r), r.mode,
-                             r.passed, str(worst), r.note])
-    else:
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            line = f"{status} {r.mode:7s} {r.identity:22s} q={r.q} {_params_text(r)}"
-            if r.mode == "numeric" and r.residuals:
-                line += f"  max|res|={max(res for _, res in r.residuals):.3e}"
-            if not r.passed and r.residuals:
-                worst_k, worst = r.residuals[0]
-                line += f"  worst k={worst_k} residual={worst}"
-            if r.note:
-                line += f"  ({r.note})"
-            print(line)
-        passed = sum(r.passed for r in reports)
-        print(f"{passed}/{len(reports)} checks passed")
-    return 0 if all(r.passed for r in reports) else 1
+    passed = sum(r.passed for r in reports)
+    rows = [[r.identity, str(r.q), _params_text(r), r.mode, r.passed,
+             max((abs(res) for _, res in r.residuals), default=0), r.note]
+            for r in reports]
+    _write(args.format, ["identity", "q", "params", "mode", "passed", "max_residual", "note"],
+           rows, lambda cells: [r.to_json() for r in reports],
+           lambda columns, cells: [_verify_line(r) for r in reports]
+           + [f"{passed}/{len(reports)} checks passed"])
+    return 0 if passed == len(reports) else 1
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (DomainError, ConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

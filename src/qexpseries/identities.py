@@ -34,7 +34,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .qexp import log_coeffs_closed, qexp_series
 from .qnumbers import QFactorialTable, q_number
-from .scalars import QParam, Regime, as_qparam, rational_str
+from .scalars import QParam, Regime, as_qparam, check_int, check_tol, rational_str
 from .series import SeriesComparison, TruncatedSeries
 
 EXACT = "exact"
@@ -49,24 +49,6 @@ COEFF_SIGN_FLIP = "coeff_sign_flip"
 COEFF_DOUBLE_ORDER = "coeff_double_order"
 COEFF_POWER_SCALE = "coeff_power_scale"
 COEFF_MULTIPLE_ORDER = "coeff_multiple_order"
-
-#: Identity names in canonical (sorted) report order.
-ALL_IDENTITIES = (
-    COEFF_DOUBLE_ORDER,
-    COEFF_MULTIPLE_ORDER,
-    COEFF_POWER_SCALE,
-    COEFF_SIGN_FLIP,
-    QBINOMIAL_SUM,
-    RECIPROCAL_PRODUCT,
-    REFLECTION_PRODUCT,
-    ROOT_OF_UNITY_PRODUCT,
-    SCALING_PRODUCT,
-)
-
-#: Identities parameterized by a factor count n >= 2.
-PER_N_IDENTITIES = frozenset({
-    SCALING_PRODUCT, ROOT_OF_UNITY_PRODUCT, COEFF_POWER_SCALE, COEFF_MULTIPLE_ORDER,
-})
 
 _WORST = 5
 
@@ -128,22 +110,10 @@ def _indexed(cmp: SeriesComparison):
     return tuple(enumerate(cmp.residuals))
 
 
-def _check_n(n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-        raise DomainError(f"n must be an integer >= 2, got {n!r}")
-    return n
-
-
-def _check_min(value: int, minimum: int, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
 def check_qbinomial_sum(q, k_max: int = 40) -> VerificationReport:
     """sum_{j=1}^{k} [k choose j]_q (1-q)^(j-1) [j-1]_q! = k for k = 2..k_max."""
     qp = as_qparam(q)
-    _check_min(k_max, 2, "k_max")
+    check_int(k_max, "k_max", 2)
     table = QFactorialTable(qp, k_max)
     one_minus = 1 - qp.value
     residuals = []
@@ -167,7 +137,7 @@ def check_reciprocal_product(q, order: int = 32) -> VerificationReport:
     At q = 1 the statement degenerates to exp(z) exp(-z) = 1 and still holds.
     """
     qp = as_qparam(q)
-    _check_min(order, 1, "order")
+    check_int(order, "order", 1)
     params = {"order": order}
     note = "degenerates to exp(z) exp(-z) = 1" if qp.regime is Regime.ONE else ""
     lhs = (qexp_series(qp, order).series
@@ -179,7 +149,7 @@ def check_reciprocal_product(q, order: int = 32) -> VerificationReport:
 def check_reflection_product(q, order: int = 32) -> VerificationReport:
     """E_q(z) E_q(-z) = E_{q^2}((1-q)/(1+q) z^2) coefficientwise, exactly."""
     qp = as_qparam(q)
-    _check_min(order, 2, "order")
+    check_int(order, "order", 2)
     base = qexp_series(qp, order).series
     lhs = base * base.scale_substitute(-1)
     scale = (1 - qp.value) / (1 + qp.value)
@@ -191,8 +161,8 @@ def check_reflection_product(q, order: int = 32) -> VerificationReport:
 def check_scaling_product(q, n: int, order: int = 32) -> VerificationReport:
     """E_q([n]_q z) = prod_{m=0}^{n-1} E_{q^n}(q^m z) coefficientwise, exactly."""
     qp = as_qparam(q)
-    _check_n(n)
-    _check_min(order, 1, "order")
+    check_int(n, "n", 2)
+    check_int(order, "order", 1)
     lhs = qexp_series(qp, order).series.scale_substitute(q_number(n, qp))
     base = qexp_series(qp.power(n), order).series
     rhs = TruncatedSeries.one(order)
@@ -214,10 +184,9 @@ def check_root_of_unity_product(q, n: int, order: int = 24,
     cross-check, not the source of truth.
     """
     qp = as_qparam(q)
-    _check_n(n)
-    _check_min(order, 1, "order")
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    check_int(n, "n", 2)
+    check_int(order, "order", 1)
+    check_tol(tol)
     base = qexp_series(qp, order).series.to_complex()
     lhs = TruncatedSeries.one(order).to_complex()
     for m in range(n):
@@ -233,7 +202,7 @@ def check_root_of_unity_product(q, n: int, order: int = 24,
 def check_coeff_sign_flip(q, k_max: int = 64) -> VerificationReport:
     """c_k(1/q) = (-1)^(k-1) c_k(q) for k = 1..k_max, exactly."""
     qp = as_qparam(q)
-    _check_min(k_max, 1, "k_max")
+    check_int(k_max, "k_max", 1)
     c_q = log_coeffs_closed(k_max, qp)
     c_inv = log_coeffs_closed(k_max, qp.inverse())
     residuals = []
@@ -247,7 +216,7 @@ def check_coeff_sign_flip(q, k_max: int = 64) -> VerificationReport:
 def check_coeff_double_order(q, k_max: int = 64) -> VerificationReport:
     """2 c_{2k}(q) = ((1-q)/(1+q))^k c_k(q^2) for k = 1..k_max, exactly."""
     qp = as_qparam(q)
-    _check_min(k_max, 1, "k_max")
+    check_int(k_max, "k_max", 1)
     c_q = log_coeffs_closed(2 * k_max, qp)
     c_q2 = log_coeffs_closed(k_max, qp.power(2))
     ratio = (1 - qp.value) / (1 + qp.value)
@@ -262,8 +231,8 @@ def check_coeff_double_order(q, k_max: int = 64) -> VerificationReport:
 def check_coeff_power_scale(q, n: int, k_max: int = 64) -> VerificationReport:
     """[n]_{q^k} c_k(q^n) = ([n]_q)^k c_k(q) for k = 1..k_max, exactly."""
     qp = as_qparam(q)
-    _check_n(n)
-    _check_min(k_max, 1, "k_max")
+    check_int(n, "n", 2)
+    check_int(k_max, "k_max", 1)
     c_q = log_coeffs_closed(k_max, qp)
     c_qn = log_coeffs_closed(k_max, qp.power(n))
     n_q = q_number(n, qp)
@@ -281,8 +250,8 @@ def check_coeff_power_scale(q, n: int, k_max: int = 64) -> VerificationReport:
 def check_coeff_multiple_order(q, n: int, k_max: int = 64) -> VerificationReport:
     """n c_{nk}(q) = ((1-q)^(n-1)/[n]_q)^k c_k(q^n) for k = 1..k_max, exactly."""
     qp = as_qparam(q)
-    _check_n(n)
-    _check_min(k_max, 1, "k_max")
+    check_int(n, "n", 2)
+    check_int(k_max, "k_max", 1)
     c_q = log_coeffs_closed(n * k_max, qp)
     c_qn = log_coeffs_closed(k_max, qp.power(n))
     factor = (1 - qp.value) ** (n - 1) / q_number(n, qp)
@@ -293,6 +262,27 @@ def check_coeff_multiple_order(q, n: int, k_max: int = 64) -> VerificationReport
         fpow *= factor
     return _exact_report(COEFF_MULTIPLE_ORDER, qp, {"n": n, "k_max": k_max}, residuals)
 
+
+#: The suite's identity table: the arguments each check takes after q, as
+#: SuiteConfig fields, where "n" is the factor count the suite sweeps. The
+#: check is looked up by its module-global name check_<identity> when it runs.
+_ARGUMENTS = {
+    COEFF_DOUBLE_ORDER: ("k_max",),
+    COEFF_MULTIPLE_ORDER: ("n", "k_max"),
+    COEFF_POWER_SCALE: ("n", "k_max"),
+    COEFF_SIGN_FLIP: ("k_max",),
+    QBINOMIAL_SUM: ("k_max",),
+    RECIPROCAL_PRODUCT: ("order",),
+    REFLECTION_PRODUCT: ("order",),
+    ROOT_OF_UNITY_PRODUCT: ("n", "numeric_order", "tol"),
+    SCALING_PRODUCT: ("n", "order"),
+}
+
+#: Identity names in canonical (sorted) report order.
+ALL_IDENTITIES = tuple(sorted(_ARGUMENTS))
+
+#: Identities parameterized by a factor count n >= 2.
+PER_N_IDENTITIES = frozenset(name for name, args in _ARGUMENTS.items() if "n" in args)
 
 #: q grid covering both regimes; the suite default.
 DEFAULT_QS = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
@@ -322,43 +312,26 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> "tuple[VerificationReport,
     """Run the selected checks over the grid.
 
     Deterministic: reports are ordered by identity name, then q, then n,
-    and identical inputs produce byte-identical JSON.
+    and identical inputs produce byte-identical JSON. Like ``ns`` and
+    ``checks``, ``qs`` is deduplicated; each q must be a valid
+    :class:`QParam` value (floats are rejected).
     """
     unknown = sorted(set(config.checks) - set(ALL_IDENTITIES))
     if unknown:
         raise DomainError(f"unknown identity check(s): {', '.join(unknown)}")
+    qps = sorted({as_qparam(q) for q in config.qs}, key=lambda qp: qp.value)
     reports = []
     for identity in sorted(set(config.checks)):
-        for qv in sorted(Fraction(qv) for qv in config.qs):
-            qp = as_qparam(qv)
-            if identity in PER_N_IDENTITIES:
-                for n in sorted(set(config.ns)):
-                    reports.append(_dispatch(identity, qp, config, n))
-            else:
-                reports.append(_dispatch(identity, qp, config, None))
+        ns = sorted(set(config.ns)) if identity in PER_N_IDENTITIES else (None,)
+        for qp in qps:
+            for n in ns:
+                reports.append(_dispatch(identity, qp, config, n))
     return tuple(reports)
 
 
 def _dispatch(identity, qp, config: SuiteConfig, n):
-    if identity == QBINOMIAL_SUM:
-        return check_qbinomial_sum(qp, config.k_max)
-    if identity == RECIPROCAL_PRODUCT:
-        return check_reciprocal_product(qp, config.order)
-    if identity == REFLECTION_PRODUCT:
-        return check_reflection_product(qp, config.order)
-    if identity == SCALING_PRODUCT:
-        return check_scaling_product(qp, n, config.order)
-    if identity == ROOT_OF_UNITY_PRODUCT:
-        return check_root_of_unity_product(qp, n, config.numeric_order, config.tol)
-    if identity == COEFF_SIGN_FLIP:
-        return check_coeff_sign_flip(qp, config.k_max)
-    if identity == COEFF_DOUBLE_ORDER:
-        return check_coeff_double_order(qp, config.k_max)
-    if identity == COEFF_POWER_SCALE:
-        return check_coeff_power_scale(qp, n, config.k_max)
-    if identity == COEFF_MULTIPLE_ORDER:
-        return check_coeff_multiple_order(qp, n, config.k_max)
-    raise DomainError(f"unknown identity check: {identity}")
+    args = (n if name == "n" else getattr(config, name) for name in _ARGUMENTS[identity])
+    return globals()[f"check_{identity}"](qp, *args)
 
 
 def reports_to_json(reports) -> str:

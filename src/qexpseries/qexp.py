@@ -21,14 +21,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice
 from numbers import Rational
 from typing import Literal, Union
 
 from .errors import ConvergenceError, DomainError
-from .qnumbers import QFactorialTable, q_number, radius_of_convergence
-from .scalars import QParam, Regime, as_qparam, ensure_finite
+from .qnumbers import QFactorialTable, q_number, q_numbers, radius_of_convergence
+from .scalars import QParam, Regime, as_qparam, check_int, check_tol, ensure_finite
 from .series import TruncatedSeries
 
 Scalar = Union[Fraction, int, float, complex]
@@ -46,16 +48,9 @@ class QExpSeries:
 
 def qexp_series(q, order: int) -> QExpSeries:
     """Build the q-exponential series through z^order, exactly."""
-    if order < 0:
-        raise DomainError(f"order must be non-negative, got {order}")
+    check_int(order, "order")
     qp = as_qparam(q)
-    coeffs = [Fraction(1)]
-    number = Fraction(0)
-    power = Fraction(1)
-    for _ in range(order):
-        number += power
-        power *= qp.value
-        coeffs.append(coeffs[-1] / number)
+    coeffs = accumulate(islice(q_numbers(qp), order), operator.truediv, initial=Fraction(1))
     return QExpSeries(qp, TruncatedSeries(coeffs))
 
 
@@ -75,7 +70,7 @@ class LogCoeffVector:
         return len(self.values) - 1
 
     def coeff(self, k: int) -> Fraction:
-        if k < 1 or k > self.order:
+        if check_int(k, "k", 1) > self.order:
             raise DomainError(f"k must be in 1..{self.order}, got {k}")
         return self.values[k]
 
@@ -86,25 +81,19 @@ class LogCoeffVector:
 
 def log_coeff_closed(k: int, q) -> Fraction:
     """Closed form c_k = (1 - q)^(k-1) / (k [k]_q); c_1 = 1 for every q."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    check_int(k, "k", 1)
     qp = as_qparam(q)
     return (1 - qp.value) ** (k - 1) / (k * q_number(k, qp))
 
 
 def log_coeffs_closed(order: int, q) -> LogCoeffVector:
     """Closed-form log coefficients c_1..c_order in one O(order) sweep."""
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
+    check_int(order, "order", 1)
     qp = as_qparam(q)
     values = [Fraction(0)]
-    number = Fraction(0)     # [k]_q
-    qpow = Fraction(1)       # q^(k-1)
     shift = Fraction(1)      # (1-q)^(k-1)
     one_minus = 1 - qp.value
-    for k in range(1, order + 1):
-        number += qpow
-        qpow *= qp.value
+    for k, number in enumerate(islice(q_numbers(qp), order), 1):
         values.append(shift / (k * number))
         shift *= one_minus
     return LogCoeffVector(qp, tuple(values), "closed_form")
@@ -119,8 +108,7 @@ def log_coeffs_recursive(order: int, q) -> LogCoeffVector:
     O(order^2) route; exact agreement between the two is the library's
     central self-check.
     """
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order}")
+    check_int(order, "order", 1)
     qp = as_qparam(q)
     inv_fact = [Fraction(1) / f for f in QFactorialTable(qp, order).values]
     c = [Fraction(0)] * (order + 1)
@@ -179,8 +167,8 @@ def eval_qexp(q, z: Scalar, tol: float = 1e-12,
     so every later term ratio is at most r.
     """
     qp = as_qparam(q)
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    check_tol(tol)
+    check_int(max_terms, "max_terms", 1)
     z, is_exact = _split_argument(z)
     z_abs = abs(z)
     _radius_guard(qp, z_abs)
@@ -188,12 +176,12 @@ def eval_qexp(q, z: Scalar, tol: float = 1e-12,
 
     term = Fraction(1) if is_exact else 1.0   # t_k, starting at t_0
     total = term
-    qn = Fraction(1)          # [k+1]_q while summing through z^k
-    qpow = qp.value           # q^(k+1)
+    numbers = q_numbers(qp)
+    qn = next(numbers)        # [k+1]_q while summing through z^k
     k = 0
     while True:
         nxt = term * z / (qn if is_exact else float(qn))
-        qn_next = qn + qpow   # [k+2]_q
+        qn_next = next(numbers)   # [k+2]_q
         r = z_abs / (qn_next if is_exact else float(qn_next))
         if r < 1:
             bound = abs(nxt) / (1 - r)
@@ -203,7 +191,6 @@ def eval_qexp(q, z: Scalar, tol: float = 1e-12,
         total = total + nxt
         term = nxt
         qn = qn_next
-        qpow *= qp.value
         k += 1
         if k >= max_terms:
             raise ConvergenceError(
@@ -223,8 +210,8 @@ def eval_log_qexp(q, z: Scalar, tol: float = 1e-12,
     ``method`` field reports which path produced the result.
     """
     qp = as_qparam(q)
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    check_tol(tol)
+    check_int(max_terms, "max_terms", 1)
     z, is_exact = _split_argument(z)
     z_abs = abs(z)
     _radius_guard(qp, z_abs)
@@ -246,8 +233,8 @@ def eval_log_qexp(q, z: Scalar, tol: float = 1e-12,
 
     total = Fraction(0) if is_exact else 0.0
     one_minus = 1 - v
-    qn = Fraction(1)      # [k]_q
-    qpow = v              # q^k
+    numbers = q_numbers(qp)
+    qn = next(numbers)    # [k]_q
     shift = Fraction(1)   # (1-q)^(k-1)
     zpow = z              # z^k
     k = 1
@@ -255,8 +242,7 @@ def eval_log_qexp(q, z: Scalar, tol: float = 1e-12,
         c_k = shift / (k * qn)
         total = total + (c_k if is_exact else float(c_k)) * zpow
         shift *= one_minus
-        qn += qpow
-        qpow *= v
+        qn = next(numbers)
         zpow = zpow * z
         k += 1
         c_next = shift / (k * qn)

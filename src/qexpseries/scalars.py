@@ -5,7 +5,8 @@ which stores every value as a normalized num/den pair with gcd(|num|, den) = 1
 and den > 0 and never rounds. The numeric domain is the built-in ``complex``,
 restricted to finite values. :class:`QParam` validates the deformation
 parameter q > 0 and classifies its regime, which drives the convergence
-guards elsewhere.
+guards elsewhere. :func:`check_int` and :func:`check_tol` are the package's
+one integer and one tolerance check.
 
 Everything here is immutable and safe to share between threads.
 """
@@ -13,10 +14,11 @@ Everything here is immutable and safe to share between threads.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from numbers import Rational
+from numbers import Rational, Real
 
 from .errors import DomainError
 
@@ -98,6 +100,20 @@ def rational_str(value: Rational) -> str:
 def complex_json(value: complex) -> dict:
     """JSON form of a complex scalar: {"re": ..., "im": ...}."""
     return {"re": value.real, "im": value.imag}
+
+
+def check_int(value: int, name: str, minimum: int = 0) -> int:
+    """``value`` itself if it is an int (bools excluded) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def check_tol(value: float) -> float:
+    """``value`` itself if it is a finite positive real (bools excluded)."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
+        raise DomainError(f"tol must be a finite positive number, got {value!r}")
+    return value
 
 
 def ensure_finite(value: complex) -> complex:

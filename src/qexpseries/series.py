@@ -31,7 +31,7 @@ from numbers import Rational
 from typing import Iterable, Union
 
 from .errors import DomainError, OrderMismatchError
-from .scalars import complex_json, ensure_finite
+from .scalars import check_int, complex_json, ensure_finite
 
 Coeff = Union[Fraction, complex]
 
@@ -90,11 +90,11 @@ class TruncatedSeries:
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         """The constant series 1 at the given order."""
-        return cls((Fraction(1),) + (Fraction(0),) * order)
+        return cls((Fraction(1),) + (Fraction(0),) * check_int(order, "order"))
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
-        return cls((Fraction(0),) * (order + 1))
+        return cls((Fraction(0),) * (check_int(order, "order") + 1))
 
     def _zero(self) -> Coeff:
         return Fraction(0) if self.exact else 0j
@@ -116,7 +116,7 @@ class TruncatedSeries:
     def truncate(self, order: int) -> "TruncatedSeries":
         """Drop coefficients above ``order``. Extending is not allowed: the
         dropped tail is unknown, not zero."""
-        if order < 0 or order > self.order:
+        if check_int(order, "order") > self.order:
             raise DomainError(f"cannot re-truncate order {self.order} to {order}")
         return TruncatedSeries(self.coeffs[: order + 1])
 
@@ -176,8 +176,7 @@ class TruncatedSeries:
         Coefficient k of f lands at position stretch*k with weight factor^k;
         positions beyond the order are dropped.
         """
-        if isinstance(stretch, bool) or not isinstance(stretch, int) or stretch < 1:
-            raise DomainError(f"stretch must be a positive integer, got {stretch!r}")
+        check_int(stretch, "stretch", 1)
         if self.exact:
             if isinstance(factor, float) or not isinstance(factor, Rational):
                 raise DomainError("exact series take a rational factor; use to_complex() first")

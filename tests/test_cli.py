@@ -4,7 +4,9 @@ import csv
 import io
 import json
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,15 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def exit_code(capsys, *argv):
+    """Exit code of a run that may stop in argparse, and its stderr."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
 
 
 def parse_csv(text):
@@ -133,9 +144,10 @@ class TestEval:
         assert "tail bound" in err
 
     def test_rejects_bad_tol(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["eval", "--q", "1", "--z", "1", "--tol", "-1"])
-        assert exc.value.code == 2
+        for tol in ("-1", "inf", "nan", "a"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["eval", "--q", "1", "--z", "1", "--tol", tol])
+            assert exc.value.code == 2
 
 
 class TestVerify:
@@ -194,6 +206,45 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--n", "1"])
         assert exc.value.code == 2
+
+
+class TestErrors:
+    """Every library error ends as exit 1 or 2 with an error line, never a
+    traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "reflection_product", "--order", "1"],
+        ["verify", "--suite", "qbinomial_sum", "--kmax", "1"],
+        ["eval", "--q", "1/2", "--z", "1", "--tol", "inf"],
+    ])
+    def test_exits_without_traceback(self, capsys, argv):
+        code, err = exit_code(capsys, *argv)
+        assert code in (1, 2)
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int->str digit limit in this Python")
+    def test_digit_limit_names_the_setting(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, err = exit_code(capsys, "coeffs", "--q", "5/7", "--order", "128")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 1
+        assert "PYTHONINTMAXSTRDIGITS" in err and "Traceback" not in err
+
+
+#: stdout of each command, pinned byte for byte: column padding, csv quoting
+#: and line ends, JSON indentation.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_output(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert out == GOLDEN[command]
 
 
 class TestParser:

@@ -42,8 +42,9 @@ class TestQBinomialSum:
         assert check_qbinomial_sum(Fraction(1), 25).passed
 
     def test_k_max_validation(self):
-        with pytest.raises(DomainError):
-            check_qbinomial_sum(Fraction(1, 2), 1)
+        for k_max in (1, 2.5, True):
+            with pytest.raises(DomainError):
+                check_qbinomial_sum(Fraction(1, 2), k_max)
 
 
 class TestReciprocalProduct:
@@ -90,8 +91,9 @@ class TestScalingProduct:
         assert check_scaling_product(q, n, 12).passed
 
     def test_n_validation(self):
-        with pytest.raises(DomainError):
-            check_scaling_product(Fraction(1, 2), 1, 12)
+        for n in (1, 2.5, True):
+            with pytest.raises(DomainError):
+                check_scaling_product(Fraction(1, 2), n, 12)
 
 
 class TestRootOfUnityProduct:
@@ -212,6 +214,19 @@ class TestSuite:
     def test_unknown_check_rejected(self):
         with pytest.raises(DomainError):
             run_suite(SuiteConfig(checks=("no_such_identity",)))
+
+    def test_float_q_rejected(self):
+        # Fraction(0.1) would silently run q = 3602879701896397/36028797018963968
+        with pytest.raises(DomainError, match="exact"):
+            run_suite(SuiteConfig(qs=(0.1,), checks=("coeff_sign_flip",), k_max=4))
+
+    def test_duplicate_qs_deduplicated(self):
+        config = SuiteConfig(qs=(Fraction(1, 2), Fraction(1, 2), Fraction(2), 2),
+                             ns=(2, 2), checks=("coeff_sign_flip", "coeff_power_scale"),
+                             k_max=4)
+        keys = [(r.identity, str(r.q), r.params.get("n")) for r in run_suite(config)]
+        assert keys == [("coeff_power_scale", "1/2", 2), ("coeff_power_scale", "2", 2),
+                        ("coeff_sign_flip", "1/2", None), ("coeff_sign_flip", "2", None)]
 
     def test_single_check_selection(self):
         reports = run_suite(SuiteConfig(qs=(Fraction(1, 2),), checks=("qbinomial_sum",),

@@ -53,8 +53,9 @@ class TestQExpSeries:
             assert s.coeffs[k] == Fraction(1, factorial)
 
     def test_negative_order_rejected(self):
-        with pytest.raises(DomainError):
-            qexp_series(Fraction(1, 2), -1)
+        for order in (-1, 2.5, True):
+            with pytest.raises(DomainError):
+                qexp_series(Fraction(1, 2), order)
 
     @settings(max_examples=40)
     @given(qvalues, st.integers(1, 20))
@@ -127,10 +128,11 @@ class TestLogCoeffVector:
 
     def test_coeff_bounds(self):
         vec = log_coeffs_closed(5, Fraction(1, 2))
-        with pytest.raises(DomainError):
-            vec.coeff(0)
-        with pytest.raises(DomainError):
-            vec.coeff(6)
+        for call in (lambda: vec.coeff(0), lambda: vec.coeff(6), lambda: vec.coeff(1.5),
+                     lambda: vec.as_series().truncate(1.5),
+                     lambda: log_coeffs_closed(2.5, 2), lambda: log_coeffs_closed(True, 2)):
+            with pytest.raises(DomainError):
+                call()
 
     @pytest.mark.parametrize("q", GRID)
     def test_exp_reconstructs_qexp_series(self, q):
@@ -182,8 +184,11 @@ class TestEvalQExp:
             term = term * z / q_number(k + 1, q)
 
     def test_tol_validation(self):
-        with pytest.raises(DomainError):
-            eval_qexp(Fraction(1, 2), 1, tol=0.0)
+        for evaluate in (eval_qexp, eval_log_qexp):
+            for bad in ({"tol": 0.0}, {"tol": math.inf}, {"tol": math.nan},
+                        {"tol": "a"}, {"max_terms": 2.5}, {"max_terms": 0}):
+                with pytest.raises(DomainError):
+                    evaluate(Fraction(1, 2), 1, **bad)
 
     def test_iteration_limit(self):
         with pytest.raises(ConvergenceError):

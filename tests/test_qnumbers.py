@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from qexpseries import (DomainError, QFactorialTable, QParam, q_binomial,
                         q_binomial_pascal, q_factorial, q_number,
                         radius_of_convergence)
+from qexpseries.qnumbers import PASCAL_MAX_K
 
 qvalues = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=8)
 
@@ -50,8 +51,13 @@ class TestQNumber:
         assert q_number(k, q) == (1 - q ** k) / (1 - q)
 
     def test_negative_k_rejected(self):
-        with pytest.raises(DomainError):
-            q_number(-1, Fraction(1, 2))
+        table = QFactorialTable(2, 5)
+        for call in (lambda: q_number(-1, Fraction(1, 2)),
+                     lambda: q_number(1.5, Fraction(1, 2)),
+                     lambda: table.factorial(9),
+                     lambda: table.binomial(9, 2)):
+            with pytest.raises(DomainError):
+                call()
 
 
 class TestQFactorial:
@@ -143,6 +149,12 @@ class TestPascalRecursion:
     def test_agrees_with_factorial_quotient(self, k, q):
         for j in range(-1, k + 2):
             assert q_binomial_pascal(k, j, q) == q_binomial(k, j, q)
+
+    def test_large_k_fails_fast(self):
+        # the row sweep grows like k^5: k = 3000 would run for days
+        assert q_binomial_pascal(PASCAL_MAX_K, 2, 2) == q_binomial(PASCAL_MAX_K, 2, 2)
+        with pytest.raises(DomainError, match="q_binomial"):
+            q_binomial_pascal(3000, 1500, Fraction(1, 2))
 
 
 class TestRadius:

@@ -93,6 +93,10 @@ class TestConstruction:
     def test_one_and_zero(self):
         assert TruncatedSeries.one(3).coeffs == (1, 0, 0, 0)
         assert TruncatedSeries.zero(2).coeffs == (0, 0, 0)
+        for order in (-3, 1.5):
+            for build in (TruncatedSeries.one, TruncatedSeries.zero):
+                with pytest.raises(DomainError):
+                    build(order)
 
     def test_immutable(self):
         s = TruncatedSeries([1, 2])
