@@ -11,10 +11,14 @@ Three views of the same object:
 
 For 0 < q < 1 the series has radius of convergence (1-q)^(-1) and the
 evaluators reject arguments on or outside it; for q >= 1 it converges
-everywhere. With a rational argument the evaluators keep the partial sums
-and the stopping test in exact arithmetic and round only the final value,
-so the reported tail bound is honest; a float argument selects plain
-binary64 arithmetic whose own rounding is outside the certificate.
+everywhere. With a rational argument the evaluators keep each partial sum
+as an integer numerator over one integer denominator, which grows by a
+small factor per term instead of being reduced by a gcd at every step; the
+stopping test is an exact integer comparison, and the value and the tail
+bound are each one correctly rounded int / int division at the end, so the
+reported tail bound is honest. A float argument selects plain binary64
+arithmetic whose own rounding is outside the certificate. A value beyond
+the binary64 range raises DomainError.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 from numbers import Rational
-from typing import Literal, Union
+from typing import Iterator, Literal, Union
 
 from .errors import ConvergenceError, DomainError
 from .qnumbers import QFactorialTable, q_number, q_numbers, radius_of_convergence
@@ -86,17 +90,20 @@ def log_coeff_closed(k: int, q) -> Fraction:
     return (1 - qp.value) ** (k - 1) / (k * q_number(k, qp))
 
 
+def _log_coeffs(qp: QParam) -> Iterator[Fraction]:
+    """The closed-form sweep c_1, c_2, ... over one q-number sweep."""
+    shift = Fraction(1)      # (1-q)^(k-1)
+    one_minus = 1 - qp.value
+    for k, number in enumerate(q_numbers(qp), 1):
+        yield shift / (k * number)
+        shift *= one_minus
+
+
 def log_coeffs_closed(order: int, q) -> LogCoeffVector:
     """Closed-form log coefficients c_1..c_order in one O(order) sweep."""
     check_int(order, "order", 1)
     qp = as_qparam(q)
-    values = [Fraction(0)]
-    shift = Fraction(1)      # (1-q)^(k-1)
-    one_minus = 1 - qp.value
-    for k, number in enumerate(islice(q_numbers(qp), order), 1):
-        values.append(shift / (k * number))
-        shift *= one_minus
-    return LogCoeffVector(qp, tuple(values), "closed_form")
+    return LogCoeffVector(qp, (Fraction(0), *islice(_log_coeffs(qp), order)), "closed_form")
 
 
 def log_coeffs_recursive(order: int, q) -> LogCoeffVector:
@@ -126,8 +133,11 @@ class Evaluation:
     """A certified partial-sum evaluation.
 
     ``order`` is the highest power included in the sum; ``tail_bound`` is a
-    certified upper bound on the truncation error of ``value`` (for the
-    rational-argument path it is exact up to the final binary64 rounding).
+    certified upper bound on the truncation error of ``value``. On the
+    rational-argument path the sum and the bound are exact integer fractions
+    until the end, and ``value`` and ``tail_bound`` are each their one
+    correctly rounded binary64 division, the same floats ``float(Fraction)``
+    would give.
     """
 
     value: "float | complex"
@@ -164,7 +174,8 @@ def eval_qexp(q, z: Scalar, tol: float = 1e-12,
     Stops at the first K where r = |z| / [K+2]_q < 1 and
     |t_{K+1}| / (1 - r) <= tol, where t_k = z^k/[k]_q! is the first omitted
     term. The geometric majorant is sound because [k]_q increases with k,
-    so every later term ratio is at most r.
+    so every later term ratio is at most r. A value beyond the binary64
+    range raises :class:`DomainError`.
     """
     qp = as_qparam(q)
     check_tol(tol)
@@ -172,30 +183,57 @@ def eval_qexp(q, z: Scalar, tol: float = 1e-12,
     z, is_exact = _split_argument(z)
     z_abs = abs(z)
     _radius_guard(qp, z_abs)
-    tol_cmp = Fraction(tol) if is_exact else tol
 
-    term = Fraction(1) if is_exact else 1.0   # t_k, starting at t_0
-    total = term
     numbers = q_numbers(qp)
     qn = next(numbers)        # [k+1]_q while summing through z^k
-    k = 0
-    while True:
-        nxt = term * z / (qn if is_exact else float(qn))
-        qn_next = next(numbers)   # [k+2]_q
-        r = z_abs / (qn_next if is_exact else float(qn_next))
-        if r < 1:
-            bound = abs(nxt) / (1 - r)
-            if bound <= tol_cmp:
-                value = float(total) if is_exact else total
-                return Evaluation(value, k, float(bound), "series")
-        total = total + nxt
-        term = nxt
-        qn = qn_next
-        k += 1
-        if k >= max_terms:
-            raise ConvergenceError(
-                f"tail bound did not reach tol={tol} within {max_terms} terms"
-            )
+    try:
+        if is_exact:
+            # t_k = term/den and the partial sum total/den share one
+            # denominator that only grows by the small factor w*n_{k+1}, so
+            # no step reduces a big fraction; r < 1 and bound <= tol are
+            # tested by cross-multiplication.
+            u, w = z.numerator, z.denominator
+            tol_num, tol_den = Fraction(tol).as_integer_ratio()
+            term = total = den = 1
+            for k in range(max_terms):
+                term *= u * qn.denominator
+                step = w * qn.numerator
+                qn = next(numbers)    # [k+2]_q
+                next_den = den * step
+                # bound = |term| * lift / (next_den * gap), as 1 - r = gap / lift
+                lift = w * qn.numerator
+                gap = lift - abs(u) * qn.denominator
+                # while the term is large its bit length alone shows
+                # bound > tol, as bl(a*b) >= bl(a) + bl(b) - 1 for a, b != 0
+                if gap > 0 and (not term or term.bit_length() + (lift * tol_den).bit_length()
+                                <= next_den.bit_length() + (gap * tol_num).bit_length() + 1):
+                    bound_num = abs(term) * lift
+                    bound_den = next_den * gap
+                    if bound_num * tol_den <= tol_num * bound_den:
+                        # int / int is correctly rounded, like float(Fraction)
+                        return Evaluation(total / den, k, bound_num / bound_den, "series")
+                total = total * step + term
+                den = next_den
+        else:
+            term = total = 1.0
+            scale = float(qn)
+            for k in range(max_terms):
+                nxt = term * z / scale
+                scale = float(next(numbers))    # [k+2]_q
+                r = z_abs / scale
+                if r < 1:
+                    bound = abs(nxt) / (1 - r)
+                    if bound <= tol:
+                        return Evaluation(total, k, bound, "series")
+                total = total + nxt
+                term = nxt
+            if not cmath.isfinite(total):    # the sum ran off to inf on the way
+                raise OverflowError
+    except OverflowError:
+        raise DomainError(f"E_q(z) exceeds the binary64 range at q = {qp}, z = {z}") from None
+    raise ConvergenceError(
+        f"tail bound did not reach tol={tol} within {max_terms} terms"
+    )
 
 
 def eval_log_qexp(q, z: Scalar, tol: float = 1e-12,
@@ -229,31 +267,39 @@ def eval_log_qexp(q, z: Scalar, tol: float = 1e-12,
             f"|z| = {z_abs} is too close to the radius of convergence for a "
             f"certified log series at q = {qp}; pass z as an exact rational"
         )
-    tol_cmp = Fraction(tol) if is_exact else tol
 
-    total = Fraction(0) if is_exact else 0.0
-    one_minus = 1 - v
-    numbers = q_numbers(qp)
-    qn = next(numbers)    # [k]_q
-    shift = Fraction(1)   # (1-q)^(k-1)
-    zpow = z              # z^k
-    k = 1
-    while True:
-        c_k = shift / (k * qn)
-        total = total + (c_k if is_exact else float(c_k)) * zpow
-        shift *= one_minus
-        qn = next(numbers)
-        zpow = zpow * z
-        k += 1
-        c_next = shift / (k * qn)
-        bound = abs((c_next if is_exact else float(c_next)) * zpow) / (1 - r_cap)
-        if bound <= tol_cmp:
-            value = float(total) if is_exact else total
-            return Evaluation(value, k - 1, float(bound), "series")
-        if k > max_terms:
-            raise ConvergenceError(
-                f"tail bound did not reach tol={tol} within {max_terms} terms"
-            )
+    coeffs = _log_coeffs(qp)
+    if is_exact:
+        # The terms c_k z^k are short fractions; the sum total/den keeps den
+        # the lcm of their denominators, so each step takes one gcd of the
+        # big den with a short one. bound <= tol is |t| <= tol (1 - r).
+        tol_cmp = Fraction(tol) * (1 - r_cap)
+        zpow = z              # z^k
+        term = next(coeffs) * zpow
+        total, den = 0, 1
+        for k in range(1, max_terms + 1):
+            g = math.gcd(den, term.denominator)
+            scale = term.denominator // g
+            total = total * scale + term.numerator * (den // g)
+            den *= scale
+            zpow *= z
+            term = next(coeffs) * zpow
+            if abs(term) <= tol_cmp:
+                return Evaluation(total / den, k, float(abs(term) / (1 - r_cap)), "series")
+    else:
+        zpow = z              # z^k
+        c_k = float(next(coeffs))
+        total = 0.0
+        for k in range(1, max_terms + 1):
+            total = total + c_k * zpow
+            zpow = zpow * z
+            c_k = float(next(coeffs))
+            bound = abs(c_k * zpow) / (1 - r_cap)
+            if bound <= tol:
+                return Evaluation(total, k, bound, "series")
+    raise ConvergenceError(
+        f"tail bound did not reach tol={tol} within {max_terms} terms"
+    )
 
 
 def _log_via_qexp(qp: QParam, z, tol: float, max_terms: int) -> Evaluation:

@@ -89,11 +89,16 @@ def q_binomial(k: int, j: int, q) -> Fraction:
     """Gaussian binomial [k choose j]_q = [k]_q! / ([j]_q! [k-j]_q!).
 
     Zero for j outside 0..k; symmetric under j <-> k-j; positive otherwise.
+    Computed as prod_{i=1..j} [k-j+i]_q / [i]_q with j replaced by
+    min(j, k-j), from one q-number sweep.
     """
     check_int(k, "k")
     if j < 0 or j > k:
         return Fraction(0)
-    return QFactorialTable(q, k).binomial(k, j)
+    j = min(check_int(j, "j"), k - j)
+    numbers = list(islice(q_numbers(as_qparam(q)), k))
+    return (math.prod(numbers[k - j:], start=Fraction(1))
+            / math.prod(numbers[:j], start=Fraction(1)))
 
 
 def q_binomial_pascal(k: int, j: int, q) -> Fraction:

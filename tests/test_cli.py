@@ -216,6 +216,7 @@ class TestErrors:
         ["verify", "--suite", "reflection_product", "--order", "1"],
         ["verify", "--suite", "qbinomial_sum", "--kmax", "1"],
         ["eval", "--q", "1/2", "--z", "1", "--tol", "inf"],
+        ["eval", "--q", "2", "--z", "100000000000000"],
     ])
     def test_exits_without_traceback(self, capsys, argv):
         code, err = exit_code(capsys, *argv)

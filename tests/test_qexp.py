@@ -2,7 +2,9 @@
 
 The evaluation tests use an independent brute-force oracle for q = 2 that
 builds [k]_2! = prod (2^i - 1) in plain integers and sums until the terms
-are far below the comparison tolerance.
+are far below the comparison tolerance. The exact evaluators are also held
+byte for byte to plain Fraction partial-sum loops (``_reference_*``), and,
+when mpmath is installed, to the product formulas at 40 digits.
 """
 
 import math
@@ -12,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qexpseries import (ConvergenceError, DomainError, QParam, eval_log_qexp,
-                        eval_qexp, log_coeff_closed, log_coeffs_closed,
+import qexpseries.qexp as qexp_module
+from qexpseries import (ConvergenceError, DomainError, Evaluation, QParam, as_qparam,
+                        eval_log_qexp, eval_qexp, log_coeff_closed, log_coeffs_closed,
                         log_coeffs_recursive, q_number, qexp_series)
+from qexpseries.qnumbers import q_numbers
 
 qvalues = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=8)
 
@@ -31,6 +35,69 @@ def brute_force_qexp_base2(z: Fraction, terms: int = 80) -> Fraction:
             factorial *= 2 ** k - 1
         total += Fraction(z) ** k / factorial
     return total
+
+
+def _reference_eval_qexp(q, z, tol, max_terms):
+    """E_q(z) for rational z by Fraction partial sums, every step reduced:
+    the loop the exact evaluator replaced, kept as its reference."""
+    z = Fraction(z)
+    tol_cmp = Fraction(tol)
+    term = total = Fraction(1)
+    numbers = q_numbers(q)
+    qn = next(numbers)
+    k = 0
+    while True:
+        nxt = term * z / qn
+        qn_next = next(numbers)
+        r = abs(z) / qn_next
+        if r < 1:
+            bound = abs(nxt) / (1 - r)
+            if bound <= tol_cmp:
+                return Evaluation(float(total), k, float(bound), "series")
+        total = total + nxt
+        term = nxt
+        qn = qn_next
+        k += 1
+        if k >= max_terms:
+            raise ConvergenceError(
+                f"tail bound did not reach tol={tol} within {max_terms} terms")
+
+
+def _reference_eval_log_qexp(q, z, tol, max_terms):
+    """ln E_q(z) for rational z inside the log series' disk by Fraction
+    partial sums, every step reduced (the replaced loop)."""
+    qp = as_qparam(q)
+    z = Fraction(z)
+    v = qp.value
+    r_cap = abs(z) * (v - 1) / v if v > 1 else abs(z) * (1 - v)
+    assert r_cap < 1
+    total = Fraction(0)
+    numbers = q_numbers(qp)
+    qn = next(numbers)
+    shift = Fraction(1)
+    zpow = z
+    k = 1
+    while True:
+        total = total + shift / (k * qn) * zpow
+        shift *= 1 - v
+        qn = next(numbers)
+        zpow = zpow * z
+        k += 1
+        bound = abs(shift / (k * qn) * zpow) / (1 - r_cap)
+        if bound <= Fraction(tol):
+            return Evaluation(float(total), k - 1, float(bound), "series")
+        if k > max_terms:
+            raise ConvergenceError(
+                f"tail bound did not reach tol={tol} within {max_terms} terms")
+
+
+def _outcome(evaluate, *args):
+    """An Evaluation with the reprs of its floats, or the error raised."""
+    try:
+        out = evaluate(*args)
+    except ConvergenceError as err:
+        return type(err), str(err)
+    return out, repr(out.value), repr(out.tail_bound)
 
 
 class TestQExpSeries:
@@ -206,6 +273,11 @@ class TestEvalQExp:
         with pytest.raises(DomainError):
             eval_qexp(Fraction(2), float("inf"))
 
+    def test_binary64_overflow(self):
+        for q, z in ((3, 1e300), (2, Fraction(10 ** 14)), (2, 1e14)):
+            with pytest.raises(DomainError, match="binary64 range"):
+                eval_qexp(q, z)
+
 
 class TestEvalLogQExp:
     def test_argument_zero(self):
@@ -255,3 +327,65 @@ class TestEvalLogQExp:
         lhs = eval_log_qexp(q, z, tol=1e-13)
         rhs = eval_qexp(q, z, tol=1e-13)
         assert math.exp(lhs.value) == pytest.approx(rhs.value, rel=1e-10, abs=1e-12)
+
+
+class TestExactPathMatchesReference:
+    """The integer partial sums give the same Evaluations, float for float,
+    as reduced Fraction partial sums."""
+
+    QS = (Fraction(1, 3), Fraction(1, 2), Fraction(4, 5), Fraction(1),
+          Fraction(3, 2), Fraction(2), Fraction(5, 2))
+
+    @staticmethod
+    def points(q):
+        """(z, whether ln E_q(z) falls back to log_of_qexp) on one grid row."""
+        if q < 1:
+            radius = 1 / (1 - q)
+            return [(s * f * radius, False) for f in (Fraction(1, 10), Fraction(1, 2),
+                                                     Fraction(9, 10)) for s in (1, -1)]
+        disk = q / (q - 1) if q > 1 else Fraction(2)
+        return [(-disk / 2, False), (2 * disk, q > 1)]
+
+    @pytest.mark.parametrize("q", QS)
+    def test_byte_identical(self, q, monkeypatch):
+        raised = 0
+        for z, fallback in self.points(q):
+            for tol in (1e-8, 1e-12):
+                for max_terms in (1000, 10):
+                    args = (q, z, tol, max_terms)
+                    expected = _outcome(_reference_eval_qexp, *args)
+                    assert _outcome(eval_qexp, *args) == expected
+                    raised += expected[0] is ConvergenceError
+                    if fallback:
+                        with monkeypatch.context() as patch:
+                            patch.setattr(qexp_module, "eval_qexp", _reference_eval_qexp)
+                            expected = _outcome(qexp_module._log_via_qexp,
+                                                as_qparam(q), z, tol, max_terms)
+                    else:
+                        expected = _outcome(_reference_eval_log_qexp, *args)
+                    assert _outcome(eval_log_qexp, *args) == expected
+        assert raised or q >= 1    # near the radius, 10 terms are too few
+
+
+class TestMpmathOracle:
+    """E_q(z) = 1/((1-q)z; q)_inf for q < 1 and ((1/q - 1)z; 1/q)_inf for
+    q > 1, summed by mpmath at 40 digits."""
+
+    POINTS = ((Fraction(1, 2), Fraction(19, 10)), (Fraction(4, 5), Fraction(-9, 2)),
+              (Fraction(2), Fraction(3)), (Fraction(3, 2), Fraction(-7, 4)))
+
+    @pytest.mark.parametrize("q, z", POINTS)
+    def test_against_product_formula(self, q, z):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            mq, mz = mpmath.mpf(q.numerator) / q.denominator, mpmath.mpf(z.numerator) / z.denominator
+            if q < 1:
+                ref = 1 / mpmath.qp((1 - mq) * mz, mq)
+            else:
+                ref = mpmath.qp(-(1 - 1 / mq) * mz, 1 / mq)
+            out = eval_qexp(q, z, tol=1e-10)
+            assert abs(out.value - ref) <= out.tail_bound + math.ulp(out.value)
+            if ref > 0:
+                log_out = eval_log_qexp(q, z, tol=1e-10)
+                assert abs(log_out.value - mpmath.log(ref)) <= (log_out.tail_bound
+                                                              + math.ulp(log_out.value))

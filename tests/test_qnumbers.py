@@ -5,6 +5,7 @@ generating function sum over j-subsets S of {0..k-1} of q^(sum S - j(j-1)/2),
 which never touches q-factorials.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -104,6 +105,13 @@ class TestQBinomial:
         assert q_binomial(7, 7, q) == 1
         assert q_binomial(7, -2, q) == 0
         assert q_binomial(7, 8, q) == 0
+        # j > k/2 takes the short side of the product
+        assert q_binomial(7, 5, q) == q_binomial(7, 2, q) == QFactorialTable(q, 7).binomial(7, 5)
+        # large k, small j; [n]_{1/2} = (2^n - 1) / 2^(n-1)
+        half = Fraction(1, 2)
+        top = math.prod(Fraction(2 ** n - 1, 2 ** (n - 1)) for n in (1998, 1999, 2000))
+        bottom = math.prod(Fraction(2 ** n - 1, 2 ** (n - 1)) for n in (1, 2, 3))
+        assert q_binomial(2000, 3, half) == top / bottom == q_binomial(2000, 1997, half)
 
     def test_one_plus_q(self):
         # [2 choose 1]_q = 1 + q
