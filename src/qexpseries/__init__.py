@@ -26,8 +26,8 @@ Fraction(1, 6)
 """
 
 from .errors import ConvergenceError, DomainError, OrderMismatchError
-from .scalars import (ExactScalar, QParam, Regime, as_qparam, complex_json,
-                      parse_rational, rational_str)
+from .scalars import (QParam, Regime, as_qparam, complex_json, parse_rational,
+                      rational_str)
 from .qnumbers import (QFactorialTable, q_binomial, q_binomial_pascal,
                        q_factorial, q_number, radius_of_convergence)
 from .series import SeriesComparison, TruncatedSeries
@@ -52,7 +52,6 @@ __all__ = [
     "DEFAULT_QS",
     "DomainError",
     "Evaluation",
-    "ExactScalar",
     "LogCoeffVector",
     "OrderMismatchError",
     "QExpSeries",

@@ -138,8 +138,8 @@ def _fmt_decimal(value: Fraction, digits: int) -> str:
 def cmd_coeffs(args) -> int:
     order = args.order
     series = qexp_series(args.q, order).series
-    closed = log_coeffs_closed(order, args.q).values if order >= 1 else (Fraction(0),)
-    recursive = log_coeffs_recursive(order, args.q).values if order >= 1 else (Fraction(0),)
+    closed = log_coeffs_closed(order, args.q).values
+    recursive = log_coeffs_recursive(order, args.q).values
     columns = list(COEFF_COLUMNS)
     if args.decimals is not None:
         columns += ["qexp_coeff_dec", "log_closed_dec"]

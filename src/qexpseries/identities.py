@@ -164,12 +164,8 @@ def check_scaling_product(q, n: int, order: int = 32) -> VerificationReport:
     check_int(n, "n", 2)
     check_int(order, "order", 1)
     lhs = qexp_series(qp, order).series.scale_substitute(q_number(n, qp))
-    base = qexp_series(qp.power(n), order).series
-    rhs = TruncatedSeries.one(order)
-    factor = Fraction(1)   # q^m
-    for _ in range(n):
-        rhs = rhs * base.scale_substitute(factor)
-        factor *= qp.value
+    base = qexp_series(qp.power(n), order).series   # the m = 0 factor
+    rhs = math.prod((base.scale_substitute(qp.value ** m) for m in range(1, n)), start=base)
     cmp = lhs.compare(rhs)
     return _exact_report(SCALING_PRODUCT, qp, {"n": n, "order": order}, _indexed(cmp))
 
@@ -187,10 +183,9 @@ def check_root_of_unity_product(q, n: int, order: int = 24,
     check_int(n, "n", 2)
     check_int(order, "order", 1)
     check_tol(tol)
-    base = qexp_series(qp, order).series.to_complex()
-    lhs = TruncatedSeries.one(order).to_complex()
-    for m in range(n):
-        lhs = lhs * base.scale_substitute(cmath.rect(1.0, 2.0 * math.pi * m / n))
+    base = qexp_series(qp, order).series.to_complex()   # the m = 0 factor
+    lhs = math.prod((base.scale_substitute(cmath.rect(1.0, 2.0 * math.pi * m / n))
+                     for m in range(1, n)), start=base)
     scale = (1 - qp.value) ** (n - 1) / q_number(n, qp)
     rhs = qexp_series(qp.power(n), order).series.to_complex()
     rhs = rhs.scale_substitute(complex(float(scale)), n)
@@ -237,13 +232,14 @@ def check_coeff_power_scale(q, n: int, k_max: int = 64) -> VerificationReport:
     c_qn = log_coeffs_closed(k_max, qp.power(n))
     n_q = q_number(n, qp)
     npow = n_q                 # ([n]_q)^k
-    vpow = qp.value            # q^k
+    steps = [qp.value ** i for i in range(n)]   # q^i
+    powers = steps             # q^(ik), which sum to [n]_{q^k}
     residuals = []
     for k in range(1, k_max + 1):
-        lhs = q_number(n, QParam(vpow)) * c_qn.coeff(k)
+        lhs = sum(powers) * c_qn.coeff(k)
         residuals.append((k, lhs - npow * c_q.coeff(k)))
         npow *= n_q
-        vpow *= qp.value
+        powers = [p * s for p, s in zip(powers, steps)]
     return _exact_report(COEFF_POWER_SCALE, qp, {"n": n, "k_max": k_max}, residuals)
 
 

@@ -33,7 +33,7 @@ from numbers import Rational
 from typing import Iterator, Literal, Union
 
 from .errors import ConvergenceError, DomainError
-from .qnumbers import QFactorialTable, q_number, q_numbers, radius_of_convergence
+from .qnumbers import q_number, q_numbers, radius_of_convergence
 from .scalars import QParam, Regime, as_qparam, check_int, check_tol, ensure_finite
 from .series import TruncatedSeries
 
@@ -101,13 +101,15 @@ def _log_coeffs(qp: QParam) -> Iterator[Fraction]:
 
 def log_coeffs_closed(order: int, q) -> LogCoeffVector:
     """Closed-form log coefficients c_1..c_order in one O(order) sweep."""
-    check_int(order, "order", 1)
+    check_int(order, "order")
     qp = as_qparam(q)
     return LogCoeffVector(qp, (Fraction(0), *islice(_log_coeffs(qp), order)), "closed_form")
 
 
 def log_coeffs_recursive(order: int, q) -> LogCoeffVector:
-    """Log coefficients via the recursion they satisfy:
+    """Log coefficients as the formal logarithm of the E_q series,
+    :meth:`TruncatedSeries.log` of :func:`qexp_series`, which runs the
+    recursion they satisfy:
 
         c_1 = 1;   c_k = 1/[k]_q! - (1/k) * sum_{j=1}^{k-1} (j / [k-j]_q!) c_j.
 
@@ -115,17 +117,8 @@ def log_coeffs_recursive(order: int, q) -> LogCoeffVector:
     O(order^2) route; exact agreement between the two is the library's
     central self-check.
     """
-    check_int(order, "order", 1)
-    qp = as_qparam(q)
-    inv_fact = [Fraction(1) / f for f in QFactorialTable(qp, order).values]
-    c = [Fraction(0)] * (order + 1)
-    c[1] = Fraction(1)
-    for k in range(2, order + 1):
-        acc = Fraction(0)
-        for j in range(1, k):
-            acc += j * inv_fact[k - j] * c[j]
-        c[k] = inv_fact[k] - acc / k
-    return LogCoeffVector(qp, tuple(c), "recursion")
+    qexp = qexp_series(q, order)
+    return LogCoeffVector(qexp.q, qexp.series.log().coeffs, "recursion")
 
 
 @dataclass(frozen=True)
@@ -146,25 +139,29 @@ class Evaluation:
     method: Literal["series", "log_of_qexp"] = "series"
 
 
-def _radius_guard(qp: QParam, z_abs) -> None:
+def _arguments(q, z, tol, max_terms):
+    """The evaluators' one argument gate: checks q, tol, max_terms, the type
+    of z and the radius of convergence, in that order, and returns
+    ``(qp, z, is_exact)``. Exact rationals keep exact partial sums."""
+    qp = as_qparam(q)
+    check_tol(tol)
+    check_int(max_terms, "max_terms", 1)
+    if isinstance(z, Rational):
+        z, is_exact = Fraction(z), True
+    elif isinstance(z, float):
+        z, is_exact = ensure_finite(complex(z)).real, False
+    elif isinstance(z, complex):
+        z, is_exact = ensure_finite(z), False
+    else:
+        raise DomainError(f"unsupported argument type {type(z).__name__}")
     if qp.regime is Regime.SUB_ONE:
         radius = radius_of_convergence(qp)
-        if z_abs >= radius:
+        if abs(z) >= radius:
             raise DomainError(
-                f"|z| = {z_abs} is outside the radius of convergence "
+                f"|z| = {abs(z)} is outside the radius of convergence "
                 f"(1-q)^(-1) = {radius} for q = {qp}"
             )
-
-
-def _split_argument(z):
-    """Classify the argument: exact rationals keep exact partial sums."""
-    if isinstance(z, Rational):
-        return Fraction(z), True
-    if isinstance(z, (int, float)):
-        return ensure_finite(complex(z)).real, False
-    if isinstance(z, complex):
-        return ensure_finite(z), False
-    raise DomainError(f"unsupported argument type {type(z).__name__}")
+    return qp, z, is_exact
 
 
 def eval_qexp(q, z: Scalar, tol: float = 1e-12,
@@ -177,12 +174,7 @@ def eval_qexp(q, z: Scalar, tol: float = 1e-12,
     so every later term ratio is at most r. A value beyond the binary64
     range raises :class:`DomainError`.
     """
-    qp = as_qparam(q)
-    check_tol(tol)
-    check_int(max_terms, "max_terms", 1)
-    z, is_exact = _split_argument(z)
-    z_abs = abs(z)
-    _radius_guard(qp, z_abs)
+    qp, z, is_exact = _arguments(q, z, tol, max_terms)
 
     numbers = q_numbers(qp)
     qn = next(numbers)        # [k+1]_q while summing through z^k
@@ -217,6 +209,7 @@ def eval_qexp(q, z: Scalar, tol: float = 1e-12,
         else:
             term = total = 1.0
             scale = float(qn)
+            z_abs = abs(z)
             for k in range(max_terms):
                 nxt = term * z / scale
                 scale = float(next(numbers))    # [k+2]_q
@@ -247,13 +240,8 @@ def eval_log_qexp(q, z: Scalar, tol: float = 1e-12,
     (|z| >= q/(q-1)) the value falls back to log(eval_qexp(z)); the
     ``method`` field reports which path produced the result.
     """
-    qp = as_qparam(q)
-    check_tol(tol)
-    check_int(max_terms, "max_terms", 1)
-    z, is_exact = _split_argument(z)
-    z_abs = abs(z)
-    _radius_guard(qp, z_abs)
-    v = qp.value
+    qp, z, is_exact = _arguments(q, z, tol, max_terms)
+    z_abs, v = abs(z), qp.value
 
     if qp.regime is Regime.SUPER_ONE:
         r_cap = z_abs * (v - 1) / v

@@ -1,8 +1,8 @@
 """Coefficient domains: exact rationals, binary64 complex, and the parameter q.
 
-Exact computation runs on ``fractions.Fraction`` (aliased :data:`ExactScalar`),
-which stores every value as a normalized num/den pair with gcd(|num|, den) = 1
-and den > 0 and never rounds. The numeric domain is the built-in ``complex``,
+Exact computation runs on ``fractions.Fraction``, which stores every value as
+a normalized num/den pair with gcd(|num|, den) = 1 and den > 0 and never
+rounds. The numeric domain is the built-in ``complex``,
 restricted to finite values. :class:`QParam` validates the deformation
 parameter q > 0 and classifies its regime, which drives the convergence
 guards elsewhere. :func:`check_int` and :func:`check_tol` are the package's
@@ -21,10 +21,6 @@ from fractions import Fraction
 from numbers import Rational, Real
 
 from .errors import DomainError
-
-#: Exact coefficient domain: arbitrary-precision rationals.
-ExactScalar = Fraction
-
 
 class Regime(Enum):
     """Position of q relative to the classical point q = 1."""

@@ -165,6 +165,9 @@ class TestLogCoeffClosed:
 class TestLogCoeffsRecursive:
     def test_single_term(self):
         assert log_coeffs_recursive(1, Fraction(7, 2)).values == (0, 1)
+        # order 0 is the floor of both routes, as it is of qexp_series
+        for q in (Fraction(1, 2), 1, Fraction(7, 2)):
+            assert log_coeffs_closed(0, q).values == log_coeffs_recursive(0, q).values == (0,)
 
     def test_one_step_by_hand(self):
         # c_2 = 1/[2]_q! - (1/2) c_1 = 2/3 - 1/2 at q = 1/2
@@ -197,7 +200,8 @@ class TestLogCoeffVector:
         vec = log_coeffs_closed(5, Fraction(1, 2))
         for call in (lambda: vec.coeff(0), lambda: vec.coeff(6), lambda: vec.coeff(1.5),
                      lambda: vec.as_series().truncate(1.5),
-                     lambda: log_coeffs_closed(2.5, 2), lambda: log_coeffs_closed(True, 2)):
+                     lambda: log_coeffs_closed(2.5, 2), lambda: log_coeffs_closed(True, 2),
+                     lambda: log_coeffs_closed(-1, 2), lambda: log_coeffs_recursive(-1, 2)):
             with pytest.raises(DomainError):
                 call()
 
@@ -256,6 +260,11 @@ class TestEvalQExp:
                         {"tol": "a"}, {"max_terms": 2.5}, {"max_terms": 0}):
                 with pytest.raises(DomainError):
                     evaluate(Fraction(1, 2), 1, **bad)
+            # with two bad arguments the earlier check names the error:
+            # tol before the radius, max_terms before the type of z
+            for z, bad, name in ((5, {"tol": 0.0}, "tol"), ("x", {"max_terms": 0}, "max_terms")):
+                with pytest.raises(DomainError, match=f"^{name} must be"):
+                    evaluate(Fraction(1, 2), z, **bad)
 
     def test_iteration_limit(self):
         with pytest.raises(ConvergenceError):
