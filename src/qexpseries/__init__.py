@@ -9,8 +9,9 @@ The package provides, all over arbitrary-precision rational arithmetic:
 * the q-exponential itself, the closed form and the recursion for the
   coefficients of its logarithm, and guarded numeric evaluation with
   certified tail bounds (:mod:`.qexp`);
-* exact (zero-residual) and numeric verification of the classical
-  q-exponential identities, with structured reports (:mod:`.identities`);
+* exact (zero-residual) verification of the classical q-exponential
+  identities, and one binary64 cross-check of the root-of-unity product,
+  with structured reports (:mod:`.identities`);
 * a CLI, installed as ``qexp`` (:mod:`.cli`).
 
 All values are immutable and all operations are pure functions, so anything
@@ -26,11 +27,10 @@ Fraction(1, 6)
 """
 
 from .errors import ConvergenceError, DomainError, OrderMismatchError
-from .scalars import (QParam, Regime, as_qparam, complex_json, parse_rational,
-                      rational_str)
+from .scalars import QParam, Regime, as_qparam, parse_rational, rational_str
 from .qnumbers import (QFactorialTable, q_binomial, q_binomial_pascal,
                        q_factorial, q_number, radius_of_convergence)
-from .series import SeriesComparison, TruncatedSeries
+from .series import TruncatedSeries
 from .qexp import (DEFAULT_MAX_TERMS, Evaluation, LogCoeffVector, QExpSeries,
                    eval_log_qexp, eval_qexp, log_coeff_closed,
                    log_coeffs_closed, log_coeffs_recursive, qexp_series)
@@ -58,7 +58,6 @@ __all__ = [
     "QFactorialTable",
     "QParam",
     "Regime",
-    "SeriesComparison",
     "SuiteConfig",
     "TruncatedSeries",
     "VerificationReport",
@@ -72,7 +71,6 @@ __all__ = [
     "check_reflection_product",
     "check_root_of_unity_product",
     "check_scaling_product",
-    "complex_json",
     "eval_log_qexp",
     "eval_qexp",
     "log_coeff_closed",

@@ -93,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--order", type=_int_arg("order", 1), default=32)
     verify.add_argument("--numeric-order", type=_int_arg("numeric-order", 1), default=24)
     verify.add_argument("--kmax", type=_int_arg("kmax", 1), default=64)
-    verify.add_argument("--tol", type=_tol_arg, default=1e-12)
     verify.add_argument("--format", choices=FORMATS, default="text")
     verify.set_defaults(func=cmd_verify)
 
@@ -192,7 +191,7 @@ def _verify_line(r) -> str:
 def cmd_verify(args) -> int:
     config = SuiteConfig(qs=tuple(args.q or DEFAULT_QS), ns=tuple(args.n or DEFAULT_NS),
                          order=args.order, numeric_order=args.numeric_order,
-                         k_max=args.kmax, tol=args.tol,
+                         k_max=args.kmax,
                          checks=ALL_IDENTITIES if args.suite == "all" else (args.suite,))
     reports = run_suite(config)
     passed = sum(r.passed for r in reports)

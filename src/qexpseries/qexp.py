@@ -75,6 +75,8 @@ class LogCoeffVector:
 
     def coeff(self, k: int) -> Fraction:
         if check_int(k, "k", 1) > self.order:
+            if not self.order:
+                raise DomainError(f"an order-0 vector holds no coefficients, got k = {k}")
             raise DomainError(f"k must be in 1..{self.order}, got {k}")
         return self.values[k]
 

@@ -80,7 +80,7 @@ class QFactorialTable:
     def binomial(self, k: int, j: int) -> Fraction:
         """Gaussian binomial [k choose j]_q; zero outside 0 <= j <= k."""
         check_int(k, "k")
-        if j < 0 or j > k:
+        if check_int(j, "j", None) < 0 or j > k:
             return Fraction(0)
         return self.factorial(k) / (self.factorial(j) * self.factorial(k - j))
 
@@ -93,9 +93,9 @@ def q_binomial(k: int, j: int, q) -> Fraction:
     min(j, k-j), from one q-number sweep.
     """
     check_int(k, "k")
-    if j < 0 or j > k:
+    if check_int(j, "j", None) < 0 or j > k:
         return Fraction(0)
-    j = min(check_int(j, "j"), k - j)
+    j = min(j, k - j)
     numbers = list(islice(q_numbers(as_qparam(q)), k))
     return (math.prod(numbers[k - j:], start=Fraction(1))
             / math.prod(numbers[:j], start=Fraction(1)))
@@ -115,9 +115,8 @@ def q_binomial_pascal(k: int, j: int, q) -> Fraction:
     if k > PASCAL_MAX_K:
         raise DomainError(f"the Pascal route takes k <= {PASCAL_MAX_K}, got {k}; "
                           "use q_binomial for larger k")
-    if j < 0 or j > k:
+    if check_int(j, "j", None) < 0 or j > k:
         return Fraction(0)
-    check_int(j, "j")
     v = as_qparam(q).value
     powers = [v ** c for c in range(j + 1)]
     row = [Fraction(1)] + [Fraction(0)] * j

@@ -1,12 +1,12 @@
-"""Coefficient domains: exact rationals, binary64 complex, and the parameter q.
+"""Scalars: exact rationals, the parameter q, and the package's argument checks.
 
 Exact computation runs on ``fractions.Fraction``, which stores every value as
 a normalized num/den pair with gcd(|num|, den) = 1 and den > 0 and never
-rounds. The numeric domain is the built-in ``complex``,
-restricted to finite values. :class:`QParam` validates the deformation
-parameter q > 0 and classifies its regime, which drives the convergence
-guards elsewhere. :func:`check_int` and :func:`check_tol` are the package's
-one integer and one tolerance check.
+rounds. :class:`QParam` validates the deformation parameter q > 0 and
+classifies its regime, which drives the convergence guards elsewhere.
+:func:`check_int` and :func:`check_tol` are the package's one integer and
+one tolerance check; :func:`ensure_finite` guards the binary64 arguments of
+the float evaluators.
 
 Everything here is immutable and safe to share between threads.
 """
@@ -93,15 +93,13 @@ def rational_str(value: Rational) -> str:
     return str(Fraction(value))
 
 
-def complex_json(value: complex) -> dict:
-    """JSON form of a complex scalar: {"re": ..., "im": ...}."""
-    return {"re": value.real, "im": value.imag}
-
-
-def check_int(value: int, name: str, minimum: int = 0) -> int:
-    """``value`` itself if it is an int (bools excluded) >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def check_int(value: int, name: str, minimum: "int | None" = 0) -> int:
+    """``value`` itself if it is an int (bools excluded) >= ``minimum``, or
+    of any sign when ``minimum`` is None."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise DomainError(f"{name} must be an integer{bound}, got {value!r}")
     return value
 
 
@@ -113,7 +111,7 @@ def check_tol(value: float) -> float:
 
 
 def ensure_finite(value: complex) -> complex:
-    """Reject NaN/Inf anywhere in the numeric domain."""
+    """``value`` as a complex number; NaN and Inf are rejected."""
     z = complex(value)
     if not cmath.isfinite(z):
         raise DomainError(f"non-finite numeric value: {value!r}")

@@ -16,6 +16,7 @@ from qexpseries import (DomainError, SuiteConfig, check_coeff_double_order,
                         check_root_of_unity_product, check_scaling_product,
                         log_coeff_closed, qexp_series, reports_to_json,
                         run_suite)
+from qexpseries.identities import _complex_product, _substituted
 
 qvalues = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=8)
 
@@ -98,35 +99,26 @@ class TestScalingProduct:
 
 class TestRootOfUnityProduct:
     def test_passes(self):
-        report = check_root_of_unity_product(Fraction(1, 2), 3, 12, 1e-12)
+        # every residual, at k % n != 0 too (where the product must vanish),
+        # is within the fixed bound
+        report = check_root_of_unity_product(Fraction(1, 2), 3, 12)
         assert report.passed
         assert report.mode == "numeric"
         assert report.tol == 1e-12
-
-    def test_non_multiple_coefficients_vanish(self):
-        q, n, order = Fraction(1, 2), 3, 12
-        base = qexp_series(q, order).series.to_complex()
-        lhs = base
-        for m in range(1, n):
-            lhs = lhs * base.scale_substitute(cmath.rect(1.0, 2 * math.pi * m / n))
-        for k in range(order + 1):
-            if k % n:
-                assert abs(lhs.coeffs[k]) <= 1e-12
 
     def test_two_factor_case_matches_reflection_sides(self):
         # at n = 2 the root of unity is -1, so the product is E_q(z) E_q(-z)
         q, order = Fraction(2, 3), 10
         base = qexp_series(q, order).series
-        exact_lhs = (base * base.scale_substitute(-1)).to_complex()
-        complex_base = base.to_complex()
-        numeric_lhs = complex_base * complex_base.scale_substitute(
-            cmath.rect(1.0, math.pi))
-        assert numeric_lhs.compare(exact_lhs, 1e-12).equal
+        exact_lhs = base * base.scale_substitute(-1)
+        numeric_lhs = _complex_product(_substituted(base.coeffs, 1, order),
+                                       _substituted(base.coeffs, cmath.rect(1.0, math.pi), order))
+        assert all(abs(x - float(y)) <= 1e-12 for x, y in zip(numeric_lhs, exact_lhs.coeffs))
 
     @pytest.mark.parametrize("q", GRID)
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_exact_counterpart(self, q, n):
-        numeric = check_root_of_unity_product(q, n, 12, 1e-12)
+        numeric = check_root_of_unity_product(q, n, 12)
         exact = check_coeff_multiple_order(q, n, 16)
         assert numeric.passed == exact.passed
 
@@ -181,7 +173,7 @@ class TestReports:
         assert "tol" not in payload
 
     def test_numeric_report_keeps_context_residuals(self):
-        report = check_root_of_unity_product(Fraction(1, 2), 2, 8, 1e-12)
+        report = check_root_of_unity_product(Fraction(1, 2), 2, 8)
         assert report.passed
         assert len(report.residuals) <= 5
         payload = report.to_json()
@@ -194,7 +186,7 @@ class TestReports:
 
 class TestSuite:
     CONFIG = SuiteConfig(qs=(Fraction(1, 2), Fraction(2)), ns=(2, 3),
-                         order=10, numeric_order=8, k_max=12, tol=1e-12)
+                         order=10, numeric_order=8, k_max=12)
 
     def test_all_pass(self):
         reports = run_suite(self.CONFIG)
@@ -219,6 +211,9 @@ class TestSuite:
         # Fraction(0.1) would silently run q = 3602879701896397/36028797018963968
         with pytest.raises(DomainError, match="exact"):
             run_suite(SuiteConfig(qs=(0.1,), checks=("coeff_sign_flip",), k_max=4))
+        # each n is checked before the set of them is sorted
+        with pytest.raises(DomainError, match="n must be an integer"):
+            run_suite(SuiteConfig(ns=("a", 2), checks=("coeff_power_scale",), k_max=4))
 
     def test_duplicate_qs_deduplicated(self):
         config = SuiteConfig(qs=(Fraction(1, 2), Fraction(1, 2), Fraction(2), 2),

@@ -204,6 +204,9 @@ class TestLogCoeffVector:
                      lambda: log_coeffs_closed(-1, 2), lambda: log_coeffs_recursive(-1, 2)):
             with pytest.raises(DomainError):
                 call()
+        for build in (log_coeffs_closed, log_coeffs_recursive):
+            with pytest.raises(DomainError, match="holds no coefficients"):
+                build(0, Fraction(1, 2)).coeff(1)
 
     @pytest.mark.parametrize("q", GRID)
     def test_exp_reconstructs_qexp_series(self, q):

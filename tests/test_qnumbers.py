@@ -96,6 +96,10 @@ class TestQFactorialTable:
         table = QFactorialTable(Fraction(1, 2), 6)
         assert table.binomial(4, -1) == 0
         assert table.binomial(4, 5) == 0
+        # j is checked before it is compared with k, and the message names j
+        for j in ("a", 2.5, True):
+            with pytest.raises(DomainError, match="j must be an integer"):
+                table.binomial(5, j)
 
 
 class TestQBinomial:
@@ -105,6 +109,9 @@ class TestQBinomial:
         assert q_binomial(7, 7, q) == 1
         assert q_binomial(7, -2, q) == 0
         assert q_binomial(7, 8, q) == 0
+        for j in ("a", 2.5, True):
+            with pytest.raises(DomainError, match="j must be an integer"):
+                q_binomial(5, j, Fraction(1, 2))
         # j > k/2 takes the short side of the product
         assert q_binomial(7, 5, q) == q_binomial(7, 2, q) == QFactorialTable(q, 7).binomial(7, 5)
         # large k, small j; [n]_{1/2} = (2^n - 1) / 2^(n-1)
@@ -145,6 +152,10 @@ class TestPascalRecursion:
         assert q_binomial_pascal(5, 0, q) == 1
         assert q_binomial_pascal(5, 5, q) == 1
         assert q_binomial_pascal(5, 9, q) == 0
+        assert q_binomial_pascal(5, -1, q) == 0
+        for j in ("a", 2.5, True):
+            with pytest.raises(DomainError, match="j must be an integer"):
+                q_binomial_pascal(5, j, Fraction(1, 2))
 
     def test_matches_quotient_hand_case(self):
         assert q_binomial_pascal(2, 1, Fraction(1, 2)) == Fraction(3, 2)

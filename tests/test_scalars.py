@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qexpseries import (DomainError, QParam, Regime, as_qparam, complex_json,
+from qexpseries import (DomainError, QParam, Regime, as_qparam,
                         parse_rational, rational_str)
 
 fractions_ = st.fractions(min_value=-50, max_value=50, max_denominator=60)
@@ -103,6 +103,3 @@ class TestSerialization:
     def test_parse_rejects_garbage(self, text):
         with pytest.raises(DomainError):
             parse_rational(text)
-
-    def test_complex_json(self):
-        assert complex_json(complex(1.5, -2.0)) == {"re": 1.5, "im": -2.0}

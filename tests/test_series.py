@@ -7,7 +7,6 @@ exp h = sum_m h^m / m!. Both truncate soundly because (f-1) and h have
 positive valuation.
 """
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -76,13 +75,11 @@ class TestConstruction:
             TruncatedSeries([])
 
     def test_exact_domain_detection(self):
-        assert TruncatedSeries([1, Fraction(1, 2)]).exact
-        assert not TruncatedSeries([1.0, 2.0]).exact
-        assert not TruncatedSeries([1, 2.0]).exact   # one float demotes the lot
-
-    def test_numeric_coeffs_become_complex(self):
-        s = TruncatedSeries([1.5, complex(0, 1)])
-        assert s.coeffs == (complex(1.5), complex(0, 1))
+        assert TruncatedSeries([1, Fraction(1, 2)]).exact is True
+        # one inexact coefficient rejects the lot
+        for coeffs in ([1.0], [1, 2.0], [1, complex(0, 1)], [1, "1/2"]):
+            with pytest.raises(DomainError, match="exact rationals"):
+                TruncatedSeries(coeffs)
 
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
@@ -125,8 +122,9 @@ class TestArithmetic:
             TruncatedSeries([1, 2]) * TruncatedSeries([1, 2, 3])
 
     def test_mixed_domains_rejected(self):
-        with pytest.raises(DomainError):
-            TruncatedSeries([1, 2]) * TruncatedSeries([1.0, 2.0])
+        for other in (2.0, (1, 2)):
+            with pytest.raises(DomainError, match="expected a TruncatedSeries"):
+                TruncatedSeries([1, 2]) * other
 
     @given(exact_series_pair(max_order=8))
     def test_mul_commutes(self, pair):
@@ -171,10 +169,10 @@ class TestScaleSubstitute:
             TruncatedSeries([1, 1]).scale_substitute(1, 0)
 
     def test_float_factor_needs_complex_domain(self):
-        with pytest.raises(DomainError):
-            TruncatedSeries([1, 1]).scale_substitute(0.5)
-        lifted = TruncatedSeries([1, 1]).to_complex().scale_substitute(0.5)
-        assert lifted.coeffs == (complex(1), complex(0.5))
+        # there is no complex domain: a float or complex factor is rejected
+        for factor in (0.5, complex(0, 1)):
+            with pytest.raises(DomainError, match="exact rational"):
+                TruncatedSeries([1, 1]).scale_substitute(factor)
 
     @given(exact_series(max_order=8), small_fractions)
     def test_evaluation_consistency(self, f, a):
@@ -250,45 +248,15 @@ class TestLogExp:
 class TestCompare:
     def test_reflexive(self):
         f = TruncatedSeries([1, Fraction(2, 3), 5])
-        cmp = f.compare(f)
-        assert cmp.equal and cmp.exact
-        assert cmp.residuals == (0, 0, 0)
+        assert f.compare(f) == (0, 0, 0)
 
     def test_exactness_has_no_epsilon(self):
         f = TruncatedSeries([1, 1, 0])
         g = TruncatedSeries([1, 1, Fraction(1, 10 ** 30)])
-        cmp = f.compare(g, tol=1.0)   # tol is ignored in the exact domain
-        assert not cmp.equal
-        assert cmp.residuals[2] == -Fraction(1, 10 ** 30)
-
-    def test_numeric_tolerance(self):
-        f = TruncatedSeries([1.0, 1.0])
-        g = TruncatedSeries([1.0, 1.0 + 1e-13])
-        assert f.compare(g, tol=1e-12).equal
-        assert not f.compare(g, tol=1e-14).equal
-        assert f.compare(g, tol=1e-12).max_abs == pytest.approx(1e-13)
-
-    def test_negative_tol_rejected(self):
-        f = TruncatedSeries([1.0])
-        with pytest.raises(DomainError):
-            f.compare(f, tol=-1e-3)
+        assert f.compare(g) == (0, 0, -Fraction(1, 10 ** 30))
 
 
 class TestJson:
     def test_exact_strings(self):
         f = TruncatedSeries([1, Fraction(-8, 21)])
         assert f.to_json() == {"order": 1, "coeffs": ["1", "-8/21"]}
-
-    def test_complex_objects(self):
-        f = TruncatedSeries([1.0, complex(0, -0.5)])
-        assert f.to_json() == {
-            "order": 1,
-            "coeffs": [{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": -0.5}],
-        }
-
-    def test_to_complex_round_trip_values(self):
-        f = TruncatedSeries([Fraction(1, 4), Fraction(3, 8)])
-        g = f.to_complex()
-        assert not g.exact
-        assert g.coeffs == (complex(0.25), complex(0.375))
-        assert math.isclose(abs(g.coeffs[1]), 0.375)
