@@ -30,14 +30,16 @@ import cmath
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
 
 from .errors import DomainError
 from .qexp import log_coeffs_closed, qexp_series
-from .qnumbers import QFactorialTable, q_number
+from .qnumbers import q_number, q_numbers
 from .scalars import QParam, Regime, as_qparam, check_int, rational_str
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _dot
 
 EXACT = "exact"
 NUMERIC = "numeric"
@@ -113,19 +115,21 @@ def _numeric_report(identity, qp, params, residuals, tol, note="") -> Verificati
 
 
 def check_qbinomial_sum(q, k_max: int = 40) -> VerificationReport:
-    """sum_{j=1}^{k} [k choose j]_q (1-q)^(j-1) [j-1]_q! = k for k = 2..k_max."""
+    """sum_{j=1}^{k} [k choose j]_q (1-q)^(j-1) [j-1]_q! = k for k = 2..k_max.
+
+    As [k choose j]_q [j-1]_q! = [k]_q [k-1]_q ... [k-j+1]_q / [j]_q, row k
+    sums the falling products of one q-number sweep against the weights
+    (1-q)^(j-1) / [j]_q.
+    """
     qp = as_qparam(q)
     check_int(k_max, "k_max", 2)
-    table = QFactorialTable(qp, k_max)
-    one_minus = 1 - qp.value
+    numbers = list(islice(q_numbers(qp), k_max))    # [1]_q .. [k_max]_q
+    shifts = accumulate(repeat(1 - qp.value, k_max - 1), operator.mul, initial=Fraction(1))
+    weights = [shift / number for shift, number in zip(shifts, numbers)]
     residuals = []
     for k in range(2, k_max + 1):
-        acc = Fraction(0)
-        shift = Fraction(1)   # (1-q)^(j-1)
-        for j in range(1, k + 1):
-            acc += table.binomial(k, j) * shift * table.factorial(j - 1)
-            shift *= one_minus
-        residuals.append((k, acc - k))
+        falling = accumulate(reversed(numbers[:k]), operator.mul)
+        residuals.append((k, _dot(zip(repeat(1), falling, weights)) - k))
     return _exact_report(QBINOMIAL_SUM, qp, {"k_min": 2, "k_max": k_max}, residuals)
 
 

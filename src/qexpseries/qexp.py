@@ -148,7 +148,7 @@ def _arguments(q, z, tol, max_terms):
     qp = as_qparam(q)
     check_tol(tol)
     check_int(max_terms, "max_terms", 1)
-    if isinstance(z, Rational):
+    if isinstance(z, Rational) and not isinstance(z, bool):
         z, is_exact = Fraction(z), True
     elif isinstance(z, float):
         z, is_exact = ensure_finite(complex(z)).real, False

@@ -55,8 +55,7 @@ class QFactorialTable:
     """Immutable table of [k]_q! for k = 0..max_order.
 
     Built once in O(max_order) scalar steps; Gaussian binomials via the
-    factorial quotient are then O(1) big-rational operations per query,
-    which is what batch sweeps and the q-exponential builder use.
+    factorial quotient are then O(1) big-rational operations per query.
     """
 
     __slots__ = ("q", "values")

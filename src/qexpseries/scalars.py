@@ -44,7 +44,7 @@ class QParam:
         value = self.value
         if isinstance(value, float):
             raise DomainError("q must be exact; pass a Fraction or int, not a float")
-        if not isinstance(value, Rational):
+        if isinstance(value, bool) or not isinstance(value, Rational):
             raise DomainError(f"q must be rational, got {type(value).__name__}")
         value = Fraction(value)
         if value <= 0:

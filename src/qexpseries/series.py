@@ -4,8 +4,8 @@ A :class:`TruncatedSeries` is a polynomial surrogate for a power series: it
 carries coefficients a_0..a_N for a fixed truncation order N and performs all
 arithmetic modulo z^(N+1), silently dropping higher-order products.
 Coefficients are ``fractions.Fraction``; arithmetic never rounds, so identity
-checks can demand literally zero residuals. Float and complex coefficients
-are rejected, as they are for q.
+checks can demand literally zero residuals. Float, complex and bool
+coefficients are rejected, as they are for q.
 
 Series are immutable. Binary operations require equal truncation orders
 (re-truncate explicitly with :meth:`TruncatedSeries.truncate`).
@@ -17,11 +17,19 @@ logarithm h with h(0) = 0 via the standard O(N^2) recursions obtained by
 matching coefficients in f' = f h'. The round trip log(exp(h)) = h is an
 identity, not an approximation, and exp turns addition into multiplication
 at the truncation order.
+
+The product, log and exp build every coefficient as one sum of products
+through :func:`_dot`, which keeps the partial sum as an integer numerator
+over a running common denominator: one gcd per term, between denominators
+only, and one reduction per coefficient, instead of reducing a Fraction at
+every term. The results are the same reduced Fractions either way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 from numbers import Rational
 from typing import Iterable
 
@@ -29,12 +37,28 @@ from .errors import DomainError, OrderMismatchError
 from .scalars import check_int
 
 
+def _dot(triples: "Iterable[tuple[int, Fraction, Fraction]]") -> Fraction:
+    """sum w*x*y over (w, x, y) with w an int and x, y Fractions, reduced once.
+
+    ``den`` is the lcm of the products x.den * y.den seen so far and
+    ``num / den`` the partial sum, so a term costs one gcd of denominators.
+    """
+    num, den = 0, 1
+    for w, x, y in triples:
+        d = x.denominator * y.denominator
+        g = gcd(den, d)
+        step = d // g
+        num = num * step + w * x.numerator * y.numerator * (den // g)
+        den *= step
+    return Fraction(num, den)
+
+
 def _coerce(coeffs: Iterable) -> "tuple[Fraction, ...]":
     values = tuple(coeffs)
     if not values:
         raise DomainError("a series needs at least its constant coefficient")
     for c in values:
-        if not isinstance(c, Rational):
+        if isinstance(c, bool) or not isinstance(c, Rational):
             raise DomainError(f"coefficients must be exact rationals, got {type(c).__name__}")
     return tuple(Fraction(c) for c in values)
 
@@ -107,15 +131,9 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product modulo z^(N+1)."""
         self._compatible(other)
-        a, b, n = self.coeffs, other.coeffs, self.order
-        out = []
-        for k in range(n + 1):
-            acc = Fraction(0)
-            for i in range(k + 1):
-                if a[i] and b[k - i]:
-                    acc += a[i] * b[k - i]
-            out.append(acc)
-        return TruncatedSeries(out)
+        a, b = self.coeffs, other.coeffs
+        return TruncatedSeries(_dot((1, a[i], b[k - i]) for i in range(k + 1) if a[i] and b[k - i])
+                               for k in range(self.order + 1))
 
     def scale_substitute(self, factor, stretch: int = 1) -> "TruncatedSeries":
         """The series f(factor * z^stretch) at the same truncation order.
@@ -124,7 +142,7 @@ class TruncatedSeries:
         positions beyond the order are dropped. ``factor`` must be rational.
         """
         check_int(stretch, "stretch", 1)
-        if not isinstance(factor, Rational):
+        if isinstance(factor, bool) or not isinstance(factor, Rational):
             raise DomainError(f"factor must be an exact rational, got {type(factor).__name__}")
         factor = Fraction(factor)
         out = [Fraction(0)] * (self.order + 1)
@@ -144,13 +162,11 @@ class TruncatedSeries:
         a = self.coeffs
         if a[0] != 1:
             raise DomainError("log needs constant term exactly 1")
-        n = self.order
-        h = [Fraction(0)] * (n + 1)
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, k):
-                acc += j * a[k - j] * h[j]
-            h[k] = a[k] - acc / k
+        h = [Fraction(0)] * (self.order + 1)
+        for k in range(1, self.order + 1):
+            # k h_k = k a_k - sum_{j<k} j a_{k-j} h_j, as one sum
+            terms = ((-j, a[k - j], h[j]) for j in range(1, k))
+            h[k] = _dot(chain([(k, a[k], Fraction(1))], terms)) / k
         return TruncatedSeries(h)
 
     def exp(self) -> "TruncatedSeries":
@@ -162,13 +178,9 @@ class TruncatedSeries:
         h = self.coeffs
         if h[0] != 0:
             raise DomainError("exp needs constant term exactly 0")
-        n = self.order
-        a = [Fraction(1)] + [Fraction(0)] * n
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc += j * h[j] * a[k - j]
-            a[k] = acc / k
+        a = [Fraction(1)] + [Fraction(0)] * self.order
+        for k in range(1, self.order + 1):
+            a[k] = _dot((j, h[j], a[k - j]) for j in range(1, k + 1)) / k
         return TruncatedSeries(a)
 
     def compare(self, other: "TruncatedSeries") -> "tuple[Fraction, ...]":

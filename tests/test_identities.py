@@ -9,19 +9,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qexpseries import (DomainError, SuiteConfig, check_coeff_double_order,
+from qexpseries import (DomainError, QFactorialTable, SuiteConfig, as_qparam, check_coeff_double_order,
                         check_coeff_multiple_order, check_coeff_power_scale,
                         check_coeff_sign_flip, check_qbinomial_sum,
                         check_reciprocal_product, check_reflection_product,
                         check_root_of_unity_product, check_scaling_product,
                         log_coeff_closed, qexp_series, reports_to_json,
                         run_suite)
-from qexpseries.identities import _complex_product, _substituted
+from qexpseries.identities import DEFAULT_QS, _complex_product, _exact_report, _substituted
 
 qvalues = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=8)
 
 GRID = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
         Fraction(3, 2), Fraction(2), Fraction(5, 2))
+
+
+def _reference_qbinomial_sum(q, k_max):
+    """The qbinomial_sum residuals through factorial-quotient binomials, one
+    reduced Fraction per step, as the check computed them before it summed
+    falling products with the series kernel."""
+    table = QFactorialTable(q, k_max)
+    one_minus = 1 - as_qparam(q).value
+    residuals = []
+    for k in range(2, k_max + 1):
+        acc = Fraction(0)
+        shift = Fraction(1)   # (1-q)^(j-1)
+        for j in range(1, k + 1):
+            acc += table.binomial(k, j) * shift * table.factorial(j - 1)
+            shift *= one_minus
+        residuals.append((k, acc - k))
+    return residuals
 
 
 class TestQBinomialSum:
@@ -37,6 +54,16 @@ class TestQBinomialSum:
         assert report.passed
         assert report.residuals == ()
         assert report.mode == "exact"
+
+    def test_matches_factorial_quotient_loop(self):
+        for q in DEFAULT_QS:
+            qp = as_qparam(q)
+            for k_max in range(2, 41):
+                residuals = _reference_qbinomial_sum(qp, k_max)
+                assert residuals == [(k, 0) for k in range(2, k_max + 1)]
+                expected = _exact_report("qbinomial_sum", qp, {"k_min": 2, "k_max": k_max},
+                                         residuals)
+                assert check_qbinomial_sum(q, k_max) == expected
 
     def test_classical_point(self):
         # at q = 1 only the j = 1 term survives the (1-q)^(j-1) factor

@@ -284,6 +284,11 @@ class TestEvalQExp:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             eval_qexp(Fraction(2), float("inf"))
+        # a bool is not an argument value, though Python counts it as an int
+        for evaluate in (eval_qexp, eval_log_qexp):
+            for flag in (True, False):
+                with pytest.raises(DomainError, match="unsupported argument type bool"):
+                    evaluate(Fraction(2), flag)
 
     def test_binary64_overflow(self):
         for q, z in ((3, 1e300), (2, Fraction(10 ** 14)), (2, 1e14)):

@@ -63,6 +63,10 @@ class TestQParam:
     def test_float_rejected(self):
         with pytest.raises(DomainError):
             QParam(0.5)
+        # a bool is an int to Python, but not a value of q
+        for flag in (True, False):
+            with pytest.raises(DomainError, match="q must be rational, got bool"):
+                QParam(flag)
 
     def test_int_coerced(self):
         q = QParam(2)

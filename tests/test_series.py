@@ -5,6 +5,11 @@ only use series multiplication: the alternating-composition expansion
 log f = sum_m (-1)^(m+1) (f-1)^m / m and the power-sum expansion
 exp h = sum_m h^m / m!. Both truncate soundly because (f-1) and h have
 positive valuation.
+
+Those oracles multiply with the product under test, so the product, log and
+exp are also held to the plain reduced-Fraction loops they replaced
+(``_reference_mul``, ``_reference_log``, ``_reference_exp``), which share no
+code with the running-denominator kernel.
 """
 
 from fractions import Fraction
@@ -13,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qexpseries import DomainError, OrderMismatchError, TruncatedSeries
+from qexpseries import (DomainError, OrderMismatchError, TruncatedSeries, log_coeffs_closed,
+                        qexp_series)
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=9)
 
@@ -38,6 +44,40 @@ def exact_series_pair(draw, constant=None, max_order=10):
         return TruncatedSeries(coeffs)
 
     return one_series(), one_series()
+
+
+def _reference_mul(a, b):
+    """Cauchy product of two coefficient tuples, one Fraction step per term."""
+    out = []
+    for k in range(len(a)):
+        acc = Fraction(0)
+        for i in range(k + 1):
+            if a[i] and b[k - i]:
+                acc += a[i] * b[k - i]
+        out.append(acc)
+    return tuple(out)
+
+
+def _reference_log(a):
+    """h_k = a_k - (1/k) sum_{j<k} j a_{k-j} h_j, one Fraction step per term."""
+    h = [Fraction(0)] * len(a)
+    for k in range(1, len(a)):
+        acc = Fraction(0)
+        for j in range(1, k):
+            acc += j * a[k - j] * h[j]
+        h[k] = a[k] - acc / k
+    return tuple(h)
+
+
+def _reference_exp(h):
+    """a_k = (1/k) sum_{j<=k} j h_j a_{k-j}, one Fraction step per term."""
+    a = [Fraction(1)] + [Fraction(0)] * (len(h) - 1)
+    for k in range(1, len(h)):
+        acc = Fraction(0)
+        for j in range(1, k + 1):
+            acc += j * h[j] * a[k - j]
+        a[k] = acc / k
+    return tuple(a)
 
 
 def log_by_composition(f: TruncatedSeries) -> TruncatedSeries:
@@ -77,7 +117,7 @@ class TestConstruction:
     def test_exact_domain_detection(self):
         assert TruncatedSeries([1, Fraction(1, 2)]).exact is True
         # one inexact coefficient rejects the lot
-        for coeffs in ([1.0], [1, 2.0], [1, complex(0, 1)], [1, "1/2"]):
+        for coeffs in ([1.0], [1, 2.0], [1, complex(0, 1)], [1, "1/2"], [True, False], [1, True]):
             with pytest.raises(DomainError, match="exact rationals"):
                 TruncatedSeries(coeffs)
 
@@ -170,7 +210,7 @@ class TestScaleSubstitute:
 
     def test_float_factor_needs_complex_domain(self):
         # there is no complex domain: a float or complex factor is rejected
-        for factor in (0.5, complex(0, 1)):
+        for factor in (0.5, complex(0, 1), True, False):
             with pytest.raises(DomainError, match="exact rational"):
                 TruncatedSeries([1, 1]).scale_substitute(factor)
 
@@ -243,6 +283,47 @@ class TestLogExp:
     @given(exact_series(constant=0, max_order=7))
     def test_exp_matches_power_oracle(self, h):
         assert h.exp() == exp_by_powers(h)
+
+
+class TestKernelMatchesReference:
+    """The running-denominator product, log and exp against the loops they
+    replaced: equal coefficient tuples, term by term."""
+
+    def test_qexp_series(self):
+        for q in (Fraction(1, 7), Fraction(2, 3), Fraction(1), Fraction(5, 2)):
+            for order in (0, 1, 17, 48):
+                e = qexp_series(q, order).series
+                flipped = e.scale_substitute(-1)
+                c = log_coeffs_closed(order, q).as_series()
+                assert (e * flipped).coeffs == _reference_mul(e.coeffs, flipped.coeffs)
+                assert (e * e).coeffs == _reference_mul(e.coeffs, e.coeffs)
+                assert e.log().coeffs == _reference_log(e.coeffs)
+                assert c.exp().coeffs == _reference_exp(c.coeffs)
+                assert e.log().exp().coeffs == _reference_exp(_reference_log(e.coeffs))
+
+    @settings(max_examples=60)
+    @given(exact_series_pair(max_order=10))
+    def test_mul(self, pair):
+        f, g = pair
+        assert (f * g).coeffs == _reference_mul(f.coeffs, g.coeffs)
+
+    @settings(max_examples=60)
+    @given(exact_series(constant=1, max_order=10), exact_series(constant=0, max_order=10))
+    def test_log_and_exp(self, f, h):
+        assert f.log().coeffs == _reference_log(f.coeffs)
+        assert h.exp().coeffs == _reference_exp(h.coeffs)
+
+    def test_zero_results(self):
+        # every term of the product has a zero factor
+        f = TruncatedSeries([0, 2, Fraction(-1, 3)])
+        g = TruncatedSeries([0, Fraction(5, 7), 0]).truncate(1)
+        product = f.truncate(1) * g
+        assert product.coeffs == _reference_mul(f.coeffs[:2], g.coeffs) == (0, 0)
+        assert all(type(c) is Fraction and c.denominator == 1 for c in product.coeffs)
+        # nonzero terms that cancel: exp(z - z^2/2) has no z^2 term
+        a = TruncatedSeries([0, 1, Fraction(-1, 2)]).exp()
+        assert a.coeffs == _reference_exp((0, 1, Fraction(-1, 2))) == (1, 1, 0)
+        assert type(a.coeffs[2]) is Fraction and a.coeffs[2].denominator == 1
 
 
 class TestCompare:
