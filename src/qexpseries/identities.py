@@ -31,6 +31,7 @@ import functools
 import json
 import math
 import operator
+from collections.abc import Sequence, Set as AbstractSet
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
@@ -338,21 +339,32 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> "tuple[VerificationReport,
     """Run the selected checks over the grid.
 
     Deterministic: reports are ordered by identity name, then q, then n,
-    and identical inputs produce byte-identical JSON. Like ``ns`` and
-    ``checks``, ``qs`` is deduplicated; each q must be a valid
+    and identical inputs produce byte-identical JSON. ``qs``, ``ns`` and
+    ``checks`` must each be a sequence (or set), never a lone value or a
+    string, and each is deduplicated; each q must be a valid
     :class:`QParam` value (floats are rejected) and each n an integer >= 2.
     """
-    unknown = sorted(set(config.checks) - set(ALL_IDENTITIES))
+    checks, qs, ns = (_grid(config, name) for name in ("checks", "qs", "ns"))
+    unknown = sorted(set(checks) - set(ALL_IDENTITIES))
     if unknown:
         raise DomainError(f"unknown identity check(s): {', '.join(unknown)}")
-    qps = sorted({as_qparam(q) for q in config.qs}, key=lambda qp: qp.value)
-    ns = sorted({check_int(n, "n", 2) for n in config.ns})
+    qps = sorted({as_qparam(q) for q in qs}, key=lambda qp: qp.value)
+    ns = sorted({check_int(n, "n", 2) for n in ns})
     reports = []
-    for identity in sorted(set(config.checks)):
+    for identity in sorted(set(checks)):
         for qp in qps:
             for n in ns if identity in PER_N_IDENTITIES else (None,):
                 reports.append(_dispatch(identity, qp, config, n))
     return tuple(reports)
+
+
+def _grid(config: SuiteConfig, name: str):
+    """The grid field ``name`` of ``config``: a sequence or a set of values,
+    never a lone value or a string, which would iterate as its characters."""
+    values = getattr(config, name)
+    if isinstance(values, (str, bytes)) or not isinstance(values, (Sequence, AbstractSet)):
+        raise DomainError(f"{name} must be a sequence of values, got {values!r}")
+    return values
 
 
 def _dispatch(identity, qp, config: SuiteConfig, n):

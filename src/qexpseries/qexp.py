@@ -11,12 +11,16 @@ Three views of the same object:
 
 For 0 < q < 1 the series has radius of convergence (1-q)^(-1) and the
 evaluators reject arguments on or outside it; for q >= 1 it converges
-everywhere. With a rational argument the evaluators keep each partial sum
-as an integer numerator over one integer denominator, which grows by a
-small factor per term instead of being reduced by a gcd at every step; the
-stopping test is an exact integer comparison, and the value and the tail
-bound are each one correctly rounded int / int division at the end, so the
-reported tail bound is honest. A float argument selects plain binary64
+everywhere. With a rational argument the evaluators sum in fixed point
+over the integer q-number sweep: each term is an integer scaled by 2^p
+with an integer radius that covers every floor taken (a ball, in the
+style of Arb). r < 1 and the log's stopping test are exact integer
+comparisons; E_q's stopping test, the value and the tail bound are taken
+only when both ends of their ball agree, the doubles by correctly rounded
+int / int division (Ziv's test), so they are the floats of the exact
+partial sums. An undecided ball hands the call to an exact integer sum. A
+positive tail bound below the binary64 range is reported as the least
+subnormal, never as 0.0. A float argument selects plain binary64
 arithmetic whose own rounding is outside the certificate. A value beyond
 the binary64 range raises DomainError.
 """
@@ -33,9 +37,9 @@ from numbers import Rational
 from typing import Iterator, Literal, Union
 
 from .errors import ConvergenceError, DomainError
-from .qnumbers import q_number, q_numbers, radius_of_convergence
+from .qnumbers import q_number, q_number_numerators, q_numbers, radius_of_convergence
 from .scalars import QParam, Regime, as_qparam, check_int, check_tol, ensure_finite
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _dot
 
 Scalar = Union[Fraction, int, float, complex]
 
@@ -93,12 +97,14 @@ def log_coeff_closed(k: int, q) -> Fraction:
 
 
 def _log_coeffs(qp: QParam) -> Iterator[Fraction]:
-    """The closed-form sweep c_1, c_2, ... over one q-number sweep."""
-    shift = Fraction(1)      # (1-q)^(k-1)
-    one_minus = 1 - qp.value
-    for k, number in enumerate(q_numbers(qp), 1):
-        yield shift / (k * number)
-        shift *= one_minus
+    """The closed-form sweep c_1, c_2, ... over the integer q-number sweep:
+    c_k = (1-q)^(k-1) / (k [k]_q) = (b-a)^(k-1) / (k S_k) for q = a/b, as
+    [k]_q = S_k / b^(k-1)."""
+    a, b = qp.value.as_integer_ratio()
+    shift = 1                 # (b-a)^(k-1)
+    for k, number in enumerate(q_number_numerators(qp), 1):
+        yield Fraction(shift, k * number)
+        shift *= b - a
 
 
 def log_coeffs_closed(order: int, q) -> LogCoeffVector:
@@ -129,10 +135,11 @@ class Evaluation:
 
     ``order`` is the highest power included in the sum; ``tail_bound`` is a
     certified upper bound on the truncation error of ``value``. On the
-    rational-argument path the sum and the bound are exact integer fractions
-    until the end, and ``value`` and ``tail_bound`` are each their one
-    correctly rounded binary64 division, the same floats ``float(Fraction)``
-    would give.
+    rational-argument path ``value`` and ``tail_bound`` are the correctly
+    rounded doubles of the exact partial sum and bound, the floats
+    ``float(Fraction)`` gives, whether a fixed-point ball or the exact sum
+    settled them; a positive bound below the binary64 range is the least
+    subnormal, ``math.ulp(0.0)``.
     """
 
     value: "float | complex"
@@ -178,57 +185,120 @@ def eval_qexp(q, z: Scalar, tol: float = 1e-12,
     """
     qp, z, is_exact = _arguments(q, z, tol, max_terms)
 
-    numbers = q_numbers(qp)
-    qn = next(numbers)        # [k+1]_q while summing through z^k
     try:
         if is_exact:
-            # t_k = term/den and the partial sum total/den share one
-            # denominator that only grows by the small factor w*n_{k+1}, so
-            # no step reduces a big fraction; r < 1 and bound <= tol are
-            # tested by cross-multiplication.
-            u, w = z.numerator, z.denominator
-            tol_num, tol_den = Fraction(tol).as_integer_ratio()
-            term = total = den = 1
-            for k in range(max_terms):
-                term *= u * qn.denominator
-                step = w * qn.numerator
-                qn = next(numbers)    # [k+2]_q
-                next_den = den * step
-                # bound = |term| * lift / (next_den * gap), as 1 - r = gap / lift
-                lift = w * qn.numerator
-                gap = lift - abs(u) * qn.denominator
-                # while the term is large its bit length alone shows
-                # bound > tol, as bl(a*b) >= bl(a) + bl(b) - 1 for a, b != 0
-                if gap > 0 and (not term or term.bit_length() + (lift * tol_den).bit_length()
-                                <= next_den.bit_length() + (gap * tol_num).bit_length() + 1):
-                    bound_num = abs(term) * lift
-                    bound_den = next_den * gap
-                    if bound_num * tol_den <= tol_num * bound_den:
-                        # int / int is correctly rounded, like float(Fraction)
-                        return Evaluation(total / den, k, bound_num / bound_den, "series")
-                total = total * step + term
-                den = next_den
-        else:
-            term = total = 1.0
-            scale = float(qn)
-            z_abs = abs(z)
-            for k in range(max_terms):
-                nxt = term * z / scale
-                scale = float(next(numbers))    # [k+2]_q
-                r = z_abs / scale
-                if r < 1:
-                    bound = abs(nxt) / (1 - r)
-                    if bound <= tol:
-                        return Evaluation(total, k, bound, "series")
-                total = total + nxt
-                term = nxt
-            if not cmath.isfinite(total):    # the sum ran off to inf on the way
-                raise OverflowError
+            return (_qexp_fixed(qp, z, tol, max_terms)
+                    or _qexp_exact(qp, z, tol, max_terms))
+        numbers = q_numbers(qp)
+        term = total = 1.0
+        scale = float(next(numbers))
+        z_abs = abs(z)
+        for k in range(max_terms):
+            nxt = term * z / scale
+            scale = float(next(numbers))    # [k+2]_q
+            r = z_abs / scale
+            if r < 1:
+                bound = abs(nxt) / (1 - r)
+                if bound <= tol:
+                    return Evaluation(total, k, bound, "series")
+            total = total + nxt
+            term = nxt
+        if not cmath.isfinite(total):    # the sum ran off to inf on the way
+            raise OverflowError
     except OverflowError:
         raise DomainError(f"E_q(z) exceeds the binary64 range at q = {qp}, z = {z}") from None
-    raise ConvergenceError(
-        f"tail bound did not reach tol={tol} within {max_terms} terms"
-    )
+    raise _not_converged(tol, max_terms)
+
+
+def _qexp_fixed(qp: QParam, z: Fraction, tol, max_terms: int) -> "Evaluation | None":
+    """E_q(z) for rational z = u/w by fixed-point partial sums, or None when
+    a ball leaves a decision open.
+
+    With q = a/b and [k]_q = S_k / b^(k-1), the magnitude of term k is an
+    integer T_k within e_k of |t_k| 2^p: T_{k+1} = floor(T_k |u| b^k /
+    (w S_{k+1})) and e_{k+1} = ceil(e_k |u| b^k / (w S_{k+1})) + [the floor
+    dropped a remainder]. So no integer grows much past p + k log2(b) bits.
+    r < 1 is decided exactly by the sign of gap = w S_{k+2} - |u| b^(k+1),
+    as 1 - r = gap / (w S_{k+2}).
+    """
+    u, w = z.numerator, z.denominator
+    b = qp.value.denominator
+    tol_num, tol_den = Fraction(tol).as_integer_ratio()
+    p = _precision(tol_num, tol_den)
+    limit = tol_num << p
+    # while bit lengths alone show bound > tol the ball test is skipped
+    far = limit.bit_length() - tol_den.bit_length() + 3
+    numbers = q_number_numerators(qp)
+    step = w * next(numbers)  # w S_{k+1} while summing through z^k
+    reach = abs(u)            # |u| b^k
+    mag, err = 1 << p, 0      # |T_k| and e_k; t_k has the sign of u^k
+    total, total_err = mag, 0
+    for k in range(max_terms):
+        mag, rem = divmod(mag * reach, step)
+        err = -(-err * reach // step) + (rem != 0)
+        reach *= b
+        step = w * next(numbers)
+        gap = step - reach
+        if gap > 0 and (mag <= err or (mag - err).bit_length() + step.bit_length()
+                        - gap.bit_length() < far):
+            # bound = |t_{k+1}| step / gap <= tol, at both ends of the ball
+            low, high = max(mag - err, 0) * step, (mag + err) * step
+            cap = limit * gap
+            stop = _settled(low * tol_den <= cap, high * tol_den <= cap)
+            if stop is None:
+                return None
+            if stop:
+                scale = 1 << p
+                try:
+                    value = _settled((total - total_err) / scale, (total + total_err) / scale)
+                except OverflowError:    # the exact sum decides the range
+                    return None
+                den = gap << p
+                bound = _settled(_bound(low, den, bool(u)), _bound(high, den, bool(u)))
+                if value is None or bound is None:
+                    return None
+                return Evaluation(value, k, bound, "series")
+        total += -mag if u < 0 and k % 2 == 0 else mag
+        total_err += err
+    raise _not_converged(tol, max_terms)
+
+
+def _qexp_exact(qp: QParam, z: Fraction, tol, max_terms: int) -> Evaluation:
+    """E_q(z) for rational z = u/w by exact integer partial sums, for the
+    decisions :func:`_qexp_fixed` leaves open.
+
+    t_k = term/den and the partial sum total/den share one denominator that
+    only grows by the small factor w S_{k+1}, so no step reduces a big
+    fraction; r < 1 and bound <= tol are tested by cross-multiplication.
+    """
+    u, w = z.numerator, z.denominator
+    b = qp.value.denominator
+    tol_num, tol_den = Fraction(tol).as_integer_ratio()
+    numbers = q_number_numerators(qp)
+    number = next(numbers)    # S_{k+1} while summing through z^k
+    term = total = den = 1
+    power = 1                 # b^k
+    for k in range(max_terms):
+        term *= u * power
+        step = w * number
+        power *= b
+        number = next(numbers)
+        next_den = den * step
+        # bound = |term| * lift / (next_den * gap), as 1 - r = gap / lift
+        lift = w * number
+        gap = lift - abs(u) * power
+        # while the term is large its bit length alone shows
+        # bound > tol, as bl(a*b) >= bl(a) + bl(b) - 1 for a, b != 0
+        if gap > 0 and (not term or term.bit_length() + (lift * tol_den).bit_length()
+                        <= next_den.bit_length() + (gap * tol_num).bit_length() + 1):
+            bound_num = abs(term) * lift
+            bound_den = next_den * gap
+            if bound_num * tol_den <= tol_num * bound_den:
+                return Evaluation(total / den, k, _bound(bound_num, bound_den, bool(term)),
+                                  "series")
+        total = total * step + term
+        den = next_den
+    raise _not_converged(tol, max_terms)
 
 
 def eval_log_qexp(q, z: Scalar, tol: float = 1e-12,
@@ -258,25 +328,39 @@ def eval_log_qexp(q, z: Scalar, tol: float = 1e-12,
             f"certified log series at q = {qp}; pass z as an exact rational"
         )
 
-    coeffs = _log_coeffs(qp)
     if is_exact:
-        # The terms c_k z^k are short fractions; the sum total/den keeps den
-        # the lcm of their denominators, so each step takes one gcd of the
-        # big den with a short one. bound <= tol is |t| <= tol (1 - r).
-        tol_cmp = Fraction(tol) * (1 - r_cap)
-        zpow = z              # z^k
-        term = next(coeffs) * zpow
-        total, den = 0, 1
+        # t_k = num/den = (b-a)^(k-1) u^k / (k S_k w^k) for q = a/b, z = u/w.
+        # The stop test |t| <= tol (1 - r) cross-multiplies these short
+        # integers exactly; only the sum is fixed-point, each term floored
+        # to 1/2^p, so the true sum lies in [total, total + inexact] / 2^p.
+        u, w = z.numerator, z.denominator
+        p = _precision(*Fraction(tol).as_integer_ratio())
+        tol_num, tol_den = (Fraction(tol) * (1 - r_cap)).as_integer_ratio()
+        cap_num, cap_den = r_cap.as_integer_ratio()
+        coeffs = _log_coeffs(qp)
+        upow, wpow = u, w     # u^k, w^k
+        c_k = next(coeffs)
+        num, den = c_k.numerator * upow, c_k.denominator * wpow
+        terms = []            # (num, den) of t_1 .. t_k, for the exact sum
+        total = inexact = 0
         for k in range(1, max_terms + 1):
-            g = math.gcd(den, term.denominator)
-            scale = term.denominator // g
-            total = total * scale + term.numerator * (den // g)
-            den *= scale
-            zpow *= z
-            term = next(coeffs) * zpow
-            if abs(term) <= tol_cmp:
-                return Evaluation(total / den, k, float(abs(term) / (1 - r_cap)), "series")
+            terms.append((num, den))
+            floor, rem = divmod(num << p, den)
+            total += floor
+            inexact += rem != 0
+            upow *= u
+            wpow *= w
+            c_k = next(coeffs)
+            num, den = c_k.numerator * upow, c_k.denominator * wpow
+            if abs(num) * tol_den <= tol_num * den:
+                scale = 1 << p
+                value = _settled(total / scale, (total + inexact) / scale)
+                if value is None:
+                    value = _exact_sum(terms)
+                bound = _bound(abs(num) * cap_den, den * (cap_den - cap_num), bool(num))
+                return Evaluation(value, k, bound, "series")
     else:
+        coeffs = _log_coeffs(qp)
         zpow = z              # z^k
         c_k = float(next(coeffs))
         total = 0.0
@@ -287,9 +371,48 @@ def eval_log_qexp(q, z: Scalar, tol: float = 1e-12,
             bound = abs(c_k * zpow) / (1 - r_cap)
             if bound <= tol:
                 return Evaluation(total, k, bound, "series")
-    raise ConvergenceError(
-        f"tail bound did not reach tol={tol} within {max_terms} terms"
-    )
+    raise _not_converged(tol, max_terms)
+
+
+#: Bits the fixed-point sums carry beyond a double's 53 and the scale of
+#: tol, so that a ball is almost always far narrower than the rounding
+#: interval it has to fall in.
+_GUARD_BITS = 64
+
+
+def _precision(tol_num: int, tol_den: int) -> int:
+    """The fraction bits p of a fixed-point sum: 53, the guard bits and the
+    binary exponent of 1/tol when that is positive."""
+    return 53 + _GUARD_BITS + max(0, tol_den.bit_length() - tol_num.bit_length())
+
+
+def _settled(low, high):
+    """What both ends of a ball give, or None when they differ (signed zeros
+    differ too). Every decision and rounding of a fixed-point sum goes
+    through here: an equal rounding of both ends is the rounding of every
+    number between them, as rounding is monotone."""
+    if low == high and math.copysign(1, low) == math.copysign(1, high):
+        return low
+    return None
+
+
+_TINIEST = math.ulp(0.0)
+
+
+def _bound(num: int, den: int, positive: bool) -> float:
+    """The tail bound num / den, one correctly rounded int / int division
+    like ``float(Fraction)``; a positive bound that underflows is reported
+    as the least subnormal, never as an exact 0.0."""
+    return num / den or (_TINIEST if positive else 0.0)
+
+
+def _exact_sum(terms) -> float:
+    """sum num/den over the (num, den) pairs, exactly, correctly rounded."""
+    return float(_dot((num, Fraction(1, den), 1) for num, den in terms))
+
+
+def _not_converged(tol, max_terms: int) -> ConvergenceError:
+    return ConvergenceError(f"tail bound did not reach tol={tol} within {max_terms} terms")
 
 
 def _log_via_qexp(qp: QParam, z, tol: float, max_terms: int) -> Evaluation:

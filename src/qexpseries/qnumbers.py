@@ -23,26 +23,43 @@ from .scalars import Regime, as_qparam, check_int
 PASCAL_MAX_K = 490
 
 
-def q_numbers(q) -> Iterator[Fraction]:
-    """The sweep [1]_q, [2]_q, [3]_q, ... with [k+1]_q = [k]_q + q^k.
+def q_number_numerators(q) -> Iterator[int]:
+    """The integer sweep S_1, S_2, S_3, ... with [k]_q = S_k / b^(k-1) for
+    q = a/b in lowest terms: S_1 = 1 and S_{k+1} = b S_k + a^k.
 
-    The one place q-numbers are summed; every q-factorial, E_q coefficient
-    and log coefficient is built from it. Lazy, so q is only checked when
-    the first value is drawn.
+    The one place q-numbers are summed; every q-number, q-factorial, E_q
+    coefficient and log coefficient is built from it. Each S_k / b^(k-1)
+    is already in lowest terms, as S_k is congruent to a^(k-1) modulo every
+    prime factor of b. Lazy, so q is only checked when the first value is
+    drawn.
     """
-    v = as_qparam(q).value
-    number = power = Fraction(1)
+    a, b = as_qparam(q).value.as_integer_ratio()
+    number, power = 1, 1      # S_k and a^(k-1)
     while True:
         yield number
-        power *= v
-        number += power
+        power *= a
+        number = b * number + power
+
+
+def q_numbers(q) -> Iterator[Fraction]:
+    """The sweep [1]_q, [2]_q, [3]_q, ... as Fractions S_k / b^(k-1), from
+    :func:`q_number_numerators`."""
+    qp = as_qparam(q)
+    b = qp.value.denominator
+    scale = 1                 # b^(k-1)
+    for number in q_number_numerators(qp):
+        yield Fraction(number, scale)
+        scale *= b
 
 
 def q_number(k: int, q) -> Fraction:
     """[k]_q = 1 + q + ... + q^(k-1); equals (1 - q^k)/(1 - q) for q != 1."""
     check_int(k, "k")
     qp = as_qparam(q)
-    return next(islice(q_numbers(qp), k - 1, None)) if k else Fraction(0)
+    if not k:
+        return Fraction(0)
+    number = next(islice(q_number_numerators(qp), k - 1, None))
+    return Fraction(number, qp.value.denominator ** (k - 1))
 
 
 def q_factorial(k: int, q) -> Fraction:

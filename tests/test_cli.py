@@ -120,6 +120,13 @@ class TestEval:
         payload = json.loads(out)
         assert abs(payload["qexp"]["value"] - float(total)) <= 1e-13
 
+    def test_tiny_tail_is_not_zero(self, capsys):
+        # the log's tail bound is about 1e-600: it prints as the least
+        # subnormal, not as 0.000e+00, which would claim an exact value
+        code, out, _ = run_cli(capsys, "eval", "--q", "1/2", "--z", f"1/{10 ** 300}")
+        assert code == 0
+        assert "tail <= 4.941e-324" in out and "0.000e+00" not in out
+
     def test_json_schema(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--q", "2", "--z", "3",
                                "--format", "json")

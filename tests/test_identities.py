@@ -235,12 +235,20 @@ class TestSuite:
             run_suite(SuiteConfig(checks=("no_such_identity",)))
 
     def test_float_q_rejected(self):
-        # Fraction(0.1) would silently run q = 3602879701896397/36028797018963968
-        with pytest.raises(DomainError, match="exact"):
-            run_suite(SuiteConfig(qs=(0.1,), checks=("coeff_sign_flip",), k_max=4))
-        # each n is checked before the set of them is sorted
-        with pytest.raises(DomainError, match="n must be an integer"):
-            run_suite(SuiteConfig(ns=("a", 2), checks=("coeff_power_scale",), k_max=4))
+        for config, match in (
+                # Fraction(0.1) would silently run q = 3602879701896397/36028797018963968
+                (SuiteConfig(qs=(0.1,), checks=("coeff_sign_flip",), k_max=4), "exact"),
+                # each n is checked before the set of them is sorted
+                (SuiteConfig(ns=("a", 2), checks=("coeff_power_scale",), k_max=4),
+                 "n must be an integer"),
+                # a lone value or a string is not a grid, though a string iterates
+                (SuiteConfig(ns=2), "^ns must be a sequence"),
+                (SuiteConfig(qs=Fraction(1, 2)), "^qs must be a sequence"),
+                (SuiteConfig(qs="1/2"), "^qs must be a sequence"),
+                (SuiteConfig(checks=None), "^checks must be a sequence"),
+                (SuiteConfig(checks="coeff_sign_flip"), "^checks must be a sequence")):
+            with pytest.raises(DomainError, match=match):
+                run_suite(config)
 
     def test_duplicate_qs_deduplicated(self):
         config = SuiteConfig(qs=(Fraction(1, 2), Fraction(1, 2), Fraction(2), 2),

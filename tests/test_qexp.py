@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import qexpseries.qexp as qexp_module
 from qexpseries import (ConvergenceError, DomainError, Evaluation, QParam, as_qparam,
                         eval_log_qexp, eval_qexp, log_coeff_closed, log_coeffs_closed,
-                        log_coeffs_recursive, q_number, qexp_series)
+                        log_coeffs_recursive, q_factorial, q_number, qexp_series)
 from qexpseries.qnumbers import q_numbers
 
 qvalues = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=8)
@@ -37,6 +37,12 @@ def brute_force_qexp_base2(z: Fraction, terms: int = 80) -> Fraction:
     return total
 
 
+def _reported(bound):
+    """The double a tail bound is reported as: a positive bound never
+    underflows to 0.0."""
+    return float(bound) or (math.ulp(0.0) if bound else 0.0)
+
+
 def _reference_eval_qexp(q, z, tol, max_terms):
     """E_q(z) for rational z by Fraction partial sums, every step reduced:
     the loop the exact evaluator replaced, kept as its reference."""
@@ -53,7 +59,7 @@ def _reference_eval_qexp(q, z, tol, max_terms):
         if r < 1:
             bound = abs(nxt) / (1 - r)
             if bound <= tol_cmp:
-                return Evaluation(float(total), k, float(bound), "series")
+                return Evaluation(float(total), k, _reported(bound), "series")
         total = total + nxt
         term = nxt
         qn = qn_next
@@ -85,7 +91,7 @@ def _reference_eval_log_qexp(q, z, tol, max_terms):
         k += 1
         bound = abs(shift / (k * qn) * zpow) / (1 - r_cap)
         if bound <= Fraction(tol):
-            return Evaluation(float(total), k - 1, float(bound), "series")
+            return Evaluation(float(total), k - 1, _reported(bound), "series")
         if k > max_terms:
             raise ConvergenceError(
                 f"tail bound did not reach tol={tol} within {max_terms} terms")
@@ -95,7 +101,7 @@ def _outcome(evaluate, *args):
     """An Evaluation with the reprs of its floats, or the error raised."""
     try:
         out = evaluate(*args)
-    except ConvergenceError as err:
+    except (ConvergenceError, DomainError) as err:
         return type(err), str(err)
     return out, repr(out.value), repr(out.tail_bound)
 
@@ -355,33 +361,101 @@ class TestExactPathMatchesReference:
 
     @staticmethod
     def points(q):
-        """(z, whether ln E_q(z) falls back to log_of_qexp) on one grid row."""
+        """The z of one grid row; for q > 1 the last one is outside the log
+        series' disk, where ln E_q(z) falls back to log_of_qexp."""
         if q < 1:
             radius = 1 / (1 - q)
-            return [(s * f * radius, False) for f in (Fraction(1, 10), Fraction(1, 2),
-                                                     Fraction(9, 10)) for s in (1, -1)]
+            return [s * f * radius for f in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
+                    for s in (1, -1)]
         disk = q / (q - 1) if q > 1 else Fraction(2)
-        return [(-disk / 2, False), (2 * disk, q > 1)]
+        return [-disk / 2, 2 * disk]
+
+    @staticmethod
+    def expected(q, z, tol, max_terms, monkeypatch):
+        """The reference outcomes of E_q(z) and ln E_q(z); a log outside its
+        series disk is _log_via_qexp over the reference E_q."""
+        qexp_outcome = _outcome(_reference_eval_qexp, q, z, tol, max_terms)
+        if as_qparam(q).value > 1 and abs(z) >= q / (q - 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(qexp_module, "eval_qexp", _reference_eval_qexp)
+                return qexp_outcome, _outcome(qexp_module._log_via_qexp, as_qparam(q), z,
+                                              tol, max_terms)
+        return qexp_outcome, _outcome(_reference_eval_log_qexp, q, z, tol, max_terms)
+
+    @staticmethod
+    def route(patch, name):
+        """Force a route: "fixed_point" makes both exact fallbacks raise;
+        "exact" leaves every ball undecided, so the fallbacks give every
+        result; "as_is" patches nothing."""
+        def unreachable(*args):
+            raise AssertionError("an exact fallback ran")
+        if name == "fixed_point":
+            patch.setattr(qexp_module, "_qexp_exact", unreachable)
+            patch.setattr(qexp_module, "_exact_sum", unreachable)
+        elif name == "exact":
+            patch.setattr(qexp_module, "_settled", lambda low, high: None)
+
+    @classmethod
+    def assert_routes(cls, routes, args, expected):
+        for route in routes:
+            with pytest.MonkeyPatch.context() as patch:
+                cls.route(patch, route)
+                got = _outcome(eval_qexp, *args), _outcome(eval_log_qexp, *args)
+            assert got == expected, (route, args)
 
     @pytest.mark.parametrize("q", QS)
     def test_byte_identical(self, q, monkeypatch):
         raised = 0
-        for z, fallback in self.points(q):
+        for z in self.points(q):
             for tol in (1e-8, 1e-12):
                 for max_terms in (1000, 10):
                     args = (q, z, tol, max_terms)
-                    expected = _outcome(_reference_eval_qexp, *args)
-                    assert _outcome(eval_qexp, *args) == expected
-                    raised += expected[0] is ConvergenceError
-                    if fallback:
-                        with monkeypatch.context() as patch:
-                            patch.setattr(qexp_module, "eval_qexp", _reference_eval_qexp)
-                            expected = _outcome(qexp_module._log_via_qexp,
-                                                as_qparam(q), z, tol, max_terms)
-                    else:
-                        expected = _outcome(_reference_eval_log_qexp, *args)
-                    assert _outcome(eval_log_qexp, *args) == expected
+                    expected = self.expected(*args, monkeypatch)
+                    raised += expected[0][0] is ConvergenceError
+                    # the fixed-point sums serve the whole grid
+                    self.assert_routes(("fixed_point", "exact"), args, expected)
         assert raised or q >= 1    # near the radius, 10 terms are too few
+
+    @pytest.mark.parametrize("q, z, k", [(Fraction(1), Fraction(1), 5),
+                                         (Fraction(1, 2), Fraction(3, 2), 7),
+                                         (Fraction(5, 2), Fraction(-1), 3)])
+    def test_exact_ties(self, q, z, k, monkeypatch):
+        # tol a Fraction equal to the bound at k: each evaluator stops at k.
+        # A tol 2^-200 below it, far inside any ball's radius, goes on.
+        ties = [abs(z ** (k + 1) / q_factorial(k + 1, q)) / (1 - abs(z) / q_number(k + 2, q))]
+        if q != 1:    # at q = 1 every log term past z is 0
+            r_cap = abs(z) * abs(1 - q) / max(q, 1)
+            ties.append(abs(log_coeff_closed(k + 1, q) * z ** (k + 1)) / (1 - r_cap))
+        nudge = Fraction(1, 2 ** 200)
+        for which, tie in enumerate(ties):
+            for tol, stops in ((tie, True), (tie * (1 + nudge), True), (tie * (1 - nudge), False)):
+                args = (q, z, tol, 1000)
+                expected = self.expected(*args, monkeypatch)
+                assert (expected[which][0].order == k) is stops
+                self.assert_routes(("as_is", "exact"), args, expected)
+
+    def test_underflowing_bound(self, monkeypatch):
+        # a positive bound below the least subnormal is reported as that
+        # subnormal, not as 0.0, which would claim an exact value
+        for which, args in ((1, (Fraction(1, 2), Fraction(1, 10 ** 170), 1e-12, 1000)),
+                            (0, (Fraction(1, 2), Fraction(1, 10 ** 200), 1e-300, 1000))):
+            expected = self.expected(*args, monkeypatch)
+            assert expected[which][0].tail_bound == math.ulp(0.0)
+            self.assert_routes(("as_is", "exact"), args, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
+           st.fractions(min_value=Fraction(-19, 20), max_value=Fraction(19, 20),
+                        max_denominator=50),
+           st.sampled_from((1e-6, 1e-10, 1e-15, Fraction(1, 1000))),
+           st.sampled_from((1000, 12)))
+    def test_random_points(self, q, fraction, tol, max_terms):
+        # z within 0.95 of the radius for q < 1, and |z| < 10 otherwise
+        z = fraction / (1 - q) if q < 1 else 10 * fraction
+        args = (q, z, tol, max_terms)
+        with pytest.MonkeyPatch.context() as patch:
+            expected = self.expected(*args, patch)
+        self.assert_routes(("as_is", "exact"), args, expected)
 
 
 class TestMpmathOracle:
