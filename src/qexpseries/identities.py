@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat
 
 from .errors import DomainError
-from .qexp import log_coeffs_closed, qexp_series
+from .qexp import _log_coeff_pairs, log_coeffs_closed, qexp_series
 from .qnumbers import q_number, q_numbers
 from .scalars import QParam, Regime, as_qparam, check_int, rational_str
 from .series import TruncatedSeries, _dot
@@ -280,13 +280,13 @@ def check_coeff_multiple_order(q, n: int, k_max: int = 64) -> VerificationReport
     qp = as_qparam(q)
     check_int(n, "n", 2)
     check_int(k_max, "k_max", 1)
-    c_q = log_coeffs_closed(n * k_max, qp)
+    c_nk = islice(_log_coeff_pairs(qp), n - 1, n * k_max, n)    # c_n, c_2n, .. of q
     c_qn = log_coeffs_closed(k_max, qp.power(n))
     factor = (1 - qp.value) ** (n - 1) / q_number(n, qp)
     fpow = factor
     residuals = []
-    for k in range(1, k_max + 1):
-        residuals.append((k, n * c_q.coeff(n * k) - fpow * c_qn.coeff(k)))
+    for k, (num, den) in enumerate(c_nk, 1):
+        residuals.append((k, Fraction(n * num, den) - fpow * c_qn.coeff(k)))
         fpow *= factor
     return _exact_report(COEFF_MULTIPLE_ORDER, qp, {"n": n, "k_max": k_max}, residuals)
 

@@ -96,15 +96,20 @@ def log_coeff_closed(k: int, q) -> Fraction:
     return (1 - qp.value) ** (k - 1) / (k * q_number(k, qp))
 
 
-def _log_coeffs(qp: QParam) -> Iterator[Fraction]:
-    """The closed-form sweep c_1, c_2, ... over the integer q-number sweep:
-    c_k = (1-q)^(k-1) / (k [k]_q) = (b-a)^(k-1) / (k S_k) for q = a/b, as
-    [k]_q = S_k / b^(k-1)."""
+def _log_coeff_pairs(qp: QParam) -> Iterator["tuple[int, int]"]:
+    """The closed-form sweep c_1, c_2, ... over the integer q-number sweep,
+    as unreduced integer pairs: c_k = (1-q)^(k-1) / (k [k]_q) =
+    (b-a)^(k-1) / (k S_k) for q = a/b, as [k]_q = S_k / b^(k-1)."""
     a, b = qp.value.as_integer_ratio()
     shift = 1                 # (b-a)^(k-1)
     for k, number in enumerate(q_number_numerators(qp), 1):
-        yield Fraction(shift, k * number)
+        yield shift, k * number
         shift *= b - a
+
+
+def _log_coeffs(qp: QParam) -> Iterator[Fraction]:
+    """c_1, c_2, ... as reduced Fractions."""
+    return (Fraction(num, den) for num, den in _log_coeff_pairs(qp))
 
 
 def log_coeffs_closed(order: int, q) -> LogCoeffVector:
@@ -337,10 +342,10 @@ def eval_log_qexp(q, z: Scalar, tol: float = 1e-12,
         p = _precision(*Fraction(tol).as_integer_ratio())
         tol_num, tol_den = (Fraction(tol) * (1 - r_cap)).as_integer_ratio()
         cap_num, cap_den = r_cap.as_integer_ratio()
-        coeffs = _log_coeffs(qp)
+        coeffs = _log_coeff_pairs(qp)
         upow, wpow = u, w     # u^k, w^k
-        c_k = next(coeffs)
-        num, den = c_k.numerator * upow, c_k.denominator * wpow
+        c_num, c_den = next(coeffs)
+        num, den = c_num * upow, c_den * wpow
         terms = []            # (num, den) of t_1 .. t_k, for the exact sum
         total = inexact = 0
         for k in range(1, max_terms + 1):
@@ -350,8 +355,8 @@ def eval_log_qexp(q, z: Scalar, tol: float = 1e-12,
             inexact += rem != 0
             upow *= u
             wpow *= w
-            c_k = next(coeffs)
-            num, den = c_k.numerator * upow, c_k.denominator * wpow
+            c_num, c_den = next(coeffs)
+            num, den = c_num * upow, c_den * wpow
             if abs(num) * tol_den <= tol_num * den:
                 scale = 1 << p
                 value = _settled(total / scale, (total + inexact) / scale)

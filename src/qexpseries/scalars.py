@@ -82,6 +82,8 @@ def as_qparam(q: "QParam | Rational | str") -> QParam:
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", integer, or decimal text into an exact Fraction."""
+    if not isinstance(text, str):
+        raise DomainError(f"expected rational text, got {type(text).__name__}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -90,6 +92,8 @@ def parse_rational(text: str) -> Fraction:
 
 def rational_str(value: Rational) -> str:
     """Serialize exactly as "num/den", or "num" when den = 1."""
+    if isinstance(value, bool) or not isinstance(value, Rational):
+        raise DomainError(f"expected an exact rational, got {type(value).__name__}")
     return str(Fraction(value))
 
 

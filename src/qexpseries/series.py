@@ -20,9 +20,11 @@ at the truncation order.
 
 The product, log and exp build every coefficient as one sum of products
 through :func:`_dot`, which keeps the partial sum as an integer numerator
-over a running common denominator: one gcd per term, between denominators
-only, and one reduction per coefficient, instead of reducing a Fraction at
-every term. The results are the same reduced Fractions either way.
+over a running common denominator: one division of that denominator per
+term, a gcd no larger than the term's denominator only when the term does
+not divide it, and one reduction per coefficient, the 1/k of log and exp
+included, instead of reducing a Fraction at every term. The results are
+the same reduced Fractions either way.
 """
 
 from __future__ import annotations
@@ -37,20 +39,29 @@ from .errors import DomainError, OrderMismatchError
 from .scalars import check_int
 
 
-def _dot(triples: "Iterable[tuple[int, Fraction, Fraction]]") -> Fraction:
-    """sum w*x*y over (w, x, y) with w an int and x, y Fractions, reduced once.
+def _dot(triples: "Iterable[tuple[int, Fraction, Fraction]]", scale: int = 1) -> Fraction:
+    """sum w*x*y / scale over (w, x, y) with w an int and x, y Fractions,
+    reduced once.
 
-    ``den`` is the lcm of the products x.den * y.den seen so far and
-    ``num / den`` the partial sum, so a term costs one gcd of denominators.
+    ``den`` is the lcm of the products d = x.den * y.den seen so far and
+    ``num / den`` the partial sum, so a term costs one division of ``den``
+    by d. When d divides den the term just adds; otherwise Euclid's first
+    step gives g = gcd(den, d) = gcd(d, rem) on numbers no larger than d,
+    and den / g = quo * (d / g) + rem / g, so den is never divided by g.
     """
     num, den = 0, 1
     for w, x, y in triples:
         d = x.denominator * y.denominator
-        g = gcd(den, d)
-        step = d // g
-        num = num * step + w * x.numerator * y.numerator * (den // g)
-        den *= step
-    return Fraction(num, den)
+        term = w * x.numerator * y.numerator
+        quo, rem = divmod(den, d)
+        if rem:
+            g = gcd(d, rem)
+            step = d // g
+            num = num * step + term * (quo * step + rem // g)
+            den *= step
+        else:
+            num += term * quo
+    return Fraction(num, den * scale)
 
 
 def _coerce(coeffs: Iterable) -> "tuple[Fraction, ...]":
@@ -166,7 +177,7 @@ class TruncatedSeries:
         for k in range(1, self.order + 1):
             # k h_k = k a_k - sum_{j<k} j a_{k-j} h_j, as one sum
             terms = ((-j, a[k - j], h[j]) for j in range(1, k))
-            h[k] = _dot(chain([(k, a[k], Fraction(1))], terms)) / k
+            h[k] = _dot(chain([(k, a[k], Fraction(1))], terms), k)
         return TruncatedSeries(h)
 
     def exp(self) -> "TruncatedSeries":
@@ -180,7 +191,7 @@ class TruncatedSeries:
             raise DomainError("exp needs constant term exactly 0")
         a = [Fraction(1)] + [Fraction(0)] * self.order
         for k in range(1, self.order + 1):
-            a[k] = _dot((j, h[j], a[k - j]) for j in range(1, k + 1)) / k
+            a[k] = _dot(((j, h[j], a[k - j]) for j in range(1, k + 1)), k)
         return TruncatedSeries(a)
 
     def compare(self, other: "TruncatedSeries") -> "tuple[Fraction, ...]":

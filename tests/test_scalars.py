@@ -98,6 +98,13 @@ class TestSerialization:
         assert rational_str(Fraction(5)) == "5"
         assert rational_str(Fraction(-3, 7)) == "-3/7"
         assert rational_str(Fraction(8, 21)) == "8/21"
+        # only exact rationals serialize, and only text parses
+        for bad in ("x", "1/2", math.nan, math.inf, 0.5, None, True):
+            with pytest.raises(DomainError, match="expected an exact rational"):
+                rational_str(bad)
+        for bad in (None, 3, Fraction(1, 2), 0.5, b"1/2"):
+            with pytest.raises(DomainError, match="expected rational text"):
+                parse_rational(bad)
 
     @given(fractions_)
     def test_parse_round_trip(self, value):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from qexpseries import (DomainError, OrderMismatchError, TruncatedSeries, log_coeffs_closed,
                         qexp_series)
+from qexpseries.series import _dot
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=9)
 
@@ -324,6 +325,41 @@ class TestKernelMatchesReference:
         a = TruncatedSeries([0, 1, Fraction(-1, 2)]).exp()
         assert a.coeffs == _reference_exp((0, 1, Fraction(-1, 2))) == (1, 1, 0)
         assert type(a.coeffs[2]) is Fraction and a.coeffs[2].denominator == 1
+
+    def _check_terms(self, coeffs):
+        """The kernel on one sum of ``coeffs`` and through the product, log
+        and exp of a series built from them, against the reference loops."""
+        triples = [(1, c, Fraction(1)) for c in coeffs]
+        assert _dot(triples) == sum(coeffs, Fraction(0))
+        f = TruncatedSeries([1, *coeffs])
+        g = TruncatedSeries([1, *reversed(coeffs)])
+        h = TruncatedSeries([0, *coeffs])
+        assert (f * g).coeffs == _reference_mul(f.coeffs, g.coeffs)
+        assert f.log().coeffs == _reference_log(f.coeffs)
+        assert h.exp().coeffs == _reference_exp(h.coeffs)
+
+    def test_misses_with_a_common_factor(self):
+        # in the plain sum -7/10 meets the running denominator 6 and 3/4
+        # meets 30: misses with 1 < gcd < the term's own denominator
+        self._check_terms([Fraction(1, 6), Fraction(-7, 10), Fraction(2, 15), Fraction(3, 4),
+                           Fraction(5, 6), Fraction(1, 10)])
+
+    def test_misses_with_coprime_denominators(self):
+        # distinct primes: every term of the plain sum misses with gcd 1
+        self._check_terms([Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), Fraction(1, 7),
+                           Fraction(-5, 11), Fraction(4, 13)])
+
+    def test_scale_is_one_reduction(self):
+        triples = [(3, Fraction(1, 6), Fraction(5, 4)), (-2, Fraction(7, 10), Fraction(1, 9)),
+                   (1, Fraction(2, 15), Fraction(-3, 8))]
+        for k in (1, 2, 7, 30):
+            assert _dot(triples, k) == _dot(triples) / k
+        # 1/6 - 1/10 - 1/15 = 0: zero over denominator 1 at every scale
+        cancelling = [(1, Fraction(1, 6), Fraction(1)), (-1, Fraction(1, 10), Fraction(1)),
+                      (1, Fraction(-1, 15), Fraction(1))]
+        for k in (1, 2, 7, 30):
+            total = _dot(cancelling, k)
+            assert type(total) is Fraction and total == 0 and total.denominator == 1
 
 
 class TestCompare:
