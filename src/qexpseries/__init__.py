@@ -18,9 +18,9 @@ All values are immutable and all operations are pure functions, so anything
 here can be shared freely across threads.
 
 >>> from fractions import Fraction
->>> from qexpseries import log_coeff_closed, log_coeffs_recursive
+>>> from qexpseries import log_coeffs_closed, log_coeffs_recursive
 >>> q = Fraction(1, 2)
->>> log_coeff_closed(2, q)
+>>> log_coeffs_closed(2, q).coeff(2)
 Fraction(1, 6)
 >>> log_coeffs_recursive(2, q).coeff(2)
 Fraction(1, 6)
@@ -28,12 +28,12 @@ Fraction(1, 6)
 
 from .errors import ConvergenceError, DomainError, OrderMismatchError
 from .scalars import QParam, Regime, as_qparam, parse_rational, rational_str
-from .qnumbers import (QFactorialTable, q_binomial, q_binomial_pascal,
-                       q_factorial, q_number, radius_of_convergence)
+from .qnumbers import (QFactorialTable, q_binomial, q_binomial_pascal, q_number,
+                       radius_of_convergence)
 from .series import TruncatedSeries
 from .qexp import (DEFAULT_MAX_TERMS, Evaluation, LogCoeffVector, QExpSeries,
-                   eval_log_qexp, eval_qexp, log_coeff_closed,
-                   log_coeffs_closed, log_coeffs_recursive, qexp_series)
+                   eval_log_qexp, eval_qexp, log_coeffs_closed,
+                   log_coeffs_recursive, qexp_series)
 from .identities import (ALL_IDENTITIES, DEFAULT_NS, DEFAULT_QS, SuiteConfig,
                          VerificationReport, check_coeff_double_order,
                          check_coeff_multiple_order, check_coeff_power_scale,
@@ -73,13 +73,11 @@ __all__ = [
     "check_scaling_product",
     "eval_log_qexp",
     "eval_qexp",
-    "log_coeff_closed",
     "log_coeffs_closed",
     "log_coeffs_recursive",
     "parse_rational",
     "q_binomial",
     "q_binomial_pascal",
-    "q_factorial",
     "q_number",
     "qexp_series",
     "radius_of_convergence",

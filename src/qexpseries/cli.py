@@ -44,8 +44,8 @@ _qparam_arg = _arg(lambda text: QParam(parse_rational(text)))
 _tol_arg = _arg(lambda text: check_tol(float(text)))
 
 
-def _int_arg(name: str, minimum: int):
-    return _arg(lambda text: check_int(int(text), name, minimum))
+def _int_arg(name: str, minimum: int, maximum: "int | None" = sys.maxsize):
+    return _arg(lambda text: check_int(int(text), name, minimum, maximum))
 
 
 def _scalar_arg(text: str):
@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     coeffs.add_argument("--q", type=_qparam_arg, required=True, metavar="P/Q")
     coeffs.add_argument("--order", type=_int_arg("order", 0), required=True)
     coeffs.add_argument("--format", choices=FORMATS, default="text")
-    coeffs.add_argument("--decimals", type=_int_arg("decimals", 1), default=None,
+    # the format spec of the decimal columns takes at most 2**31 - 1 digits
+    coeffs.add_argument("--decimals", type=_int_arg("decimals", 1, 2 ** 31 - 1), default=None,
                         help="add decimal-approximation columns with this many significant digits")
     coeffs.set_defaults(func=cmd_coeffs)
 
@@ -80,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--z", type=_scalar_arg, required=True,
                     help='argument; "p/q" or integer stays exact, decimals go binary64')
     ev.add_argument("--tol", type=_tol_arg, default=1e-12)
-    ev.add_argument("--max-terms", type=_int_arg("max-terms", 1), default=1000)
+    ev.add_argument("--max-terms", type=_int_arg("max-terms", 1, None), default=1000)
     ev.add_argument("--format", choices=FORMATS, default="text")
     ev.set_defaults(func=cmd_eval)
 
@@ -91,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=_int_arg("n", 2), action="append",
                         help="factor count for the product identities; repeatable (default: 2..5)")
     verify.add_argument("--order", type=_int_arg("order", 1), default=32)
-    verify.add_argument("--numeric-order", type=_int_arg("numeric-order", 1), default=24)
     verify.add_argument("--kmax", type=_int_arg("kmax", 1), default=64)
     verify.add_argument("--format", choices=FORMATS, default="text")
     verify.set_defaults(func=cmd_verify)
@@ -190,8 +190,7 @@ def _verify_line(r) -> str:
 
 def cmd_verify(args) -> int:
     config = SuiteConfig(qs=tuple(args.q or DEFAULT_QS), ns=tuple(args.n or DEFAULT_NS),
-                         order=args.order, numeric_order=args.numeric_order,
-                         k_max=args.kmax,
+                         order=args.order, k_max=args.kmax,
                          checks=ALL_IDENTITIES if args.suite == "all" else (args.suite,))
     reports = run_suite(config)
     passed = sum(r.passed for r in reports)

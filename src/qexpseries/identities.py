@@ -302,7 +302,7 @@ _ARGUMENTS = {
     QBINOMIAL_SUM: ("k_max",),
     RECIPROCAL_PRODUCT: ("order",),
     REFLECTION_PRODUCT: ("order",),
-    ROOT_OF_UNITY_PRODUCT: ("n", "numeric_order"),
+    ROOT_OF_UNITY_PRODUCT: ("n",),
     SCALING_PRODUCT: ("n", "order"),
 }
 
@@ -322,15 +322,14 @@ DEFAULT_NS = (2, 3, 4, 5)
 class SuiteConfig:
     """Parameter grid for :func:`run_suite`.
 
-    ``order`` applies to the exact series checks; ``numeric_order`` to the
-    complex root-of-unity check, whose residual bound 1e-12 is fixed.
-    ``k_max`` bounds the coefficient sweeps.
+    ``order`` applies to the exact series checks; the complex root-of-unity
+    check runs at its own default order 24, with its fixed residual bound
+    1e-12. ``k_max`` bounds the coefficient sweeps.
     """
 
     qs: tuple = DEFAULT_QS
     ns: tuple = DEFAULT_NS
     order: int = 32
-    numeric_order: int = 24
     k_max: int = 64
     checks: tuple = ALL_IDENTITIES
 

@@ -34,14 +34,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 from numbers import Rational
-from typing import Iterator, Literal, Union
+from typing import Iterator, Literal
 
 from .errors import ConvergenceError, DomainError
-from .qnumbers import q_number, q_number_numerators, q_numbers, radius_of_convergence
+from .qnumbers import q_number_numerators, q_numbers, radius_of_convergence
 from .scalars import QParam, Regime, as_qparam, check_int, check_tol, ensure_finite
 from .series import TruncatedSeries, _dot
-
-Scalar = Union[Fraction, int, float, complex]
 
 DEFAULT_MAX_TERMS = 1000
 
@@ -87,13 +85,6 @@ class LogCoeffVector:
     def as_series(self) -> TruncatedSeries:
         """The log series itself, ready for :meth:`TruncatedSeries.exp`."""
         return TruncatedSeries(self.values)
-
-
-def log_coeff_closed(k: int, q) -> Fraction:
-    """Closed form c_k = (1 - q)^(k-1) / (k [k]_q); c_1 = 1 for every q."""
-    check_int(k, "k", 1)
-    qp = as_qparam(q)
-    return (1 - qp.value) ** (k - 1) / (k * q_number(k, qp))
 
 
 def _log_coeff_pairs(qp: QParam) -> Iterator["tuple[int, int]"]:
@@ -159,7 +150,7 @@ def _arguments(q, z, tol, max_terms):
     ``(qp, z, is_exact)``. Exact rationals keep exact partial sums."""
     qp = as_qparam(q)
     check_tol(tol)
-    check_int(max_terms, "max_terms", 1)
+    check_int(max_terms, "max_terms", 1, None)
     if isinstance(z, Rational) and not isinstance(z, bool):
         z, is_exact = Fraction(z), True
     elif isinstance(z, float):
@@ -178,7 +169,7 @@ def _arguments(q, z, tol, max_terms):
     return qp, z, is_exact
 
 
-def eval_qexp(q, z: Scalar, tol: float = 1e-12,
+def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = 1e-12,
               max_terms: int = DEFAULT_MAX_TERMS) -> Evaluation:
     """Evaluate E_q(z) by partial summation with a certified tail bound.
 
@@ -186,12 +177,15 @@ def eval_qexp(q, z: Scalar, tol: float = 1e-12,
     |t_{K+1}| / (1 - r) <= tol, where t_k = z^k/[k]_q! is the first omitted
     term. The geometric majorant is sound because [k]_q increases with k,
     so every later term ratio is at most r. A value beyond the binary64
-    range raises :class:`DomainError`.
+    range raises :class:`DomainError`, at once when z > 0 is itself beyond
+    it, as E_q(z) > z there.
     """
     qp, z, is_exact = _arguments(q, z, tol, max_terms)
 
     try:
         if is_exact:
+            if z > 0:
+                float(z)    # raises OverflowError past the binary64 range
             return (_qexp_fixed(qp, z, tol, max_terms)
                     or _qexp_exact(qp, z, tol, max_terms))
         numbers = q_numbers(qp)
@@ -306,7 +300,7 @@ def _qexp_exact(qp: QParam, z: Fraction, tol, max_terms: int) -> Evaluation:
     raise _not_converged(tol, max_terms)
 
 
-def eval_log_qexp(q, z: Scalar, tol: float = 1e-12,
+def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = 1e-12,
                   max_terms: int = DEFAULT_MAX_TERMS) -> Evaluation:
     """Evaluate ln E_q(z) = sum_{k>=1} c_k(q) z^k with a certified bound.
 

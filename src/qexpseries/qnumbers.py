@@ -62,12 +62,6 @@ def q_number(k: int, q) -> Fraction:
     return Fraction(number, qp.value.denominator ** (k - 1))
 
 
-def q_factorial(k: int, q) -> Fraction:
-    """[k]_q! = [k]_q [k-1]_q ... [1]_q, with the empty product [0]_q! = 1."""
-    check_int(k, "k")
-    return math.prod(islice(q_numbers(as_qparam(q)), k), start=Fraction(1))
-
-
 class QFactorialTable:
     """Immutable table of [k]_q! for k = 0..max_order.
 
@@ -96,7 +90,7 @@ class QFactorialTable:
     def binomial(self, k: int, j: int) -> Fraction:
         """Gaussian binomial [k choose j]_q; zero outside 0 <= j <= k."""
         check_int(k, "k")
-        if check_int(j, "j", None) < 0 or j > k:
+        if check_int(j, "j", None, None) < 0 or j > k:
             return Fraction(0)
         return self.factorial(k) / (self.factorial(j) * self.factorial(k - j))
 
@@ -109,7 +103,7 @@ def q_binomial(k: int, j: int, q) -> Fraction:
     min(j, k-j), from one q-number sweep.
     """
     check_int(k, "k")
-    if check_int(j, "j", None) < 0 or j > k:
+    if check_int(j, "j", None, None) < 0 or j > k:
         return Fraction(0)
     j = min(j, k - j)
     numbers = list(islice(q_numbers(as_qparam(q)), k))
@@ -131,7 +125,7 @@ def q_binomial_pascal(k: int, j: int, q) -> Fraction:
     if k > PASCAL_MAX_K:
         raise DomainError(f"the Pascal route takes k <= {PASCAL_MAX_K}, got {k}; "
                           "use q_binomial for larger k")
-    if check_int(j, "j", None) < 0 or j > k:
+    if check_int(j, "j", None, None) < 0 or j > k:
         return Fraction(0)
     v = as_qparam(q).value
     powers = [v ** c for c in range(j + 1)]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -97,13 +98,18 @@ def rational_str(value: Rational) -> str:
     return str(Fraction(value))
 
 
-def check_int(value: int, name: str, minimum: "int | None" = 0) -> int:
-    """``value`` itself if it is an int (bools excluded) >= ``minimum``, or
-    of any sign when ``minimum`` is None."""
+def check_int(value: int, name: str, minimum: "int | None" = 0,
+              maximum: "int | None" = sys.maxsize) -> int:
+    """``value`` itself if it is an int (bools excluded) in
+    ``minimum``..``maximum``; None lifts either limit. The default maximum
+    is the largest count that can index a sweep (``itertools.islice``)."""
     if (isinstance(value, bool) or not isinstance(value, int)
             or minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
         raise DomainError(f"{name} must be an integer{bound}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise DomainError(f"{name} must be at most {maximum}, got an integer of "
+                          f"{value.bit_length()} bits")
     return value
 
 

@@ -7,10 +7,9 @@ Coefficients are ``fractions.Fraction``; arithmetic never rounds, so identity
 checks can demand literally zero residuals. Float, complex and bool
 coefficients are rejected, as they are for q.
 
-Series are immutable. Binary operations require equal truncation orders
-(re-truncate explicitly with :meth:`TruncatedSeries.truncate`).
-Coefficients above the order are unknown, not zero, so a series can only be
-truncated downward, never extended.
+Series are immutable. Binary operations require equal truncation orders.
+Coefficients above the order are unknown, not zero, so a series is never
+extended to a higher order.
 
 The log/exp pair converts between a series f with f(0) = 1 and its formal
 logarithm h with h(0) = 0 via the standard O(N^2) recursions obtained by
@@ -106,16 +105,8 @@ class TruncatedSeries:
             raise DomainError(f"expected a TruncatedSeries, got {type(other).__name__}")
         if other.order != self.order:
             raise OrderMismatchError(
-                f"truncation orders differ: {self.order} != {other.order}; "
-                "re-truncate explicitly first"
+                f"truncation orders differ: {self.order} != {other.order}"
             )
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        """Drop coefficients above ``order``. Extending is not allowed: the
-        dropped tail is unknown, not zero."""
-        if check_int(order, "order") > self.order:
-            raise DomainError(f"cannot re-truncate order {self.order} to {order}")
-        return TruncatedSeries(self.coeffs[: order + 1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -127,9 +118,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order}, coeffs={self.coeffs!r})"
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs))
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._compatible(other)
@@ -152,7 +140,7 @@ class TruncatedSeries:
         Coefficient k of f lands at position stretch*k with weight factor^k;
         positions beyond the order are dropped. ``factor`` must be rational.
         """
-        check_int(stretch, "stretch", 1)
+        check_int(stretch, "stretch", 1, None)
         if isinstance(factor, bool) or not isinstance(factor, Rational):
             raise DomainError(f"factor must be an exact rational, got {type(factor).__name__}")
         factor = Fraction(factor)
@@ -199,7 +187,3 @@ class TruncatedSeries:
         when every residual is zero; there is no tolerance."""
         self._compatible(other)
         return tuple(x - y for x, y in zip(self.coeffs, other.coeffs))
-
-    def to_json(self) -> dict:
-        """{"order": N, "coeffs": [...]} with each coefficient a "num/den" string."""
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}

@@ -66,9 +66,10 @@ class TestCoeffs:
         assert exc.value.code == 2
 
     def test_rejects_negative_order(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["coeffs", "--q", "1/2", "--order", "-3"])
-        assert exc.value.code == 2
+        for order in ("-3", str(2 ** 80)):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["coeffs", "--q", "1/2", "--order", order])
+            assert exc.value.code == 2
 
     def test_order_zero(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "--q", "1/2", "--order", "0",
@@ -93,6 +94,11 @@ class TestCoeffs:
         rows = parse_csv(out)
         assert code == 0
         assert rows[2]["qexp_coeff_dec"] == "0.666667"
+        # the largest precision a format spec takes; %g drops the zeros
+        code, out, _ = run_cli(capsys, "coeffs", "--q", "1/2", "--order", "2",
+                               "--format", "csv", "--decimals", str(2 ** 31 - 1))
+        assert code == 0
+        assert parse_csv(out)[2]["qexp_coeff_dec"] == f"{2 / 3:.60g}"
 
 
 class TestEval:
@@ -168,8 +174,7 @@ class TestVerify:
 
     def test_full_suite_small_grid(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--q", "2/3",
-                               "--order", "12", "--numeric-order", "8",
-                               "--kmax", "16")
+                               "--order", "12", "--kmax", "16")
         assert code == 0
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert lines and all(l.startswith("PASS") for l in lines)
@@ -224,6 +229,12 @@ class TestErrors:
         ["verify", "--suite", "qbinomial_sum", "--kmax", "1"],
         ["eval", "--q", "1/2", "--z", "1", "--tol", "inf"],
         ["eval", "--q", "2", "--z", "100000000000000"],
+        # counts past sys.maxsize, and a precision past the format spec's
+        ["coeffs", "--q", "1/2", "--order", str(2 ** 80)],
+        ["verify", "--suite", "reflection_product", "--order", str(2 ** 80)],
+        ["coeffs", "--q", "1/2", "--order", "2", "--decimals", str(2 ** 31)],
+        # the root-of-unity check runs at its own order; there is no option
+        ["verify", "--suite", "root_of_unity_product", "--numeric-order", "8"],
     ])
     def test_exits_without_traceback(self, capsys, argv):
         code, err = exit_code(capsys, *argv)

@@ -14,7 +14,7 @@ from qexpseries import (DomainError, QFactorialTable, SuiteConfig, as_qparam, ch
                         check_coeff_sign_flip, check_qbinomial_sum,
                         check_reciprocal_product, check_reflection_product,
                         check_root_of_unity_product, check_scaling_product,
-                        log_coeff_closed, qexp_series, reports_to_json,
+                        log_coeffs_closed, qexp_series, reports_to_json,
                         run_suite)
 from qexpseries.identities import DEFAULT_QS, _complex_product, _exact_report, _substituted
 
@@ -22,6 +22,14 @@ qvalues = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=8)
 
 GRID = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
         Fraction(3, 2), Fraction(2), Fraction(5, 2))
+
+#: A count past every sweep's index range.
+HUGE = 2 ** 80
+
+
+def closed(k, q):
+    """c_k(q) from the closed-form vector."""
+    return log_coeffs_closed(k, q).coeff(k)
 
 
 def _reference_qbinomial_sum(q, k_max):
@@ -70,7 +78,7 @@ class TestQBinomialSum:
         assert check_qbinomial_sum(Fraction(1), 25).passed
 
     def test_k_max_validation(self):
-        for k_max in (1, 2.5, True):
+        for k_max in (1, 2.5, True, HUGE):
             with pytest.raises(DomainError):
                 check_qbinomial_sum(Fraction(1, 2), k_max)
 
@@ -119,9 +127,14 @@ class TestScalingProduct:
         assert check_scaling_product(q, n, 12).passed
 
     def test_n_validation(self):
-        for n in (1, 2.5, True):
+        for n in (1, 2.5, True, HUGE):
             with pytest.raises(DomainError):
                 check_scaling_product(Fraction(1, 2), n, 12)
+        # every count that indexes a sweep has the same upper limit
+        for call in (lambda: check_root_of_unity_product(Fraction(1, 2), 2, HUGE),
+                     lambda: check_coeff_multiple_order(Fraction(1, 2), 2, HUGE)):
+            with pytest.raises(DomainError, match="must be at most"):
+                call()
 
 
 class TestRootOfUnityProduct:
@@ -158,12 +171,12 @@ class TestCoefficientIdentities:
     def test_sign_flip_even_orders_change_sign(self):
         q = Fraction(1, 2)
         for k in (2, 4, 6):
-            assert log_coeff_closed(k, Fraction(2)) == -log_coeff_closed(k, q)
+            assert closed(k, Fraction(2)) == -closed(k, q)
 
     def test_double_order_hand_case(self):
         # 2 c_2(1/2) = 1/3 and ((1-q)/(1+q)) c_1(1/4) = 1/3
-        assert 2 * log_coeff_closed(2, Fraction(1, 2)) == Fraction(1, 3)
-        assert Fraction(1, 3) * log_coeff_closed(1, Fraction(1, 4)) == Fraction(1, 3)
+        assert 2 * closed(2, Fraction(1, 2)) == Fraction(1, 3)
+        assert Fraction(1, 3) * closed(1, Fraction(1, 4)) == Fraction(1, 3)
         assert check_coeff_double_order(Fraction(1, 2), 8).passed
 
     @pytest.mark.parametrize("q", GRID + (Fraction(1),))
@@ -182,8 +195,8 @@ class TestCoefficientIdentities:
 
     def test_multiple_order_reduces_to_double_order_at_n2_k1(self):
         q = Fraction(3, 2)
-        lhs = 2 * log_coeff_closed(2, q)
-        rhs = (1 - q) / (1 + q) * log_coeff_closed(1, q ** 2)
+        lhs = 2 * closed(2, q)
+        rhs = (1 - q) / (1 + q) * closed(1, q ** 2)
         assert lhs == rhs
 
 
@@ -213,7 +226,7 @@ class TestReports:
 
 class TestSuite:
     CONFIG = SuiteConfig(qs=(Fraction(1, 2), Fraction(2)), ns=(2, 3),
-                         order=10, numeric_order=8, k_max=12)
+                         order=10, k_max=12)
 
     def test_all_pass(self):
         reports = run_suite(self.CONFIG)
@@ -241,6 +254,8 @@ class TestSuite:
                 # each n is checked before the set of them is sorted
                 (SuiteConfig(ns=("a", 2), checks=("coeff_power_scale",), k_max=4),
                  "n must be an integer"),
+                (SuiteConfig(ns=(HUGE,), checks=("scaling_product",), order=4),
+                 "n must be at most"),
                 # a lone value or a string is not a grid, though a string iterates
                 (SuiteConfig(ns=2), "^ns must be a sequence"),
                 (SuiteConfig(qs=Fraction(1, 2)), "^qs must be a sequence"),

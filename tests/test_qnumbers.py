@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qexpseries import (DomainError, QFactorialTable, QParam, q_binomial,
-                        q_binomial_pascal, q_factorial, q_number,
-                        radius_of_convergence)
+                        q_binomial_pascal, q_number, radius_of_convergence)
 from qexpseries.qnumbers import PASCAL_MAX_K
 
 qvalues = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=8)
@@ -53,28 +52,37 @@ class TestQNumber:
 
     def test_negative_k_rejected(self):
         table = QFactorialTable(2, 5)
+        huge = 2 ** 80    # past every sweep's index range
         for call in (lambda: q_number(-1, Fraction(1, 2)),
                      lambda: q_number(1.5, Fraction(1, 2)),
+                     lambda: q_number(huge, Fraction(1, 2)),
+                     lambda: q_binomial(huge, 1, Fraction(1, 2)),
+                     lambda: QFactorialTable(2, huge),
                      lambda: table.factorial(9),
                      lambda: table.binomial(9, 2)):
             with pytest.raises(DomainError):
                 call()
 
 
+def table_factorial(k: int, q) -> Fraction:
+    """[k]_q! from the factorial table."""
+    return QFactorialTable(q, k).factorial(k)
+
+
 class TestQFactorial:
     def test_empty_product(self):
-        assert q_factorial(0, Fraction(9, 4)) == 1
+        assert table_factorial(0, Fraction(9, 4)) == 1
 
     def test_one(self):
-        assert q_factorial(1, Fraction(9, 4)) == 1
+        assert table_factorial(1, Fraction(9, 4)) == 1
 
     def test_direct_product(self):
         # (7/4) * (3/2) * 1
-        assert q_factorial(3, Fraction(1, 2)) == Fraction(21, 8)
+        assert table_factorial(3, Fraction(1, 2)) == Fraction(21, 8)
 
     @given(st.integers(1, 25), qvalues)
     def test_ratio_recurrence(self, k, q):
-        assert q_factorial(k, q) == q_number(k, q) * q_factorial(k - 1, q)
+        assert table_factorial(k, q) == q_number(k, q) * table_factorial(k - 1, q)
 
 
 class TestQFactorialTable:
@@ -90,7 +98,9 @@ class TestQFactorialTable:
     def test_matches_scalar_function(self):
         table = QFactorialTable(Fraction(5, 2), 10)
         for k in range(11):
-            assert table.factorial(k) == q_factorial(k, Fraction(5, 2))
+            product = math.prod((q_number(i, Fraction(5, 2)) for i in range(1, k + 1)),
+                                start=Fraction(1))
+            assert table.factorial(k) == product
 
     def test_binomial_out_of_range(self):
         table = QFactorialTable(Fraction(1, 2), 6)
@@ -109,6 +119,7 @@ class TestQBinomial:
         assert q_binomial(7, 7, q) == 1
         assert q_binomial(7, -2, q) == 0
         assert q_binomial(7, 8, q) == 0
+        assert q_binomial(7, 2 ** 80, q) == 0
         for j in ("a", 2.5, True):
             with pytest.raises(DomainError, match="j must be an integer"):
                 q_binomial(5, j, Fraction(1, 2))

@@ -131,7 +131,7 @@ class TestConstruction:
     def test_one_and_zero(self):
         assert TruncatedSeries.one(3).coeffs == (1, 0, 0, 0)
         assert TruncatedSeries.zero(2).coeffs == (0, 0, 0)
-        for order in (-3, 1.5):
+        for order in (-3, 1.5, 2 ** 80):
             for build in (TruncatedSeries.one, TruncatedSeries.zero):
                 with pytest.raises(DomainError):
                     build(order)
@@ -140,12 +140,6 @@ class TestConstruction:
         s = TruncatedSeries([1, 2])
         with pytest.raises(AttributeError):
             s.coeffs = (Fraction(0),)
-
-    def test_truncate_down_only(self):
-        s = TruncatedSeries([1, 2, 3])
-        assert s.truncate(1).coeffs == (1, 2)
-        with pytest.raises(DomainError):
-            s.truncate(5)
 
 
 class TestArithmetic:
@@ -316,10 +310,10 @@ class TestKernelMatchesReference:
 
     def test_zero_results(self):
         # every term of the product has a zero factor
-        f = TruncatedSeries([0, 2, Fraction(-1, 3)])
-        g = TruncatedSeries([0, Fraction(5, 7), 0]).truncate(1)
-        product = f.truncate(1) * g
-        assert product.coeffs == _reference_mul(f.coeffs[:2], g.coeffs) == (0, 0)
+        f = TruncatedSeries([0, 2])
+        g = TruncatedSeries([0, Fraction(5, 7)])
+        product = f * g
+        assert product.coeffs == _reference_mul(f.coeffs, g.coeffs) == (0, 0)
         assert all(type(c) is Fraction and c.denominator == 1 for c in product.coeffs)
         # nonzero terms that cancel: exp(z - z^2/2) has no z^2 term
         a = TruncatedSeries([0, 1, Fraction(-1, 2)]).exp()
@@ -371,9 +365,3 @@ class TestCompare:
         f = TruncatedSeries([1, 1, 0])
         g = TruncatedSeries([1, 1, Fraction(1, 10 ** 30)])
         assert f.compare(g) == (0, 0, -Fraction(1, 10 ** 30))
-
-
-class TestJson:
-    def test_exact_strings(self):
-        f = TruncatedSeries([1, Fraction(-8, 21)])
-        assert f.to_json() == {"order": 1, "coeffs": ["1", "-8/21"]}
