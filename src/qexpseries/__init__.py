@@ -10,8 +10,8 @@ The package provides, all over arbitrary-precision rational arithmetic:
   coefficients of its logarithm, and guarded numeric evaluation with
   certified tail bounds (:mod:`.qexp`);
 * exact (zero-residual) verification of the classical q-exponential
-  identities, and one binary64 cross-check of the root-of-unity product,
-  with structured reports (:mod:`.identities`);
+  identities, the root-of-unity product included, with structured reports
+  (:mod:`.identities`);
 * a CLI, installed as ``qexp`` (:mod:`.cli`).
 
 All values are immutable and all operations are pure functions, so anything

@@ -178,8 +178,6 @@ def _params_text(report) -> str:
 def _verify_line(r) -> str:
     status = "PASS" if r.passed else "FAIL"
     line = f"{status} {r.mode:7s} {r.identity:22s} q={r.q} {_params_text(r)}"
-    if r.mode == "numeric" and r.residuals:
-        line += f"  max|res|={max(res for _, res in r.residuals):.3e}"
     if not r.passed and r.residuals:
         worst_k, worst = r.residuals[0]
         line += f"  worst k={worst_k} residual={worst}"

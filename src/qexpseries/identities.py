@@ -1,13 +1,11 @@
 """Verification of the q-exponential identities, with structured reports.
 
 Each check is a pure function returning a :class:`VerificationReport`.
-Exact-mode checks demand literally zero residuals -- there is no epsilon
-anywhere in the exact path. The root-of-unity product is the one numeric
-check (roots of unity are irrational): it converts the exact series to
-binary64 complex coefficients itself, multiplies them with compensated
-sums and compares against a fixed tolerance. Its coefficient-level
-counterpart :func:`check_coeff_multiple_order` covers the same content
-exactly and is the source of truth.
+Every check is exact: it demands literally zero residuals, and there is no
+epsilon anywhere. The root-of-unity product, whose roots of unity are
+irrational, is taken through the paper's logarithm ln E_q = sum_k c_k z^k,
+where it becomes a relation between series in z^n with rational
+coefficients.
 
 The checked identities, with E = E_q the q-exponential and c_k = c_k(q) the
 log coefficients (1-q)^(k-1)/(k [k]_q):
@@ -26,8 +24,6 @@ log coefficients (1-q)^(k-1)/(k [k]_q):
 
 from __future__ import annotations
 
-import cmath
-import functools
 import json
 import math
 import operator
@@ -39,11 +35,10 @@ from itertools import accumulate, islice, repeat
 from .errors import DomainError
 from .qexp import _log_coeff_pairs, log_coeffs_closed, qexp_series
 from .qnumbers import q_number, q_numbers
-from .scalars import QParam, Regime, as_qparam, check_int, rational_str
+from .scalars import QParam, Regime, as_qparam, check_int, rational_str, shown
 from .series import TruncatedSeries, _dot
 
 EXACT = "exact"
-NUMERIC = "numeric"
 
 QBINOMIAL_SUM = "qbinomial_sum"
 RECIPROCAL_PRODUCT = "reciprocal_product"
@@ -57,19 +52,14 @@ COEFF_MULTIPLE_ORDER = "coeff_multiple_order"
 
 _WORST = 5
 
-#: Residual bound of the root-of-unity product. Over 14 q from 1/100 to 7,
-#: n <= 11 and order <= 96 the largest residual measured is 8.5e-14.
-_ROOT_OF_UNITY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class VerificationReport:
     """Structured outcome of one identity check.
 
-    ``residuals`` holds the worst offenders as (index, residual) pairs:
-    in exact mode only nonzero residuals are kept (so a pass has none);
-    in numeric mode the largest magnitudes are kept for context even when
-    the check passes.
+    ``residuals`` holds the worst offenders as (index, residual) pairs,
+    the largest first; only nonzero residuals are kept, so a pass has none.
+    ``mode`` is always :data:`EXACT`.
     """
 
     identity: str
@@ -78,24 +68,17 @@ class VerificationReport:
     mode: str
     passed: bool
     residuals: tuple
-    tol: "float | None" = None
     note: str = ""
 
     def to_json(self) -> dict:
-        worst = [
-            [k, rational_str(r) if isinstance(r, Fraction) else float(r)]
-            for k, r in self.residuals
-        ]
         out = {
             "identity": self.identity,
             "q": rational_str(self.q.value),
             "params": dict(self.params),
             "mode": self.mode,
             "passed": self.passed,
-            "worst_residuals": worst,
+            "worst_residuals": [[k, rational_str(r)] for k, r in self.residuals],
         }
-        if self.tol is not None:
-            out["tol"] = self.tol
         if self.note:
             out["note"] = self.note
         return out
@@ -105,14 +88,7 @@ def _exact_report(identity, qp, params, residuals, note="") -> VerificationRepor
     offenders = [(k, r) for k, r in residuals if r != 0]
     offenders.sort(key=lambda kr: (-abs(kr[1]), kr[0]))
     return VerificationReport(identity, qp, params, EXACT,
-                              not offenders, tuple(offenders[:_WORST]), None, note)
-
-
-def _numeric_report(identity, qp, params, residuals, tol, note="") -> VerificationReport:
-    passed = all(r <= tol for _, r in residuals)
-    worst = sorted(residuals, key=lambda kr: (-kr[1], kr[0]))[:_WORST]
-    return VerificationReport(identity, qp, params, NUMERIC,
-                              passed, tuple(worst), float(tol), note)
+                              not offenders, tuple(offenders[:_WORST]), note)
 
 
 def check_qbinomial_sum(q, k_max: int = 40) -> VerificationReport:
@@ -177,53 +153,27 @@ def check_scaling_product(q, n: int, order: int = 32) -> VerificationReport:
                          enumerate(lhs.compare(rhs)))
 
 
-def _substituted(coeffs, factor: complex, order: int, stretch: int = 1) -> list:
-    """Binary64 coefficients of f(factor z^stretch) through z^order, from the
-    exact coefficients of f, weighted by a running power of ``factor``."""
-    out = [0j] * (order + 1)
-    power = complex(1.0)
-    for k in range(order // stretch + 1):
-        out[k * stretch] = complex(float(coeffs[k])) * power
-        power *= factor
-    return out
-
-
-def _complex_product(a: list, b: list) -> list:
-    """Cauchy product of two binary64 coefficient lists of one length.
-
-    Each coefficient is a compensated sum: root-of-unity products cancel
-    heavily and the residual tolerance leaves little headroom for naive
-    summation.
-    """
-    out = []
-    for k in range(len(a)):
-        prods = [a[i] * b[k - i] for i in range(k + 1)]
-        out.append(complex(math.fsum(p.real for p in prods), math.fsum(p.imag for p in prods)))
-    return out
-
-
-def check_root_of_unity_product(q, n: int, order: int = 24) -> VerificationReport:
+def check_root_of_unity_product(q, n: int, order: int = 32) -> VerificationReport:
     """prod_{m=0}^{n-1} E_q(w^m z) = E_{q^n}((1-q)^(n-1)/[n]_q z^n) for
-    w = exp(2 pi i / n), verified in binary64 complex arithmetic to
-    |residual| <= 1e-12 at every coefficient.
+    w = exp(2 pi i / n), through z^order, exactly.
 
-    The exact counterpart of this identity at coefficient level is
-    :func:`check_coeff_multiple_order`; this complex check is a sanity
-    cross-check, not the source of truth.
+    With ln E_q(z) = sum_k c_k z^k, the left side is
+    exp(sum_k c_k z^k sum_m w^(mk)), and sum_m w^(mk) is n when n | k and 0
+    otherwise. So the product is exp(n sum_j c_{nj} z^(nj)), a series in
+    t = z^n with rational coefficients: the coefficients at k != 0 (mod n)
+    vanish identically. It is compared, exactly, with the defining series
+    sum_j (s t)^j / [j]_{q^n}! of the right side, s = (1-q)^(n-1)/[n]_q,
+    which does not use the closed form; residuals are indexed by k = n j.
     """
     qp = as_qparam(q)
     check_int(n, "n", 2)
     check_int(order, "order", 1)
-    coeffs = qexp_series(qp, order).series.coeffs
-    factors = (_substituted(coeffs, cmath.rect(1.0, 2.0 * math.pi * m / n), order)
-               for m in range(n))
-    lhs = functools.reduce(_complex_product, factors)
+    c = log_coeffs_closed(order, qp).values
+    lhs = TruncatedSeries([n * c_k for c_k in c[::n]]).exp()
     scale = (1 - qp.value) ** (n - 1) / q_number(n, qp)
-    rhs = _substituted(qexp_series(qp.power(n), order // n).series.coeffs,
-                       complex(float(scale)), order, n)
-    residuals = [(k, abs(x - y)) for k, (x, y) in enumerate(zip(lhs, rhs))]
-    return _numeric_report(ROOT_OF_UNITY_PRODUCT, qp, {"n": n, "order": order},
-                           residuals, _ROOT_OF_UNITY_TOL)
+    rhs = qexp_series(qp.power(n), order // n).series.scale_substitute(scale)
+    residuals = ((n * j, r) for j, r in enumerate(lhs.compare(rhs)))
+    return _exact_report(ROOT_OF_UNITY_PRODUCT, qp, {"n": n, "order": order}, residuals)
 
 
 def check_coeff_sign_flip(q, k_max: int = 64) -> VerificationReport:
@@ -302,7 +252,7 @@ _ARGUMENTS = {
     QBINOMIAL_SUM: ("k_max",),
     RECIPROCAL_PRODUCT: ("order",),
     REFLECTION_PRODUCT: ("order",),
-    ROOT_OF_UNITY_PRODUCT: ("n",),
+    ROOT_OF_UNITY_PRODUCT: ("n", "order"),
     SCALING_PRODUCT: ("n", "order"),
 }
 
@@ -322,9 +272,8 @@ DEFAULT_NS = (2, 3, 4, 5)
 class SuiteConfig:
     """Parameter grid for :func:`run_suite`.
 
-    ``order`` applies to the exact series checks; the complex root-of-unity
-    check runs at its own default order 24, with its fixed residual bound
-    1e-12. ``k_max`` bounds the coefficient sweeps.
+    ``order`` is the truncation order of the four product checks and
+    ``k_max`` bounds the coefficient sweeps.
     """
 
     qs: tuple = DEFAULT_QS
@@ -362,7 +311,7 @@ def _grid(config: SuiteConfig, name: str):
     never a lone value or a string, which would iterate as its characters."""
     values = getattr(config, name)
     if isinstance(values, (str, bytes)) or not isinstance(values, (Sequence, AbstractSet)):
-        raise DomainError(f"{name} must be a sequence of values, got {values!r}")
+        raise DomainError(f"{name} must be a sequence of values, got {shown(values)}")
     return values
 
 

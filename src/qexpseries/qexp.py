@@ -38,7 +38,7 @@ from typing import Iterator, Literal
 
 from .errors import ConvergenceError, DomainError
 from .qnumbers import q_number_numerators, q_numbers, radius_of_convergence
-from .scalars import QParam, Regime, as_qparam, check_int, check_tol, ensure_finite
+from .scalars import QParam, Regime, as_qparam, check_int, check_tol, ensure_finite, shown
 from .series import TruncatedSeries, _dot
 
 DEFAULT_MAX_TERMS = 1000
@@ -163,8 +163,8 @@ def _arguments(q, z, tol, max_terms):
         radius = radius_of_convergence(qp)
         if abs(z) >= radius:
             raise DomainError(
-                f"|z| = {abs(z)} is outside the radius of convergence "
-                f"(1-q)^(-1) = {radius} for q = {qp}"
+                f"|z| = {shown(abs(z))} is outside the radius of convergence "
+                f"(1-q)^(-1) = {shown(radius)} for q = {shown(qp.value)}"
             )
     return qp, z, is_exact
 
@@ -205,7 +205,8 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = 1e-12,
         if not cmath.isfinite(total):    # the sum ran off to inf on the way
             raise OverflowError
     except OverflowError:
-        raise DomainError(f"E_q(z) exceeds the binary64 range at q = {qp}, z = {z}") from None
+        raise DomainError(f"E_q(z) exceeds the binary64 range at q = {shown(qp.value)}, "
+                          f"z = {shown(z)}") from None
     raise _not_converged(tol, max_terms)
 
 
@@ -324,7 +325,7 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = 1e-12,
         # float rounding pushed |z|(1-q) onto 1 right at the radius
         raise DomainError(
             f"|z| = {z_abs} is too close to the radius of convergence for a "
-            f"certified log series at q = {qp}; pass z as an exact rational"
+            f"certified log series at q = {shown(qp.value)}; pass z as an exact rational"
         )
 
     if is_exact:
@@ -411,7 +412,7 @@ def _exact_sum(terms) -> float:
 
 
 def _not_converged(tol, max_terms: int) -> ConvergenceError:
-    return ConvergenceError(f"tail bound did not reach tol={tol} within {max_terms} terms")
+    return ConvergenceError(f"tail bound did not reach tol={shown(tol)} within {max_terms} terms")
 
 
 def _log_via_qexp(qp: QParam, z, tol: float, max_terms: int) -> Evaluation:
@@ -425,11 +426,12 @@ def _log_via_qexp(qp: QParam, z, tol: float, max_terms: int) -> Evaluation:
         magnitude = abs(inner.value)
         if not isinstance(inner.value, complex) and inner.value <= 0:
             raise DomainError(
-                f"ln E_q(z) undefined: E_q({z}) = {inner.value} <= 0 at q = {qp}"
+                f"ln E_q(z) undefined: E_q({shown(z)}) = {inner.value} <= 0 "
+                f"at q = {shown(qp.value)}"
             )
         if magnitude <= inner.tail_bound:
             raise DomainError(
-                f"cannot certify E_q(z) != 0 at q = {qp}, z = {z}: "
+                f"cannot certify E_q(z) != 0 at q = {shown(qp.value)}, z = {shown(z)}: "
                 f"|value| = {magnitude} within tail bound {inner.tail_bound}"
             )
         propagated = inner.tail_bound / (magnitude - inner.tail_bound)
@@ -439,5 +441,6 @@ def _log_via_qexp(qp: QParam, z, tol: float, max_terms: int) -> Evaluation:
             return Evaluation(log_value, inner.order, propagated, "log_of_qexp")
         inner = eval_qexp(qp, z, tol * magnitude / 2, max_terms)
     raise ConvergenceError(
-        f"could not certify tol={tol} for ln E_q(z) at q = {qp}, z = {z}"
+        f"could not certify tol={shown(tol)} for ln E_q(z) at q = {shown(qp.value)}, "
+        f"z = {shown(z)}"
     )

@@ -6,7 +6,7 @@ rounds. :class:`QParam` validates the deformation parameter q > 0 and
 classifies its regime, which drives the convergence guards elsewhere.
 :func:`check_int` and :func:`check_tol` are the package's one integer and
 one tolerance check; :func:`ensure_finite` guards the binary64 arguments of
-the float evaluators.
+the float evaluators. :func:`shown` prints a value in an error message.
 
 Everything here is immutable and safe to share between threads.
 """
@@ -49,7 +49,7 @@ class QParam:
             raise DomainError(f"q must be rational, got {type(value).__name__}")
         value = Fraction(value)
         if value <= 0:
-            raise DomainError(f"q must be positive, got {value}")
+            raise DomainError(f"q must be positive, got {shown(value)}")
         object.__setattr__(self, "value", value)
 
     @property
@@ -106,7 +106,7 @@ def check_int(value: int, name: str, minimum: "int | None" = 0,
     if (isinstance(value, bool) or not isinstance(value, int)
             or minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
-        raise DomainError(f"{name} must be an integer{bound}, got {value!r}")
+        raise DomainError(f"{name} must be an integer{bound}, got {shown(value)}")
     if maximum is not None and value > maximum:
         raise DomainError(f"{name} must be at most {maximum}, got an integer of "
                           f"{value.bit_length()} bits")
@@ -116,8 +116,24 @@ def check_int(value: int, name: str, minimum: "int | None" = 0,
 def check_tol(value: float) -> float:
     """``value`` itself if it is a finite positive real (bools excluded)."""
     if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
-        raise DomainError(f"tol must be a finite positive number, got {value!r}")
+        raise DomainError(f"tol must be a finite positive number, got {shown(value)}")
     return value
+
+
+def shown(value) -> str:
+    """``value`` as error-message text: repr of a non-rational, str of a
+    rational, and the sign and bit length of a rational whose digits pass
+    CPython's cap on int -> str conversion, as str would raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, Rational):
+        return repr(value)
+    try:
+        return str(value)
+    except ValueError:
+        num, den = Fraction(value).as_integer_ratio()
+        if den == 1:
+            return f"{'a negative' if num < 0 else 'an'} integer of {num.bit_length()} bits"
+        return (f"a {'negative ' if num < 0 else ''}rational of {num.bit_length()} bits "
+                f"over {den.bit_length()} bits")
 
 
 def ensure_finite(value: complex) -> complex:

@@ -1,8 +1,8 @@
 """Acceptance suite: the binding exactness and tolerance requirements.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
-per criterion. Everything exact-mode demands literal equality of rationals;
-the two numeric criteria state their tolerances inline.
+per criterion. Every identity criterion demands literal equality of
+rationals; the evaluation criteria state their tolerances inline.
 """
 
 import contextlib
@@ -74,7 +74,7 @@ def test_qbinomial_sum_identity_and_pascal_agreement():
 def test_functional_identities():
     with criterion("inverse-pair and reflection products exact at order 32; "
                    "scaling product exact for n = 2..5; root-of-unity product "
-                   "<= 1e-12 at order 24 for n = 2..6 with its exact "
+                   "exact with zero residual at order 24 for n = 2..6, and its "
                    "coefficient counterpart at zero residual"):
         for q in GRID:
             assert check_reciprocal_product(q, 32).passed, q
@@ -82,8 +82,8 @@ def test_functional_identities():
             for n in (2, 3, 4, 5):
                 assert check_scaling_product(q, n, 32).passed, (q, n)
             for n in (2, 3, 4, 5, 6):
-                numeric = check_root_of_unity_product(q, n, 24)
-                assert numeric.passed, (q, n, numeric.residuals)
+                product = check_root_of_unity_product(q, n, 24)
+                assert product.passed and product.residuals == (), (q, n, product.residuals)
                 exact = check_coeff_multiple_order(q, n, 64)
                 assert exact.passed and exact.residuals == (), (q, n)
 

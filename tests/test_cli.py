@@ -179,6 +179,12 @@ class TestVerify:
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert lines and all(l.startswith("PASS") for l in lines)
 
+    def test_order_reaches_root_of_unity_product(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "root_of_unity_product",
+                               "--q", "1/2", "--n", "3", "--order", "8")
+        assert code == 0
+        assert "PASS exact   root_of_unity_product  q=1/2 n=3 order=8" in out
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--suite", "bogus"])
@@ -233,7 +239,7 @@ class TestErrors:
         ["coeffs", "--q", "1/2", "--order", str(2 ** 80)],
         ["verify", "--suite", "reflection_product", "--order", str(2 ** 80)],
         ["coeffs", "--q", "1/2", "--order", "2", "--decimals", str(2 ** 31)],
-        # the root-of-unity check runs at its own order; there is no option
+        # there is no such option: --order reaches every product check
         ["verify", "--suite", "root_of_unity_product", "--numeric-order", "8"],
     ])
     def test_exits_without_traceback(self, capsys, argv):

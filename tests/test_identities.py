@@ -1,22 +1,22 @@
 """Tests for the identity checks and the verification suite."""
 
-import cmath
 import json
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qexpseries import (DomainError, QFactorialTable, SuiteConfig, as_qparam, check_coeff_double_order,
+from qexpseries import (DomainError, LogCoeffVector, QFactorialTable, SuiteConfig,
+                        as_qparam, check_coeff_double_order,
                         check_coeff_multiple_order, check_coeff_power_scale,
                         check_coeff_sign_flip, check_qbinomial_sum,
                         check_reciprocal_product, check_reflection_product,
                         check_root_of_unity_product, check_scaling_product,
-                        log_coeffs_closed, qexp_series, reports_to_json,
+                        log_coeffs_closed, q_number, qexp_series, reports_to_json,
                         run_suite)
-from qexpseries.identities import DEFAULT_QS, _complex_product, _exact_report, _substituted
+from qexpseries import identities
+from qexpseries.identities import DEFAULT_QS, _exact_report
 
 qvalues = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=8)
 
@@ -130,6 +130,9 @@ class TestScalingProduct:
         for n in (1, 2.5, True, HUGE):
             with pytest.raises(DomainError):
                 check_scaling_product(Fraction(1, 2), n, 12)
+        # a count past CPython's 4300-digit cap on int -> str is named by size
+        with pytest.raises(DomainError, match="got a negative integer of 16610 bits"):
+            check_root_of_unity_product(Fraction(1, 2), -10 ** 5000)
         # every count that indexes a sweep has the same upper limit
         for call in (lambda: check_root_of_unity_product(Fraction(1, 2), 2, HUGE),
                      lambda: check_coeff_multiple_order(Fraction(1, 2), 2, HUGE)):
@@ -139,21 +142,52 @@ class TestScalingProduct:
 
 class TestRootOfUnityProduct:
     def test_passes(self):
-        # every residual, at k % n != 0 too (where the product must vanish),
-        # is within the fixed bound
+        # the coefficients at k % n != 0 vanish by the filter identity, so
+        # the residuals are those at k = 0, n, 2n, .., and all are zero
         report = check_root_of_unity_product(Fraction(1, 2), 3, 12)
         assert report.passed
-        assert report.mode == "numeric"
-        assert report.tol == 1e-12
+        assert report.mode == "exact"
+        assert report.residuals == ()
+        assert "tol" not in report.to_json()
 
-    def test_two_factor_case_matches_reflection_sides(self):
-        # at n = 2 the root of unity is -1, so the product is E_q(z) E_q(-z)
-        q, order = Fraction(2, 3), 10
-        base = qexp_series(q, order).series
-        exact_lhs = base * base.scale_substitute(-1)
-        numeric_lhs = _complex_product(_substituted(base.coeffs, 1, order),
-                                       _substituted(base.coeffs, cmath.rect(1.0, math.pi), order))
-        assert all(abs(x - float(y)) <= 1e-12 for x, y in zip(numeric_lhs, exact_lhs.coeffs))
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_fails_on_a_doubled_closed_form(self, monkeypatch, n):
+        # the right side is E_{q^n}'s defining series, not the closed form,
+        # so a closed form off by a constant factor cannot pass
+        closed_form = identities.log_coeffs_closed
+
+        def doubled(order, q):
+            vec = closed_form(order, q)
+            return LogCoeffVector(vec.q, tuple(2 * c for c in vec.values), vec.provenance)
+
+        monkeypatch.setattr(identities, "log_coeffs_closed", doubled)
+        report = check_root_of_unity_product(Fraction(1, 2), n, 12)
+        assert not report.passed
+        residuals = dict(report.residuals)
+        assert isinstance(residuals[n], Fraction) and residuals[n] != 0
+
+    @pytest.mark.parametrize("q", GRID)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_literal_product(self, q, n):
+        # prod_m E_q(w^m z) multiplied out at 50 digits with the true roots
+        # of unity, from the exact coefficients of E_q, against the exact
+        # right side: the coefficients at k % n != 0 vanish
+        mpmath = pytest.importorskip("mpmath")
+        order = 24
+        scale = (1 - q) ** (n - 1) / q_number(n, q)
+        rhs = qexp_series(q ** n, order // n).series.scale_substitute(scale).coeffs
+        with mpmath.workdps(50):
+            coeffs = [mpmath.mpf(c.numerator) / c.denominator
+                      for c in qexp_series(q, order).series.coeffs]
+            product = [mpmath.mpc(1)] + [mpmath.mpc(0)] * order
+            for w in mpmath.unitroots(n):
+                factor = [c * w ** k for k, c in enumerate(coeffs)]
+                product = [mpmath.fsum(product[i] * factor[k - i] for i in range(k + 1))
+                           for k in range(order + 1)]
+            for k, value in enumerate(product):
+                expected = rhs[k // n] if k % n == 0 else Fraction(0)
+                assert abs(value - mpmath.mpf(expected.numerator) / expected.denominator) <= 1e-40, k
+        assert check_root_of_unity_product(q, n, order).passed
 
     @pytest.mark.parametrize("q", GRID)
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -211,14 +245,6 @@ class TestReports:
         assert payload["params"] == {"k_min": 2, "k_max": 6}
         assert payload["worst_residuals"] == []
         assert "tol" not in payload
-
-    def test_numeric_report_keeps_context_residuals(self):
-        report = check_root_of_unity_product(Fraction(1, 2), 2, 8)
-        assert report.passed
-        assert len(report.residuals) <= 5
-        payload = report.to_json()
-        assert payload["tol"] == 1e-12
-        assert all(isinstance(r, float) for _, r in payload["worst_residuals"])
 
     def test_exact_pass_has_no_residuals(self):
         assert check_coeff_sign_flip(Fraction(1, 2), 10).residuals == ()

@@ -239,7 +239,7 @@ class TestEvalQExp:
         out = eval_qexp(Fraction(2), 1, tol=1e-14)
         assert abs(out.value - oracle) <= 1e-13
 
-    @pytest.mark.parametrize("z", [2, Fraction(2), 2.0, -2, 3])
+    @pytest.mark.parametrize("z", [2, Fraction(2), 2.0, -2, 3, Fraction(10 ** 5000)])
     def test_radius_guard(self, z):
         with pytest.raises(DomainError) as err:
             eval_qexp(Fraction(1, 2), z)
@@ -284,6 +284,9 @@ class TestEvalQExp:
     def test_iteration_limit(self):
         with pytest.raises(ConvergenceError):
             eval_qexp(Fraction(1, 2), Fraction(199, 100), tol=1e-12, max_terms=10)
+        # a tol past CPython's 4300-digit cap on int -> str is named by size
+        with pytest.raises(ConvergenceError, match="tol=a rational of 1 bits over 16610 bits"):
+            eval_qexp(Fraction(1, 2), 1, tol=Fraction(1, 10 ** 5000), max_terms=5)
 
     def test_complex_argument(self):
         out = eval_qexp(Fraction(2), complex(0, 1), tol=1e-12)
@@ -303,7 +306,7 @@ class TestEvalQExp:
                     evaluate(Fraction(2), flag)
 
     def test_binary64_overflow(self):
-        for q, z in ((3, 1e300), (2, Fraction(10 ** 14)), (2, 1e14)):
+        for q, z in ((3, 1e300), (2, Fraction(10 ** 14)), (2, 1e14), (2, Fraction(10 ** 5000))):
             with pytest.raises(DomainError, match="binary64 range"):
                 eval_qexp(q, z)
 
@@ -352,9 +355,10 @@ class TestEvalLogQExp:
             eval_log_qexp(Fraction(2), -3)
 
     def test_radius_guard(self):
-        with pytest.raises(DomainError) as err:
-            eval_log_qexp(Fraction(1, 2), Fraction(5, 2))
-        assert "2" in str(err.value)
+        for z in (Fraction(5, 2), Fraction(10 ** 5000)):
+            with pytest.raises(DomainError) as err:
+                eval_log_qexp(Fraction(1, 2), z)
+            assert "2" in str(err.value)
 
     @settings(max_examples=25, deadline=None)
     @given(qvalues, st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2),

@@ -56,6 +56,8 @@ class TestQNumber:
         for call in (lambda: q_number(-1, Fraction(1, 2)),
                      lambda: q_number(1.5, Fraction(1, 2)),
                      lambda: q_number(huge, Fraction(1, 2)),
+                     # past CPython's 4300-digit cap on int -> str
+                     lambda: q_number(-10 ** 5000, 2),
                      lambda: q_binomial(huge, 1, Fraction(1, 2)),
                      lambda: QFactorialTable(2, huge),
                      lambda: table.factorial(9),

@@ -55,7 +55,7 @@ class TestQParam:
     def test_classification(self, value, regime):
         assert QParam(value).regime is regime
 
-    @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1), -3])
+    @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1), -3, Fraction(-10 ** 5000)])
     def test_nonpositive_rejected(self, bad):
         with pytest.raises(DomainError):
             QParam(Fraction(bad))
