@@ -11,15 +11,15 @@ Three views of the same object:
 
 For 0 < q < 1 the series has radius of convergence (1-q)^(-1) and the
 evaluators reject arguments on or outside it; for q >= 1 it converges
-everywhere. With a rational argument the evaluators sum in fixed point
-over the integer q-number sweep: each term is an integer scaled by 2^p
+everywhere. With a rational argument both evaluators run one kernel:
+each term is the one before times a ratio of short integers from the
+integer q-number sweep, summed in fixed point as an integer scaled by 2^p
 with an integer radius that covers every floor taken (a ball, in the
-style of Arb). r < 1 and the log's stopping test are exact integer
-comparisons; E_q's stopping test, the value and the tail bound are taken
+style of Arb). The stopping test, the value and the tail bound are taken
 only when both ends of their ball agree, the doubles by correctly rounded
 int / int division (Ziv's test), so they are the floats of the exact
-partial sums. An undecided ball hands the call to an exact integer sum. A
-positive tail bound below the binary64 range is reported as the least
+partial sums; an undecided ball hands the call to one exact integer sum.
+A positive tail bound below the binary64 range is reported as the least
 subnormal, never as 0.0. A float argument selects plain binary64
 arithmetic whose own rounding is outside the certificate. A value beyond
 the binary64 range raises DomainError.
@@ -32,14 +32,14 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, pairwise
 from numbers import Rational
 from typing import Iterator, Literal
 
 from .errors import ConvergenceError, DomainError
 from .qnumbers import q_number_numerators, q_numbers, radius_of_convergence
 from .scalars import QParam, Regime, as_qparam, check_int, check_tol, ensure_finite, shown
-from .series import TruncatedSeries, _dot
+from .series import TruncatedSeries
 
 DEFAULT_MAX_TERMS = 1000
 
@@ -186,8 +186,8 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = 1e-12,
         if is_exact:
             if z > 0:
                 float(z)    # raises OverflowError past the binary64 range
-            return (_qexp_fixed(qp, z, tol, max_terms)
-                    or _qexp_exact(qp, z, tol, max_terms))
+            return (_sum_fixed((1, 1), _qexp_steps(qp, z), 0, tol, max_terms)
+                    or _sum_exact((1, 1), _qexp_steps(qp, z), 0, tol, max_terms))
         numbers = q_numbers(qp)
         term = total = 1.0
         scale = float(next(numbers))
@@ -210,95 +210,19 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = 1e-12,
     raise _not_converged(tol, max_terms)
 
 
-def _qexp_fixed(qp: QParam, z: Fraction, tol, max_terms: int) -> "Evaluation | None":
-    """E_q(z) for rational z = u/w by fixed-point partial sums, or None when
-    a ball leaves a decision open.
-
-    With q = a/b and [k]_q = S_k / b^(k-1), the magnitude of term k is an
-    integer T_k within e_k of |t_k| 2^p: T_{k+1} = floor(T_k |u| b^k /
-    (w S_{k+1})) and e_{k+1} = ceil(e_k |u| b^k / (w S_{k+1})) + [the floor
-    dropped a remainder]. So no integer grows much past p + k log2(b) bits.
-    r < 1 is decided exactly by the sign of gap = w S_{k+2} - |u| b^(k+1),
-    as 1 - r = gap / (w S_{k+2}).
-    """
-    u, w = z.numerator, z.denominator
+def _qexp_steps(qp: QParam, z: Fraction) -> Iterator["tuple[int, int, int, int]"]:
+    """E_q's kernel steps for z = u/w from t_0 = 1: t_{k+1} = t_k u b^k /
+    (w S_{k+1}) for q = a/b, as [k]_q = S_k / b^(k-1), and lift / gap =
+    1 / (1 - r) for r = |z| / [k+2]_q, with lift = w S_{k+2}."""
+    mul, w = z.as_integer_ratio()     # u b^k, from u
     b = qp.value.denominator
-    tol_num, tol_den = Fraction(tol).as_integer_ratio()
-    p = _precision(tol_num, tol_den)
-    limit = tol_num << p
-    # while bit lengths alone show bound > tol the ball test is skipped
-    far = limit.bit_length() - tol_den.bit_length() + 3
     numbers = q_number_numerators(qp)
-    step = w * next(numbers)  # w S_{k+1} while summing through z^k
-    reach = abs(u)            # |u| b^k
-    mag, err = 1 << p, 0      # |T_k| and e_k; t_k has the sign of u^k
-    total, total_err = mag, 0
-    for k in range(max_terms):
-        mag, rem = divmod(mag * reach, step)
-        err = -(-err * reach // step) + (rem != 0)
-        reach *= b
-        step = w * next(numbers)
-        gap = step - reach
-        if gap > 0 and (mag <= err or (mag - err).bit_length() + step.bit_length()
-                        - gap.bit_length() < far):
-            # bound = |t_{k+1}| step / gap <= tol, at both ends of the ball
-            low, high = max(mag - err, 0) * step, (mag + err) * step
-            cap = limit * gap
-            stop = _settled(low * tol_den <= cap, high * tol_den <= cap)
-            if stop is None:
-                return None
-            if stop:
-                scale = 1 << p
-                try:
-                    value = _settled((total - total_err) / scale, (total + total_err) / scale)
-                except OverflowError:    # the exact sum decides the range
-                    return None
-                den = gap << p
-                bound = _settled(_bound(low, den, bool(u)), _bound(high, den, bool(u)))
-                if value is None or bound is None:
-                    return None
-                return Evaluation(value, k, bound, "series")
-        total += -mag if u < 0 and k % 2 == 0 else mag
-        total_err += err
-    raise _not_converged(tol, max_terms)
-
-
-def _qexp_exact(qp: QParam, z: Fraction, tol, max_terms: int) -> Evaluation:
-    """E_q(z) for rational z = u/w by exact integer partial sums, for the
-    decisions :func:`_qexp_fixed` leaves open.
-
-    t_k = term/den and the partial sum total/den share one denominator that
-    only grows by the small factor w S_{k+1}, so no step reduces a big
-    fraction; r < 1 and bound <= tol are tested by cross-multiplication.
-    """
-    u, w = z.numerator, z.denominator
-    b = qp.value.denominator
-    tol_num, tol_den = Fraction(tol).as_integer_ratio()
-    numbers = q_number_numerators(qp)
-    number = next(numbers)    # S_{k+1} while summing through z^k
-    term = total = den = 1
-    power = 1                 # b^k
-    for k in range(max_terms):
-        term *= u * power
-        step = w * number
-        power *= b
-        number = next(numbers)
-        next_den = den * step
-        # bound = |term| * lift / (next_den * gap), as 1 - r = gap / lift
+    div = w * next(numbers)           # w S_{k+1}
+    for number in numbers:
         lift = w * number
-        gap = lift - abs(u) * power
-        # while the term is large its bit length alone shows
-        # bound > tol, as bl(a*b) >= bl(a) + bl(b) - 1 for a, b != 0
-        if gap > 0 and (not term or term.bit_length() + (lift * tol_den).bit_length()
-                        <= next_den.bit_length() + (gap * tol_num).bit_length() + 1):
-            bound_num = abs(term) * lift
-            bound_den = next_den * gap
-            if bound_num * tol_den <= tol_num * bound_den:
-                return Evaluation(total / den, k, _bound(bound_num, bound_den, bool(term)),
-                                  "series")
-        total = total * step + term
-        den = next_den
-    raise _not_converged(tol, max_terms)
+        yield mul, div, lift, lift - abs(mul) * b
+        mul *= b
+        div = lift
 
 
 def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = 1e-12,
@@ -329,48 +253,113 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = 1e-12,
         )
 
     if is_exact:
-        # t_k = num/den = (b-a)^(k-1) u^k / (k S_k w^k) for q = a/b, z = u/w.
-        # The stop test |t| <= tol (1 - r) cross-multiplies these short
-        # integers exactly; only the sum is fixed-point, each term floored
-        # to 1/2^p, so the true sum lies in [total, total + inexact] / 2^p.
-        u, w = z.numerator, z.denominator
-        p = _precision(*Fraction(tol).as_integer_ratio())
-        tol_num, tol_den = (Fraction(tol) * (1 - r_cap)).as_integer_ratio()
-        cap_num, cap_den = r_cap.as_integer_ratio()
-        coeffs = _log_coeff_pairs(qp)
-        upow, wpow = u, w     # u^k, w^k
-        c_num, c_den = next(coeffs)
-        num, den = c_num * upow, c_den * wpow
-        terms = []            # (num, den) of t_1 .. t_k, for the exact sum
-        total = inexact = 0
-        for k in range(1, max_terms + 1):
-            terms.append((num, den))
-            floor, rem = divmod(num << p, den)
-            total += floor
-            inexact += rem != 0
-            upow *= u
-            wpow *= w
-            c_num, c_den = next(coeffs)
-            num, den = c_num * upow, c_den * wpow
-            if abs(num) * tol_den <= tol_num * den:
-                scale = 1 << p
-                value = _settled(total / scale, (total + inexact) / scale)
-                if value is None:
-                    value = _exact_sum(terms)
-                bound = _bound(abs(num) * cap_den, den * (cap_den - cap_num), bool(num))
-                return Evaluation(value, k, bound, "series")
-    else:
-        coeffs = _log_coeffs(qp)
-        zpow = z              # z^k
+        return (_sum_fixed(z.as_integer_ratio(), _log_steps(qp, z, r_cap), 1, tol, max_terms)
+                or _sum_exact(z.as_integer_ratio(), _log_steps(qp, z, r_cap), 1, tol, max_terms))
+    coeffs = _log_coeffs(qp)
+    zpow = z                  # z^k
+    c_k = float(next(coeffs))
+    total = 0.0
+    for k in range(1, max_terms + 1):
+        total = total + c_k * zpow
+        zpow = zpow * z
         c_k = float(next(coeffs))
-        total = 0.0
-        for k in range(1, max_terms + 1):
-            total = total + c_k * zpow
-            zpow = zpow * z
-            c_k = float(next(coeffs))
-            bound = abs(c_k * zpow) / (1 - r_cap)
-            if bound <= tol:
-                return Evaluation(total, k, bound, "series")
+        bound = abs(c_k * zpow) / (1 - r_cap)
+        if bound <= tol:
+            return Evaluation(total, k, bound, "series")
+    raise _not_converged(tol, max_terms)
+
+
+def _log_steps(qp: QParam, z: Fraction, r_cap: Fraction) -> Iterator["tuple[int, int, int, int]"]:
+    """ln E_q's kernel steps for z = u/w from t_1 = z: t_{k+1} = t_k (b-a) k
+    S_k u / ((k+1) S_{k+1} w), as c_k = (b-a)^(k-1) / (k S_k), with b - a
+    taken as it is: c_{k+1} / c_k is 0/0 at q = 1. lift / gap is
+    1 / (1 - r_cap), as r_cap caps every term ratio."""
+    a, b = qp.value.as_integer_ratio()
+    u, w = z.as_integer_ratio()
+    cap_num, cap_den = r_cap.as_integer_ratio()
+    for k, (number, next_number) in enumerate(pairwise(q_number_numerators(qp)), 1):
+        yield (b - a) * u * k * number, (k + 1) * next_number * w, cap_den, cap_den - cap_num
+
+
+def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol,
+               max_terms: int) -> "Evaluation | None":
+    """sum_k t_k from k = order until the tail bound is <= tol, in fixed
+    point; None when a ball leaves a decision open.
+
+    t_order = first[0] / first[1]; a step (mul, div, lift, gap), div > 0,
+    gives t_{k+1} = t_k mul / div and, if gap > 0, the tail bound
+    |t_{k+1}| lift / gap. An integer T_k within e_k of |t_k| 2^p carries
+    each term, its sign apart. One floor per step, T_{k+1} = floor(T_k
+    |mul| / div), keeps that with e_{k+1} = ceil(e_k |mul| / div) + [it
+    dropped a remainder], so the partial sum is within the sum of the e_k.
+    Each decision and rounding is taken only when both ends of its ball
+    agree (:func:`_settled`), so it is the exact sum's.
+    """
+    num, den = first
+    tol_num, tol_den = Fraction(tol).as_integer_ratio()
+    p = _precision(tol_num, tol_den)
+    limit = tol_num << p
+    # while bit lengths alone show bound > tol the ball test is skipped
+    far = limit.bit_length() - tol_den.bit_length() + 3
+    mag, rem = divmod(abs(num) << p, den)     # T_k; err is e_k
+    # positive: t_k != 0, read off the steps, as a ball cannot tell
+    err, negative, positive = int(rem != 0), num < 0, num != 0
+    total, total_err = -mag if negative else mag, err
+    for k, (mul, div, lift, gap) in zip(range(order, order + max_terms), steps):
+        if mul < 0:
+            mul, negative = -mul, not negative
+        elif not mul:
+            positive = False
+        mag, rem = divmod(mag * mul, div)
+        err = -(-err * mul // div) + (rem != 0)
+        if gap > 0 and (mag <= err or (mag - err).bit_length() + lift.bit_length()
+                        - gap.bit_length() < far):
+            # bound = |t_{k+1}| lift / gap <= tol, at both ends of the ball
+            low, high = max(mag - err, 0) * lift, (mag + err) * lift
+            cap = limit * gap
+            stop = _settled(low * tol_den <= cap, high * tol_den <= cap)
+            if stop is None:
+                return None
+            if stop:
+                scale = 1 << p
+                try:
+                    value = _settled((total - total_err) / scale, (total + total_err) / scale)
+                except OverflowError:    # the exact sum decides the range
+                    return None
+                bound = _settled(_bound(low, gap << p, positive), _bound(high, gap << p, positive))
+                if value is None or bound is None:
+                    return None
+                return Evaluation(value, k, bound, "series")
+        total += -mag if negative else mag
+        total_err += err
+    raise _not_converged(tol, max_terms)
+
+
+def _sum_exact(first: "tuple[int, int]", steps, order: int, tol, max_terms: int) -> Evaluation:
+    """The partial sum of :func:`_sum_fixed` by exact integers, for the
+    decisions it leaves open.
+
+    t_k = term/den and the partial sum total/den share one denominator that
+    only grows by the short factor div of each step, so no step reduces a
+    big fraction; bound <= tol is tested by cross-multiplication.
+    """
+    tol_num, tol_den = Fraction(tol).as_integer_ratio()
+    term, den = first
+    total = term
+    for k, (mul, div, lift, gap) in zip(range(order, order + max_terms), steps):
+        term *= mul
+        next_den = den * div
+        # while the term is large its bit length alone shows
+        # bound > tol, as bl(a*b) >= bl(a) + bl(b) - 1 for a, b != 0
+        if gap > 0 and (not term or term.bit_length() + (lift * tol_den).bit_length()
+                        <= next_den.bit_length() + (gap * tol_num).bit_length() + 1):
+            bound_num = abs(term) * lift
+            bound_den = next_den * gap
+            if bound_num * tol_den <= tol_num * bound_den:
+                return Evaluation(total / den, k, _bound(bound_num, bound_den, bool(term)),
+                                  "series")
+        total = total * div + term
+        den = next_den
     raise _not_converged(tol, max_terms)
 
 
@@ -404,11 +393,6 @@ def _bound(num: int, den: int, positive: bool) -> float:
     like ``float(Fraction)``; a positive bound that underflows is reported
     as the least subnormal, never as an exact 0.0."""
     return num / den or (_TINIEST if positive else 0.0)
-
-
-def _exact_sum(terms) -> float:
-    """sum num/den over the (num, den) pairs, exactly, correctly rounded."""
-    return float(_dot((num, Fraction(1, den), 1) for num, den in terms))
 
 
 def _not_converged(tol, max_terms: int) -> ConvergenceError:
