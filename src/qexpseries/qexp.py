@@ -21,8 +21,10 @@ int / int division (Ziv's test), so they are the floats of the exact
 partial sums; an undecided ball hands the call to one exact integer sum.
 A positive tail bound below the binary64 range is reported as the least
 subnormal, never as 0.0. A float argument selects plain binary64
-arithmetic whose own rounding is outside the certificate. A value beyond
-the binary64 range raises DomainError.
+arithmetic over the same integer sweep: each [k]_q and c_k is the
+correctly rounded int / int quotient of its integers, and the sum's own
+rounding is outside the certificate. A value beyond the binary64 range
+raises DomainError.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, pairwise
+from itertools import accumulate, islice, pairwise, starmap
 from numbers import Rational
 from typing import Iterator, Literal
 
@@ -98,16 +100,12 @@ def _log_coeff_pairs(qp: QParam) -> Iterator["tuple[int, int]"]:
         shift *= b - a
 
 
-def _log_coeffs(qp: QParam) -> Iterator[Fraction]:
-    """c_1, c_2, ... as reduced Fractions."""
-    return (Fraction(num, den) for num, den in _log_coeff_pairs(qp))
-
-
 def log_coeffs_closed(order: int, q) -> LogCoeffVector:
     """Closed-form log coefficients c_1..c_order in one O(order) sweep."""
     check_int(order, "order")
     qp = as_qparam(q)
-    return LogCoeffVector(qp, (Fraction(0), *islice(_log_coeffs(qp), order)), "closed_form")
+    coeffs = starmap(Fraction, islice(_log_coeff_pairs(qp), order))
+    return LogCoeffVector(qp, (Fraction(0), *coeffs), "closed_form")
 
 
 def log_coeffs_recursive(order: int, q) -> LogCoeffVector:
@@ -188,13 +186,16 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = 1e-12,
                 float(z)    # raises OverflowError past the binary64 range
             return (_sum_fixed((1, 1), _qexp_steps(qp, z), 0, tol, max_terms)
                     or _sum_exact((1, 1), _qexp_steps(qp, z), 0, tol, max_terms))
-        numbers = q_numbers(qp)
+        b = qp.value.denominator
+        numbers = q_number_numerators(qp)
+        power = 1                 # b^(j-1) of the last [j]_q read
         term = total = 1.0
-        scale = float(next(numbers))
+        scale = next(numbers) / power
         z_abs = abs(z)
         for k in range(max_terms):
             nxt = term * z / scale
-            scale = float(next(numbers))    # [k+2]_q
+            power *= b
+            scale = next(numbers) / power    # [k+2]_q = S_{k+2} / b^(k+1)
             r = z_abs / scale
             if r < 1:
                 bound = abs(nxt) / (1 - r)
@@ -253,16 +254,21 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = 1e-12,
         )
 
     if is_exact:
-        return (_sum_fixed(z.as_integer_ratio(), _log_steps(qp, z, r_cap), 1, tol, max_terms)
-                or _sum_exact(z.as_integer_ratio(), _log_steps(qp, z, r_cap), 1, tol, max_terms))
-    coeffs = _log_coeffs(qp)
+        try:
+            return (_sum_fixed(z.as_integer_ratio(), _log_steps(qp, z, r_cap), 1, tol, max_terms)
+                    or _sum_exact(z.as_integer_ratio(), _log_steps(qp, z, r_cap), 1, tol,
+                                  max_terms))
+        except OverflowError:
+            raise DomainError(f"ln E_q(z) exceeds the binary64 range at q = {shown(qp.value)}, "
+                              f"z = {shown(z)}") from None
+    coeffs = starmap(operator.truediv, _log_coeff_pairs(qp))    # c_k, rounded once
     zpow = z                  # z^k
-    c_k = float(next(coeffs))
+    c_k = next(coeffs)
     total = 0.0
     for k in range(1, max_terms + 1):
         total = total + c_k * zpow
         zpow = zpow * z
-        c_k = float(next(coeffs))
+        c_k = next(coeffs)
         bound = abs(c_k * zpow) / (1 - r_cap)
         if bound <= tol:
             return Evaluation(total, k, bound, "series")

@@ -3,10 +3,13 @@
 The evaluation tests use an independent brute-force oracle for q = 2 that
 builds [k]_2! = prod (2^i - 1) in plain integers and sums until the terms
 are far below the comparison tolerance. The exact evaluators are also held
-byte for byte to plain Fraction partial-sum loops (``_reference_*``), and,
-when mpmath is installed, to the product formulas at 40 digits.
+byte for byte to plain Fraction partial-sum loops (``_reference_*``), the
+binary64 branches to loops that convert each reduced Fraction with float()
+(``_reference_float_*``), and, when mpmath is installed, the exact ones to
+the product formulas at 40 digits.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -19,6 +22,7 @@ from qexpseries import (ConvergenceError, DomainError, Evaluation, QParam, as_qp
                         eval_log_qexp, eval_qexp, log_coeffs_closed, log_coeffs_recursive,
                         q_number, qexp_series)
 from qexpseries.qnumbers import q_numbers
+from qexpseries.scalars import shown
 
 qvalues = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=8)
 
@@ -95,6 +99,56 @@ def _reference_eval_log_qexp(q, z, tol, max_terms):
         if k > max_terms:
             raise ConvergenceError(
                 f"tail bound did not reach tol={tol} within {max_terms} terms")
+
+
+def _reference_float_eval_qexp(q, z, tol, max_terms):
+    """E_q(z) for a float or complex z in binary64, each [k]_q a reduced
+    Fraction converted by float(): the loop the integer sweep replaced."""
+    qp = as_qparam(q)
+    numbers = q_numbers(qp)
+    try:
+        term = total = 1.0
+        scale = float(next(numbers))
+        for k in range(max_terms):
+            nxt = term * z / scale
+            scale = float(next(numbers))
+            r = abs(z) / scale
+            if r < 1:
+                bound = abs(nxt) / (1 - r)
+                if bound <= tol:
+                    return Evaluation(total, k, bound, "series")
+            total = total + nxt
+            term = nxt
+        if not cmath.isfinite(total):
+            raise OverflowError
+    except OverflowError:
+        raise DomainError(f"E_q(z) exceeds the binary64 range at q = {shown(qp.value)}, "
+                          f"z = {shown(z)}") from None
+    raise ConvergenceError(f"tail bound did not reach tol={tol} within {max_terms} terms")
+
+
+def _reference_float_eval_log_qexp(q, z, tol, max_terms):
+    """ln E_q(z) for a float or complex z inside the log series' disk in
+    binary64, each c_k a reduced Fraction converted by float() (the
+    replaced loop)."""
+    qp = as_qparam(q)
+    v = qp.value
+    r_cap = abs(z) * (v - 1) / v if v > 1 else abs(z) * (1 - v)
+    assert r_cap < 1
+    numbers = q_numbers(qp)
+    shift = Fraction(1)       # (1-q)^(k-1)
+    zpow = z
+    c_k = float(shift / next(numbers))
+    total = 0.0
+    for k in range(1, max_terms + 1):
+        total = total + c_k * zpow
+        zpow = zpow * z
+        shift *= 1 - v
+        c_k = float(shift / ((k + 1) * next(numbers)))
+        bound = abs(c_k * zpow) / (1 - r_cap)
+        if bound <= tol:
+            return Evaluation(total, k, bound, "series")
+    raise ConvergenceError(f"tail bound did not reach tol={tol} within {max_terms} terms")
 
 
 def _outcome(evaluate, *args):
@@ -360,6 +414,14 @@ class TestEvalLogQExp:
                 eval_log_qexp(Fraction(1, 2), z)
             assert "2" in str(err.value)
 
+    def test_binary64_overflow(self):
+        # ln E_1(z) = z, so a rational z past the binary64 range is a value
+        # past it too: DomainError, as for E_q, not a raw OverflowError
+        for z in (Fraction(10 ** 400), Fraction(-(10 ** 400), 3)):
+            with pytest.raises(DomainError, match=r"^ln E_q\(z\) exceeds the binary64 "
+                                                  r"range at q = 1, z = -?1000"):
+                eval_log_qexp(1, z)
+
     @settings(max_examples=25, deadline=None)
     @given(qvalues, st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2),
                                  max_denominator=12))
@@ -501,6 +563,55 @@ class TestExactPathMatchesReference:
         with pytest.MonkeyPatch.context() as patch:
             expected = self.expected(*args, patch, stand_in)
         assert got == [expected, expected], args
+
+
+class TestFloatPathMatchesReference:
+    """The binary64 branches take [k]_q and c_k as int / int quotients of
+    the integer sweep; they give the same outcomes, float for float, as
+    loops that convert each reduced Fraction with float()."""
+
+    @staticmethod
+    def expected(q, z, tol, max_terms):
+        """The reference outcomes of E_q(z) and ln E_q(z); a log outside its
+        series disk is _log_via_qexp over the reference E_q."""
+        qp = as_qparam(q)
+        qexp_outcome = _outcome(_reference_float_eval_qexp, qp, z, tol, max_terms)
+        if qp.value > 1 and abs(z) * (qp.value - 1) / qp.value >= 1:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(qexp_module, "eval_qexp", _reference_float_eval_qexp)
+                return qexp_outcome, _outcome(qexp_module._log_via_qexp, qp, z, tol, max_terms)
+        return qexp_outcome, _outcome(_reference_float_eval_log_qexp, qp, z, tol, max_terms)
+
+    @staticmethod
+    def got(*args):
+        return _outcome(eval_qexp, *args), _outcome(eval_log_qexp, *args)
+
+    @pytest.mark.parametrize("q", TestExactPathMatchesReference.QS)
+    def test_same_doubles(self, q):
+        seen = set()
+        for point in TestExactPathMatchesReference.points(q):
+            x = float(point)
+            for z in (x, complex(0.6 * x, 0.8 * x)):
+                for tol in (1e-8, 1e-12):
+                    for max_terms in (1000, 10):
+                        args = (q, z, tol, max_terms)
+                        expected = self.expected(*args)
+                        assert self.got(*args) == expected, args
+                        seen.update(out[0] if isinstance(out[0], type) else out[0].method
+                                    for out in expected)
+        if q < 1:     # near the radius, 10 terms are too few
+            assert ConvergenceError in seen
+        elif q > 1:   # past the disk, the log of E_q serves ln E_q
+            assert "log_of_qexp" in seen
+
+    @pytest.mark.parametrize("q, z", [(3, 1e300), (1, 800.0), (1, 800j), (1, -800.0)])
+    def test_overflow(self, q, z):
+        # E_q(z) runs past the binary64 range: for q = 3, z = 1e300 the
+        # terms are inf at once and [k]_3 itself overflows later; for q = 1
+        # the sum overflows part way
+        expected = self.expected(q, z, 1e-12, 3000)
+        assert expected[0][0] is DomainError
+        assert self.got(q, z, 1e-12, 3000) == expected
 
 
 class TestMpmathOracle:
