@@ -27,12 +27,12 @@ Fraction(1, 6)
 """
 
 from .errors import ConvergenceError, DomainError, OrderMismatchError
-from .scalars import QParam, Regime, as_qparam, parse_rational, rational_str
+from .scalars import QParam, as_qparam, parse_rational, rational_str
 from .qnumbers import (QFactorialTable, q_binomial, q_binomial_pascal, q_number,
                        radius_of_convergence)
 from .series import TruncatedSeries
-from .qexp import (DEFAULT_MAX_TERMS, Evaluation, LogCoeffVector, QExpSeries,
-                   eval_log_qexp, eval_qexp, log_coeffs_closed,
+from .qexp import (DEFAULT_MAX_TERMS, DEFAULT_TOL, Evaluation, LogCoeffVector,
+                   QExpSeries, eval_log_qexp, eval_qexp, log_coeffs_closed,
                    log_coeffs_recursive, qexp_series)
 from .identities import (ALL_IDENTITIES, DEFAULT_NS, DEFAULT_QS, SuiteConfig,
                          VerificationReport, check_coeff_double_order,
@@ -49,6 +49,7 @@ __all__ = [
     "ConvergenceError",
     "DEFAULT_MAX_TERMS",
     "DEFAULT_NS",
+    "DEFAULT_TOL",
     "DEFAULT_QS",
     "DomainError",
     "Evaluation",
@@ -57,7 +58,6 @@ __all__ = [
     "QExpSeries",
     "QFactorialTable",
     "QParam",
-    "Regime",
     "SuiteConfig",
     "TruncatedSeries",
     "VerificationReport",

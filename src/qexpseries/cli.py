@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError
 from .identities import ALL_IDENTITIES, DEFAULT_NS, DEFAULT_QS, SuiteConfig, run_suite
-from .qexp import eval_log_qexp, eval_qexp, log_coeffs_closed, log_coeffs_recursive, qexp_series
+from .qexp import (DEFAULT_MAX_TERMS, DEFAULT_TOL, eval_log_qexp, eval_qexp, log_coeffs_closed,
+                   log_coeffs_recursive, qexp_series)
 from .scalars import QParam, check_int, check_tol, parse_rational
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?$")
@@ -80,8 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--q", type=_qparam_arg, required=True, metavar="P/Q")
     ev.add_argument("--z", type=_scalar_arg, required=True,
                     help='argument; "p/q" or integer stays exact, decimals go binary64')
-    ev.add_argument("--tol", type=_tol_arg, default=1e-12)
-    ev.add_argument("--max-terms", type=_int_arg("max-terms", 1, None), default=1000)
+    ev.add_argument("--tol", type=_tol_arg, default=DEFAULT_TOL)
+    ev.add_argument("--max-terms", type=_int_arg("max-terms", 1, None),
+                    default=DEFAULT_MAX_TERMS)
     ev.add_argument("--format", choices=FORMATS, default="text")
     ev.set_defaults(func=cmd_eval)
 
@@ -91,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="grid value; repeatable (default: built-in grid)")
     verify.add_argument("--n", type=_int_arg("n", 2), action="append",
                         help="factor count for the product identities; repeatable (default: 2..5)")
-    verify.add_argument("--order", type=_int_arg("order", 1), default=32)
-    verify.add_argument("--kmax", type=_int_arg("kmax", 1), default=64)
+    verify.add_argument("--order", type=_int_arg("order", 1), default=SuiteConfig.order)
+    verify.add_argument("--kmax", type=_int_arg("kmax", 1), default=SuiteConfig.k_max)
     verify.add_argument("--format", choices=FORMATS, default="text")
     verify.set_defaults(func=cmd_verify)
 

@@ -35,7 +35,7 @@ from itertools import accumulate, islice, repeat
 from .errors import DomainError
 from .qexp import _log_coeff_pairs, log_coeffs_closed, qexp_series
 from .qnumbers import q_number, q_numbers
-from .scalars import QParam, Regime, as_qparam, check_int, rational_str, shown
+from .scalars import QParam, as_qparam, check_int, rational_str, shown
 from .series import TruncatedSeries, _dot
 
 EXACT = "exact"
@@ -122,7 +122,7 @@ def check_reciprocal_product(q, order: int = 32) -> VerificationReport:
     qp = as_qparam(q)
     check_int(order, "order", 1)
     params = {"order": order}
-    note = "degenerates to exp(z) exp(-z) = 1" if qp.regime is Regime.ONE else ""
+    note = "degenerates to exp(z) exp(-z) = 1" if qp.value == 1 else ""
     lhs = (qexp_series(qp, order).series
            * qexp_series(qp.inverse(), order).series.scale_substitute(-1))
     residuals = enumerate(lhs.compare(TruncatedSeries.one(order)))
@@ -191,18 +191,15 @@ def check_coeff_sign_flip(q, k_max: int = 64) -> VerificationReport:
 
 
 def check_coeff_double_order(q, k_max: int = 64) -> VerificationReport:
-    """2 c_{2k}(q) = ((1-q)/(1+q))^k c_k(q^2) for k = 1..k_max, exactly."""
+    """2 c_{2k}(q) = ((1-q)/(1+q))^k c_k(q^2) for k = 1..k_max, exactly.
+
+    This is the multiple-order identity at n = 2, as [2]_q = 1 + q, and it
+    runs that check's residual loop.
+    """
     qp = as_qparam(q)
     check_int(k_max, "k_max", 1)
-    c_q = log_coeffs_closed(2 * k_max, qp)
-    c_q2 = log_coeffs_closed(k_max, qp.power(2))
-    ratio = (1 - qp.value) / (1 + qp.value)
-    rpow = ratio
-    residuals = []
-    for k in range(1, k_max + 1):
-        residuals.append((k, 2 * c_q.coeff(2 * k) - rpow * c_q2.coeff(k)))
-        rpow *= ratio
-    return _exact_report(COEFF_DOUBLE_ORDER, qp, {"k_max": k_max}, residuals)
+    return _exact_report(COEFF_DOUBLE_ORDER, qp, {"k_max": k_max},
+                         _multiple_order_residuals(qp, 2, k_max))
 
 
 def check_coeff_power_scale(q, n: int, k_max: int = 64) -> VerificationReport:
@@ -214,14 +211,11 @@ def check_coeff_power_scale(q, n: int, k_max: int = 64) -> VerificationReport:
     c_qn = log_coeffs_closed(k_max, qp.power(n))
     n_q = q_number(n, qp)
     npow = n_q                 # ([n]_q)^k
-    steps = [qp.value ** i for i in range(n)]   # q^i
-    powers = steps             # q^(ik), which sum to [n]_{q^k}
     residuals = []
     for k in range(1, k_max + 1):
-        lhs = sum(powers) * c_qn.coeff(k)
+        lhs = q_number(n, qp.power(k)) * c_qn.coeff(k)
         residuals.append((k, lhs - npow * c_q.coeff(k)))
         npow *= n_q
-        powers = [p * s for p, s in zip(powers, steps)]
     return _exact_report(COEFF_POWER_SCALE, qp, {"n": n, "k_max": k_max}, residuals)
 
 
@@ -230,15 +224,20 @@ def check_coeff_multiple_order(q, n: int, k_max: int = 64) -> VerificationReport
     qp = as_qparam(q)
     check_int(n, "n", 2)
     check_int(k_max, "k_max", 1)
-    c_nk = islice(_log_coeff_pairs(qp), n - 1, n * k_max, n)    # c_n, c_2n, .. of q
+    return _exact_report(COEFF_MULTIPLE_ORDER, qp, {"n": n, "k_max": k_max},
+                         _multiple_order_residuals(qp, n, k_max))
+
+
+def _multiple_order_residuals(qp: QParam, n: int, k_max: int):
+    """(k, n c_{nk}(q) - ((1-q)^(n-1)/[n]_q)^k c_k(q^n)) for k = 1..k_max;
+    c_n, c_2n, .. of q are read from one stepped closed-form sweep."""
+    c_nk = islice(_log_coeff_pairs(qp), n - 1, n * k_max, n)
     c_qn = log_coeffs_closed(k_max, qp.power(n))
     factor = (1 - qp.value) ** (n - 1) / q_number(n, qp)
     fpow = factor
-    residuals = []
     for k, (num, den) in enumerate(c_nk, 1):
-        residuals.append((k, Fraction(n * num, den) - fpow * c_qn.coeff(k)))
+        yield k, Fraction(n * num, den) - fpow * c_qn.coeff(k)
         fpow *= factor
-    return _exact_report(COEFF_MULTIPLE_ORDER, qp, {"n": n, "k_max": k_max}, residuals)
 
 
 #: The suite's identity table: the arguments each check takes after q, as

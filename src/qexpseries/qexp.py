@@ -23,8 +23,8 @@ A positive tail bound below the binary64 range is reported as the least
 subnormal, never as 0.0. A float argument selects plain binary64
 arithmetic over the same integer sweep: each [k]_q and c_k is the
 correctly rounded int / int quotient of its integers, and the sum's own
-rounding is outside the certificate. A value beyond the binary64 range
-raises DomainError.
+rounding is outside the certificate. A value beyond the binary64 range,
+or a float z^k beyond it in the log series, raises DomainError.
 """
 
 from __future__ import annotations
@@ -40,9 +40,10 @@ from typing import Iterator, Literal
 
 from .errors import ConvergenceError, DomainError
 from .qnumbers import q_number_numerators, q_numbers, radius_of_convergence
-from .scalars import QParam, Regime, as_qparam, check_int, check_tol, ensure_finite, shown
+from .scalars import QParam, as_qparam, check_int, check_tol, ensure_finite, shown
 from .series import TruncatedSeries
 
+DEFAULT_TOL = 1e-12
 DEFAULT_MAX_TERMS = 1000
 
 
@@ -62,16 +63,12 @@ def qexp_series(q, order: int) -> QExpSeries:
     return QExpSeries(qp, TruncatedSeries(coeffs))
 
 
-Provenance = Literal["closed_form", "recursion"]
-
-
 @dataclass(frozen=True)
 class LogCoeffVector:
     """Coefficients c_1..c_N of ln E_q(z) = sum_k c_k z^k (slot 0 holds 0)."""
 
     q: QParam
     values: "tuple[Fraction, ...]"
-    provenance: Provenance
 
     @property
     def order(self) -> int:
@@ -105,7 +102,7 @@ def log_coeffs_closed(order: int, q) -> LogCoeffVector:
     check_int(order, "order")
     qp = as_qparam(q)
     coeffs = starmap(Fraction, islice(_log_coeff_pairs(qp), order))
-    return LogCoeffVector(qp, (Fraction(0), *coeffs), "closed_form")
+    return LogCoeffVector(qp, (Fraction(0), *coeffs))
 
 
 def log_coeffs_recursive(order: int, q) -> LogCoeffVector:
@@ -120,7 +117,7 @@ def log_coeffs_recursive(order: int, q) -> LogCoeffVector:
     central self-check.
     """
     qexp = qexp_series(q, order)
-    return LogCoeffVector(qexp.q, qexp.series.log().coeffs, "recursion")
+    return LogCoeffVector(qexp.q, qexp.series.log().coeffs)
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,7 @@ def _arguments(q, z, tol, max_terms):
         z, is_exact = ensure_finite(z), False
     else:
         raise DomainError(f"unsupported argument type {type(z).__name__}")
-    if qp.regime is Regime.SUB_ONE:
+    if qp.value < 1:
         radius = radius_of_convergence(qp)
         if abs(z) >= radius:
             raise DomainError(
@@ -167,7 +164,7 @@ def _arguments(q, z, tol, max_terms):
     return qp, z, is_exact
 
 
-def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = 1e-12,
+def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL,
               max_terms: int = DEFAULT_MAX_TERMS) -> Evaluation:
     """Evaluate E_q(z) by partial summation with a certified tail bound.
 
@@ -226,7 +223,7 @@ def _qexp_steps(qp: QParam, z: Fraction) -> Iterator["tuple[int, int, int, int]"
         div = lift
 
 
-def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = 1e-12,
+def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL,
                   max_terms: int = DEFAULT_MAX_TERMS) -> Evaluation:
     """Evaluate ln E_q(z) = sum_{k>=1} c_k(q) z^k with a certified bound.
 
@@ -235,23 +232,24 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = 1e-12,
     monotonicity bound [k]_q/[k+1]_q <= 1/q for q >= 1), giving a geometric
     tail majorant whenever the cap is below 1. For q > 1 outside that disk
     (|z| >= q/(q-1)) the value falls back to log(eval_qexp(z)); the
-    ``method`` field reports which path produced the result.
+    ``method`` field reports which path produced the result. A float z
+    whose power z^k leaves the binary64 range before the bound reaches tol
+    raises :class:`DomainError`; the same z as an exact rational does not.
     """
     qp, z, is_exact = _arguments(q, z, tol, max_terms)
     z_abs, v = abs(z), qp.value
 
-    if qp.regime is Regime.SUPER_ONE:
+    if v > 1:
         r_cap = z_abs * (v - 1) / v
+        if r_cap >= 1:
+            return _log_via_qexp(qp, z, tol, max_terms)
     else:
         r_cap = z_abs * (1 - v)
-    if r_cap >= 1:
-        if qp.regime is Regime.SUPER_ONE:
-            return _log_via_qexp(qp, z, tol, max_terms)
-        # float rounding pushed |z|(1-q) onto 1 right at the radius
-        raise DomainError(
-            f"|z| = {z_abs} is too close to the radius of convergence for a "
-            f"certified log series at q = {shown(qp.value)}; pass z as an exact rational"
-        )
+        if r_cap >= 1:    # float rounding pushed |z|(1-q) onto 1 right at the radius
+            raise DomainError(
+                f"|z| = {z_abs} is too close to the radius of convergence for a "
+                f"certified log series at q = {shown(qp.value)}; pass z as an exact rational"
+            )
 
     if is_exact:
         try:
@@ -272,6 +270,9 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = 1e-12,
         bound = abs(c_k * zpow) / (1 - r_cap)
         if bound <= tol:
             return Evaluation(total, k, bound, "series")
+    if not cmath.isfinite(total):    # z^k ran off to inf, and each term after it
+        raise DomainError(f"z^k left the binary64 range in ln E_q(z) at q = {shown(qp.value)}, "
+                          f"z = {shown(z)}; an exact rational z avoids this")
     raise _not_converged(tol, max_terms)
 
 

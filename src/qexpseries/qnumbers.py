@@ -14,7 +14,7 @@ from itertools import accumulate, islice
 from typing import Iterator
 
 from .errors import DomainError
-from .scalars import Regime, as_qparam, check_int
+from .scalars import as_qparam, check_int
 
 #: Largest k that :func:`q_binomial_pascal` accepts. The row sweep costs
 #: about k^5 (0.9 s at (200, 100), 40 s at (400, 200)), so it is capped where
@@ -143,6 +143,6 @@ def radius_of_convergence(q) -> "Fraction | float":
     converges for every finite argument.
     """
     qp = as_qparam(q)
-    if qp.regime is Regime.SUB_ONE:
+    if qp.value < 1:
         return 1 / (1 - qp.value)
     return math.inf

@@ -2,8 +2,7 @@
 
 Exact computation runs on ``fractions.Fraction``, which stores every value as
 a normalized num/den pair with gcd(|num|, den) = 1 and den > 0 and never
-rounds. :class:`QParam` validates the deformation parameter q > 0 and
-classifies its regime, which drives the convergence guards elsewhere.
+rounds. :class:`QParam` validates the deformation parameter q > 0.
 :func:`check_int` and :func:`check_tol` are the package's one integer and
 one tolerance check; :func:`ensure_finite` guards the binary64 arguments of
 the float evaluators. :func:`shown` prints a value in an error message.
@@ -17,18 +16,10 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from numbers import Rational, Real
 
 from .errors import DomainError
-
-class Regime(Enum):
-    """Position of q relative to the classical point q = 1."""
-
-    SUB_ONE = "sub_one"        # 0 < q < 1: finite radius of convergence
-    ONE = "one"                # q = 1: classical exponential
-    SUPER_ONE = "super_one"    # q > 1: entire series
 
 
 @dataclass(frozen=True)
@@ -52,16 +43,8 @@ class QParam:
             raise DomainError(f"q must be positive, got {shown(value)}")
         object.__setattr__(self, "value", value)
 
-    @property
-    def regime(self) -> Regime:
-        if self.value < 1:
-            return Regime.SUB_ONE
-        if self.value == 1:
-            return Regime.ONE
-        return Regime.SUPER_ONE
-
     def inverse(self) -> "QParam":
-        """The reciprocal parameter 1/q (mirrors the regime around q = 1)."""
+        """The reciprocal parameter 1/q."""
         return QParam(1 / self.value)
 
     def power(self, n: int) -> "QParam":

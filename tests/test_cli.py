@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from qexpseries import VerificationReport, as_qparam
+from qexpseries import (DEFAULT_MAX_TERMS, DEFAULT_TOL, SuiteConfig, VerificationReport,
+                        as_qparam, eval_log_qexp, eval_qexp)
 import qexpseries.cli as cli
 
 
@@ -284,3 +285,12 @@ class TestParser:
         assert isinstance(cli._scalar_arg("1.5"), float)
         assert isinstance(cli._scalar_arg("-4"), Fraction)
         assert isinstance(cli._scalar_arg("2e-3"), float)
+
+    def test_defaults_are_the_library_defaults(self):
+        parser = cli.build_parser()
+        ev = parser.parse_args(["eval", "--q", "1", "--z", "1"])
+        assert (ev.tol, ev.max_terms) == (DEFAULT_TOL, DEFAULT_MAX_TERMS)
+        verify = parser.parse_args(["verify"])
+        assert (verify.order, verify.kmax) == (SuiteConfig().order, SuiteConfig().k_max)
+        for evaluate in (eval_qexp, eval_log_qexp):
+            assert evaluate.__defaults__ == (DEFAULT_TOL, DEFAULT_MAX_TERMS)

@@ -16,6 +16,7 @@ from qexpseries import (DomainError, LogCoeffVector, QFactorialTable, SuiteConfi
                         log_coeffs_closed, q_number, qexp_series, reports_to_json,
                         run_suite)
 from qexpseries import identities
+from qexpseries import qexp as qexp_module
 from qexpseries.identities import DEFAULT_QS, _exact_report
 
 qvalues = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=8)
@@ -158,7 +159,7 @@ class TestRootOfUnityProduct:
 
         def doubled(order, q):
             vec = closed_form(order, q)
-            return LogCoeffVector(vec.q, tuple(2 * c for c in vec.values), vec.provenance)
+            return LogCoeffVector(vec.q, tuple(2 * c for c in vec.values))
 
         monkeypatch.setattr(identities, "log_coeffs_closed", doubled)
         report = check_root_of_unity_product(Fraction(1, 2), n, 12)
@@ -232,6 +233,60 @@ class TestCoefficientIdentities:
         lhs = 2 * closed(2, q)
         rhs = (1 - q) / (1 + q) * closed(1, q ** 2)
         assert lhs == rhs
+
+
+class TestCoefficientChecksFail:
+    """Each coefficient check fails under a closed form whose c_2 is off by
+    one, at the first k and with the exact residuals that follow from the
+    identity. A passing report carries no residuals, so only a failing one
+    shows which residuals a check computes."""
+
+    @pytest.fixture(autouse=True)
+    def c2_off_by_one(self, monkeypatch):
+        pairs = qexp_module._log_coeff_pairs
+
+        def perturbed(qp):
+            for k, (num, den) in enumerate(pairs(qp), 1):
+                yield (num + den, den) if k == 2 else (num, den)
+
+        # identities imports the sweep by name for its stepped reads
+        monkeypatch.setattr(qexp_module, "_log_coeff_pairs", perturbed)
+        monkeypatch.setattr(identities, "_log_coeff_pairs", perturbed)
+
+    @staticmethod
+    def failed(report):
+        assert not report.passed
+        return report.residuals
+
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(5, 2)])
+    def test_sign_flip(self, q):
+        # c_2(1/q) + 1 + (c_2(q) + 1) = 2
+        assert self.failed(check_coeff_sign_flip(q, 8)) == ((2, 2),)
+
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(5, 2)])
+    def test_double_order(self, q):
+        # k = 1: 2 (c_2(q) + 1) - r c_1(q^2) = 2;
+        # k = 2: 2 c_4(q) - r^2 (c_2(q^2) + 1) = -r^2, for r = (1-q)/(1+q)
+        r = (1 - q) / (1 + q)
+        assert self.failed(check_coeff_double_order(q, 8)) == ((1, 2), (2, -r ** 2))
+
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(5, 2)])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_power_scale(self, q, n):
+        # k = 2: [n]_{q^2} (c_2(q^n) + 1) - ([n]_q)^2 (c_2(q) + 1)
+        #      = [n]_{q^2} - ([n]_q)^2
+        q_n_at_q2 = sum(q ** (2 * i) for i in range(n))
+        q_n = sum(q ** i for i in range(n))
+        assert self.failed(check_coeff_power_scale(q, n, 8)) == ((2, q_n_at_q2 - q_n ** 2),)
+
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(5, 2)])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_multiple_order(self, q, n):
+        # k = 1 reads c_n, which is c_2 only at n = 2: 2 (c_2(q) + 1) - f c_1(q^2);
+        # k = 2: n c_{2n}(q) - f^2 (c_2(q^n) + 1) = -f^2, for f = (1-q)^(n-1)/[n]_q
+        f = (1 - q) ** (n - 1) / sum(q ** i for i in range(n))
+        expected = ((1, 2), (2, -f ** 2)) if n == 2 else ((2, -f ** 2),)
+        assert self.failed(check_coeff_multiple_order(q, n, 8)) == expected
 
 
 class TestReports:

@@ -247,10 +247,6 @@ class TestLogCoeffsRecursive:
     def test_agrees_with_closed_form_random(self, q, order):
         assert log_coeffs_recursive(order, q).values == log_coeffs_closed(order, q).values
 
-    def test_provenance_labels(self):
-        assert log_coeffs_closed(3, 2).provenance == "closed_form"
-        assert log_coeffs_recursive(3, 2).provenance == "recursion"
-
 
 class TestLogCoeffVector:
     def test_closed_form_invariant(self):
@@ -421,6 +417,19 @@ class TestEvalLogQExp:
             with pytest.raises(DomainError, match=r"^ln E_q\(z\) exceeds the binary64 "
                                                   r"range at q = 1, z = -?1000"):
                 eval_log_qexp(1, z)
+
+    @pytest.mark.parametrize("q, z", [(Fraction(9, 10), 9.5), (Fraction(9, 10), -9.5),
+                                      (Fraction(8, 9), 8.9j), (1, 1e160)])
+    def test_float_power_overflow(self, q, z):
+        # the binary64 loop keeps z^k as a double: 9.5^k is inf from k ~ 316
+        # on, before the bound reaches tol, and at q = 1 c_2 z^2 is 0.0 * inf;
+        # every later term is inf or nan, so the sum says so at max_terms
+        with pytest.raises(DomainError, match=r"^z\^k left the binary64 range in ln E_q\(z\) "
+                                              r"at q = .*; an exact rational z avoids this$"):
+            eval_log_qexp(q, z)
+        if isinstance(z, float):
+            out = eval_log_qexp(q, Fraction(z))
+            assert out.method == "series" and math.isfinite(out.value)
 
     @settings(max_examples=25, deadline=None)
     @given(qvalues, st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2),

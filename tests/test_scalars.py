@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qexpseries import (DomainError, QParam, Regime, as_qparam,
-                        parse_rational, rational_str)
+from qexpseries import DomainError, QParam, as_qparam, parse_rational, rational_str
 
 fractions_ = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 nonzero_fractions = fractions_.filter(lambda f: f != 0)
@@ -47,14 +46,6 @@ class TestExactArithmetic:
 
 
 class TestQParam:
-    @pytest.mark.parametrize("value,regime", [
-        (Fraction(1, 2), Regime.SUB_ONE),
-        (Fraction(1), Regime.ONE),
-        (Fraction(5, 2), Regime.SUPER_ONE),
-    ])
-    def test_classification(self, value, regime):
-        assert QParam(value).regime is regime
-
     @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1), -3, Fraction(-10 ** 5000)])
     def test_nonpositive_rejected(self, bad):
         with pytest.raises(DomainError):
@@ -71,12 +62,12 @@ class TestQParam:
     def test_int_coerced(self):
         q = QParam(2)
         assert q.value == Fraction(2)
-        assert q.regime is Regime.SUPER_ONE
+        assert type(q.value) is Fraction
 
     def test_inverse_mirrors_regime(self):
-        assert QParam(Fraction(1, 2)).inverse().regime is Regime.SUPER_ONE
+        assert QParam(Fraction(1, 2)).inverse().value == 2
         assert QParam(Fraction(3)).inverse().value == Fraction(1, 3)
-        assert QParam(1).inverse().regime is Regime.ONE
+        assert QParam(1).inverse().value == 1
 
     def test_power(self):
         q = QParam(Fraction(2, 3))
