@@ -7,6 +7,16 @@ irrational, is taken through the paper's logarithm ln E_q = sum_k c_k z^k,
 where it becomes a relation between series in z^n with rational
 coefficients.
 
+qbinomial_sum and the reciprocal, reflection and scaling products run in
+the divided-power basis z^k/[k]_Q!, Q = q or q^n, where a product is a
+convolution with Gaussian binomials (:func:`_divided_product`). For
+Q = a/b those are integers from one Pascal sweep over a known power of b,
+so every coefficient is an integer over a power of b known in advance, the
+two sides are compared by cross-multiplying integers, and no gcd is taken.
+Only a failing k is reduced, to the same Fraction f_k - g_k that
+:class:`~qexpseries.series.TruncatedSeries` arithmetic gives. The product
+uses no c_k, so these identities stay independent of the coefficient ones.
+
 The checked identities, with E = E_q the q-exponential and c_k = c_k(q) the
 log coefficients (1-q)^(k-1)/(k [k]_q):
 
@@ -25,18 +35,17 @@ log coefficients (1-q)^(k-1)/(k [k]_q):
 from __future__ import annotations
 
 import json
-import math
 import operator
 from collections.abc import Sequence, Set as AbstractSet
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice
 
 from .errors import DomainError
 from .qexp import _log_coeff_pairs, log_coeffs_closed, qexp_series
-from .qnumbers import q_number, q_numbers
+from .qnumbers import _pascal_numerators, q_number, q_number_numerators
 from .scalars import QParam, as_qparam, check_int, rational_str, shown
-from .series import TruncatedSeries, _dot
+from .series import TruncatedSeries
 
 EXACT = "exact"
 
@@ -94,19 +103,21 @@ def _exact_report(identity, qp, params, residuals, note="") -> VerificationRepor
 def check_qbinomial_sum(q, k_max: int = 40) -> VerificationReport:
     """sum_{j=1}^{k} [k choose j]_q (1-q)^(j-1) [j-1]_q! = k for k = 2..k_max.
 
-    As [k choose j]_q [j-1]_q! = [k]_q [k-1]_q ... [k-j+1]_q / [j]_q, row k
-    sums the falling products of one q-number sweep against the weights
-    (1-q)^(j-1) / [j]_q.
+    Row k is coefficient k, in the divided-power basis of q, of the product
+    of sum_j w_j z^j / [j]_q!, w_j = (1-q)^(j-1) [j-1]_q!, with E_q(z), whose
+    x_j are 1. For q = a/b, w_j is (b-a)^(j-1) S_1 .. S_(j-1) over
+    b^(j(j-1)/2), so each row is one integer sum over b^(k(k-1)/2).
     """
     qp = as_qparam(q)
     check_int(k_max, "k_max", 2)
-    numbers = list(islice(q_numbers(qp), k_max))    # [1]_q .. [k_max]_q
-    shifts = accumulate(repeat(1 - qp.value, k_max - 1), operator.mul, initial=Fraction(1))
-    weights = [shift / number for shift, number in zip(shifts, numbers)]
-    residuals = []
-    for k in range(2, k_max + 1):
-        falling = accumulate(reversed(numbers[:k]), operator.mul)
-        residuals.append((k, _dot(zip(repeat(1), falling, weights)) - k))
+    a, b = qp.value.as_integer_ratio()
+    weights = accumulate(islice(q_number_numerators(qp), k_max - 1),
+                         lambda w, number: w * (b - a) * number, initial=1)
+    ones = _ones(b, k_max)
+    product = _divided_product(qp, 1, ([0, *weights], ones))
+    residuals = [(k, Fraction(total, one) - k)
+                 for k, (total, one) in enumerate(zip(product, ones))
+                 if k >= 2 and total != k * one]
     return _exact_report(QBINOMIAL_SUM, qp, {"k_min": 2, "k_max": k_max}, residuals)
 
 
@@ -118,39 +129,106 @@ def check_reciprocal_product(q, order: int = 32) -> VerificationReport:
     sign in the second argument is forced by the sign-flip identity
     c_k(1/q) = (-1)^(k-1) c_k(q): it gives ln E_{1/q}(-z) = -ln E_q(z).
     At q = 1 the statement degenerates to exp(z) exp(-z) = 1 and still holds.
+    The product is taken in the divided-power basis of q, where it must be
+    1, 0, 0, ...; that needs no q-factorial, so only a failure builds one.
     """
     qp = as_qparam(q)
     check_int(order, "order", 1)
     params = {"order": order}
     note = "degenerates to exp(z) exp(-z) = 1" if qp.value == 1 else ""
-    lhs = (qexp_series(qp, order).series
-           * qexp_series(qp.inverse(), order).series.scale_substitute(-1))
-    residuals = enumerate(lhs.compare(TruncatedSeries.one(order)))
+    a, b = qp.value.as_integer_ratio()
+    # [k]_{1/q}! = q^(-k(k-1)/2) [k]_q!, so E_{1/q}(-z) has x_k = (-1)^k q^(k(k-1)/2)
+    inverse = [(-1) ** k * a ** (k * (k - 1) // 2) for k in range(order + 1)]
+    product = _divided_product(qp, 1, (_ones(b, order), inverse))
+    residuals = ()
+    if product != [1] + [0] * order:
+        one = [(1, 1)] + [(0, 1)] * order
+        residuals = _residuals(_coefficients(qp, 1, 0, product), one)
     return _exact_report(RECIPROCAL_PRODUCT, qp, params, residuals, note)
 
 
 def check_reflection_product(q, order: int = 32) -> VerificationReport:
-    """E_q(z) E_q(-z) = E_{q^2}((1-q)/(1+q) z^2) coefficientwise, exactly."""
+    """E_q(z) E_q(-z) = E_{q^2}((1-q)/(1+q) z^2) coefficientwise, exactly.
+
+    The left side is taken in the divided-power basis of q, where the two
+    factors have x_k = 1 and x_k = (-1)^k.
+    """
     qp = as_qparam(q)
     check_int(order, "order", 2)
-    base = qexp_series(qp, order).series
-    lhs = base * base.scale_substitute(-1)
+    ones = _ones(qp.value.denominator, order)
+    signs = [(-1) ** k * one for k, one in enumerate(ones)]
+    lhs = _coefficients(qp, 1, 0, _divided_product(qp, 1, (ones, signs)))
     scale = (1 - qp.value) / (1 + qp.value)
     rhs = qexp_series(qp.power(2), order).series.scale_substitute(scale, 2)
     return _exact_report(REFLECTION_PRODUCT, qp, {"order": order},
-                         enumerate(lhs.compare(rhs)))
+                         _residuals(lhs, map(Fraction.as_integer_ratio, rhs.coeffs)))
 
 
 def check_scaling_product(q, n: int, order: int = 32) -> VerificationReport:
-    """E_q([n]_q z) = prod_{m=0}^{n-1} E_{q^n}(q^m z) coefficientwise, exactly."""
+    """E_q([n]_q z) = prod_{m=0}^{n-1} E_{q^n}(q^m z) coefficientwise, exactly.
+
+    The right side is taken in the divided-power basis of q^n, where factor m
+    has x_k = q^(mk).
+    """
     qp = as_qparam(q)
     check_int(n, "n", 2)
     check_int(order, "order", 1)
     lhs = qexp_series(qp, order).series.scale_substitute(q_number(n, qp))
-    base = qexp_series(qp.power(n), order).series   # the m = 0 factor
-    rhs = math.prod((base.scale_substitute(qp.value ** m) for m in range(1, n)), start=base)
+    a, b = qp.value.as_integer_ratio()
+    # x_k = q^(mk) over b^(n k(k-1)/2 + (n-1) k): the offset c = n - 1 keeps
+    # every numerator an integer
+    factors = [[a ** (m * k) * b ** (n * k * (k - 1) // 2 + (n - 1 - m) * k)
+                for k in range(order + 1)] for m in range(n)]
+    rhs = _coefficients(qp, n, n - 1, _divided_product(qp, n, factors))
     return _exact_report(SCALING_PRODUCT, qp, {"n": n, "order": order},
-                         enumerate(lhs.compare(rhs)))
+                         _residuals(map(Fraction.as_integer_ratio, lhs.coeffs), rhs))
+
+
+def _divided_product(qp: QParam, n: int, factors) -> "list[int]":
+    """The product of series sum_k x_k z^k / [k]_Q!, Q = q^n, in the same
+    divided-power basis, where its x_k is sum_i [k ch i]_Q x_i y_(k-i).
+
+    For q = a/b each factor is given by integers X_k, x_k = X_k / b^(e_k)
+    with e_k = n k(k-1)/2 + c k for one c >= 0 shared by all factors, and so
+    is the result. As [k ch i]_Q = G_{k,i} / b^(n i(k-i)) and
+    n i(k-i) + e_i + e_(k-i) = e_k, the product's X_k is the integer sum
+    sum_i G_{k,i} X_i Y_(k-i), with G from the integer Pascal sweep: no
+    Fraction is built and no gcd is taken.
+    """
+    rows = list(islice(_pascal_numerators(qp.power(n)), len(factors[0])))
+    product = factors[0]
+    for factor in factors[1:]:
+        product = [sum(map(operator.mul, map(operator.mul, row, product),
+                           reversed(factor[:k + 1])))
+                   for k, row in enumerate(rows)]
+    return product
+
+
+def _ones(b: int, order: int) -> "list[int]":
+    """E_q(z) for q = a/b in the divided-power basis of q, with c = 0:
+    x_k = 1 = b^(k(k-1)/2) / b^(k(k-1)/2) for k = 0..order."""
+    return [b ** (k * (k - 1) // 2) for k in range(order + 1)]
+
+
+def _coefficients(qp: QParam, n: int, c: int, product):
+    """The power-series coefficients x_k / [k]_Q!, Q = q^n, of a
+    :func:`_divided_product` with offset c, as unreduced integer pairs
+    (X_k, b^(c k) F_k): [k]_Q! = F_k / b^(n k(k-1)/2), F_k = S_1 .. S_k from
+    the q-number sweep of Q."""
+    step = qp.value.denominator ** c
+    den = 1
+    for num, number in zip(product, q_number_numerators(qp.power(n))):
+        yield num, den
+        den *= step * number
+
+
+def _residuals(lhs, rhs):
+    """(k, f_k - g_k) at each k where f_k = lhs[k] and g_k = rhs[k], both
+    integer pairs (numerator, positive denominator), differ. Equality is
+    tested by cross-multiplying; only a failing k is reduced to Fractions."""
+    for k, ((num, den), (other, other_den)) in enumerate(zip(lhs, rhs)):
+        if num * other_den != other * den:
+            yield k, Fraction(num, den) - Fraction(other, other_den)
 
 
 def check_root_of_unity_product(q, n: int, order: int = 32) -> VerificationReport:

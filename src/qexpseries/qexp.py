@@ -270,9 +270,13 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
         bound = abs(c_k * zpow) / (1 - r_cap)
         if bound <= tol:
             return Evaluation(total, k, bound, "series")
-    if not cmath.isfinite(total):    # z^k ran off to inf, and each term after it
-        raise DomainError(f"z^k left the binary64 range in ln E_q(z) at q = {shown(qp.value)}, "
-                          f"z = {shown(z)}; an exact rational z avoids this")
+        # the sum stops being finite only once z^k has run off to inf, and from
+        # then on every bound is inf or nan: the float test keeps isfinite off
+        # the hot path
+        if not bound < math.inf and not cmath.isfinite(total):
+            raise DomainError(f"z^k left the binary64 range in ln E_q(z) at "
+                              f"q = {shown(qp.value)}, z = {shown(z)}; "
+                              "an exact rational z avoids this")
     raise _not_converged(tol, max_terms)
 
 

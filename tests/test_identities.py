@@ -1,23 +1,27 @@
 """Tests for the identity checks and the verification suite."""
 
 import json
+import math
+import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qexpseries import (DomainError, LogCoeffVector, QFactorialTable, SuiteConfig,
-                        as_qparam, check_coeff_double_order,
+from qexpseries import (DomainError, LogCoeffVector, QExpSeries, QFactorialTable,
+                        SuiteConfig, TruncatedSeries, as_qparam, check_coeff_double_order,
                         check_coeff_multiple_order, check_coeff_power_scale,
                         check_coeff_sign_flip, check_qbinomial_sum,
                         check_reciprocal_product, check_reflection_product,
                         check_root_of_unity_product, check_scaling_product,
-                        log_coeffs_closed, q_number, qexp_series, reports_to_json,
-                        run_suite)
+                        log_coeffs_closed, q_binomial, q_number, qexp_series,
+                        reports_to_json, run_suite)
 from qexpseries import identities
 from qexpseries import qexp as qexp_module
-from qexpseries.identities import DEFAULT_QS, _exact_report
+from qexpseries.identities import (DEFAULT_QS, QBINOMIAL_SUM, RECIPROCAL_PRODUCT,
+                                   REFLECTION_PRODUCT, SCALING_PRODUCT, _exact_report)
 
 qvalues = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=8)
 
@@ -35,8 +39,8 @@ def closed(k, q):
 
 def _reference_qbinomial_sum(q, k_max):
     """The qbinomial_sum residuals through factorial-quotient binomials, one
-    reduced Fraction per step, as the check computed them before it summed
-    falling products with the series kernel."""
+    reduced Fraction per step, apart from the integer Pascal sweep that the
+    check reads."""
     table = QFactorialTable(q, k_max)
     one_minus = 1 - as_qparam(q).value
     residuals = []
@@ -196,6 +200,130 @@ class TestRootOfUnityProduct:
         numeric = check_root_of_unity_product(q, n, 12)
         exact = check_coeff_multiple_order(q, n, 16)
         assert numeric.passed == exact.passed
+
+
+def _power_series(qp, n, c, numerators):
+    """The series of a divided-power operand of identities._divided_product:
+    coefficient k is x_k / [k]_Q!, Q = q^n, x_k = X_k / b^(n k(k-1)/2 + c k)."""
+    b = qp.value.denominator
+    table = QFactorialTable(qp.power(n), len(numerators) - 1)
+    return TruncatedSeries(Fraction(x, b ** (n * k * (k - 1) // 2 + c * k)) / table.factorial(k)
+                           for k, x in enumerate(numerators))
+
+
+class TestDividedProduct:
+    """The divided-power product, taken back to power-series coefficients,
+    equals the TruncatedSeries product of its factors."""
+
+    @staticmethod
+    def assert_matches(q, n, factors):
+        qp = as_qparam(q)
+        product = identities._divided_product(qp, n, factors)
+        series = [_power_series(qp, n, n - 1, numerators) for numerators in factors]
+        expected = math.prod(series[1:], start=series[0])
+        assert _power_series(qp, n, n - 1, product) == expected
+        pairs = identities._coefficients(qp, n, n - 1, product)
+        assert tuple(Fraction(*pair) for pair in pairs) == expected.coeffs
+
+    @pytest.mark.parametrize("q", GRID + (Fraction(1), Fraction(5, 7)))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("order", [0, 1, 32])
+    def test_matches_series_product(self, q, n, order):
+        rng = random.Random(f"{q} {n} {order}")
+        factors = [[rng.randint(-9, 9) for _ in range(order + 1)] for _ in range(3)]
+        self.assert_matches(q, n, factors)
+
+    @settings(max_examples=20, deadline=None)
+    @given(qvalues, st.integers(1, 5), st.integers(0, 12), st.data())
+    def test_matches_series_product_drawn(self, q, n, order, data):
+        numerators = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=order + 1,
+                              max_size=order + 1)
+        self.assert_matches(q, n, data.draw(st.lists(numerators, min_size=2, max_size=3)))
+
+
+class TestProductChecksFail:
+    """Each product check and qbinomial_sum fails under a perturbed input,
+    with the residuals, values and order alike, that the TruncatedSeries
+    product or a Fraction sum gives on the same input. A passing report
+    carries no residuals, so only a failing one shows which residuals a
+    check computes."""
+
+    ORDER = 12
+
+    @staticmethod
+    def failed(report):
+        assert not report.passed
+        return report.residuals
+
+    @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(1), Fraction(5, 2)])
+    def test_reciprocal(self, monkeypatch, q):
+        # X_3 of E_{1/q}(-z) off by one: its coefficient 3 gains 1 / (b^3 [3]_q!)
+        kernel = identities._divided_product
+
+        def perturbed(qp, n, factors):
+            ones, inverse = factors
+            return kernel(qp, n, (ones, [x + (k == 3) for k, x in enumerate(inverse)]))
+
+        monkeypatch.setattr(identities, "_divided_product", perturbed)
+        order, qp = self.ORDER, as_qparam(q)
+        delta = Fraction(1, q.denominator ** 3) / QFactorialTable(q, 3).factorial(3)
+        second = (qexp_series(1 / q, order).series.scale_substitute(-1)
+                  + TruncatedSeries([0, 0, 0, delta] + [0] * (order - 3)))
+        lhs = qexp_series(q, order).series * second
+        expected = _exact_report(RECIPROCAL_PRODUCT, qp, {"order": order},
+                                 enumerate(lhs.compare(TruncatedSeries.one(order))))
+        assert self.failed(check_reciprocal_product(q, order)) == expected.residuals
+
+    @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(1), Fraction(5, 2)])
+    def test_reflection(self, monkeypatch, q):
+        # E_{q^2}'s coefficient j off by (j + 1)/7
+        order, qp = self.ORDER, as_qparam(q)
+        square = qexp_series(q ** 2, order).series
+        bent = TruncatedSeries(c + Fraction(j + 1, 7) for j, c in enumerate(square.coeffs))
+        monkeypatch.setattr(identities, "qexp_series",
+                            lambda q_, order_: QExpSeries(as_qparam(q_), bent))
+        base = qexp_series(q, order).series
+        lhs = base * base.scale_substitute(-1)
+        rhs = bent.scale_substitute((1 - q) / (1 + q), 2)
+        expected = _exact_report(REFLECTION_PRODUCT, qp, {"order": order},
+                                 enumerate(lhs.compare(rhs)))
+        assert self.failed(check_reflection_product(q, order)) == expected.residuals
+
+    @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(1), Fraction(5, 2)])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_scaling(self, monkeypatch, q, n):
+        # [n]_q off by 1/7 on the left side
+        true_q_number = identities.q_number
+        monkeypatch.setattr(identities, "q_number",
+                            lambda k, q_: true_q_number(k, q_) + Fraction(1, 7))
+        order, qp = self.ORDER, as_qparam(q)
+        lhs = qexp_series(q, order).series.scale_substitute(q_number(n, q) + Fraction(1, 7))
+        base = qexp_series(q ** n, order).series
+        rhs = math.prod((base.scale_substitute(q ** m) for m in range(1, n)), start=base)
+        expected = _exact_report(SCALING_PRODUCT, qp, {"n": n, "order": order},
+                                 enumerate(lhs.compare(rhs)))
+        assert self.failed(check_scaling_product(q, n, order)) == expected.residuals
+
+    @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(5, 2)])
+    @pytest.mark.parametrize("k_max", [6, 16])
+    def test_qbinomial_sum(self, monkeypatch, q, k_max):
+        # S_1 off by one, so [1]_q = 2 in every [j-1]_q!, j >= 2: rows 2..k_max fail
+        sweep = identities.q_number_numerators
+
+        def perturbed(q_):
+            for k, number in enumerate(sweep(q_), 1):
+                yield number + (k == 1)
+
+        monkeypatch.setattr(identities, "q_number_numerators", perturbed)
+        qp, b = as_qparam(q), q.denominator
+        numbers = [Fraction(s, b ** i) for i, s in enumerate(islice(perturbed(q), k_max))]
+        residuals = []
+        for k in range(2, k_max + 1):
+            total = sum(q_binomial(k, j, q) * (1 - q) ** (j - 1)
+                        * math.prod(numbers[:j - 1], start=Fraction(1)) for j in range(1, k + 1))
+            residuals.append((k, total - k))
+        expected = _exact_report(QBINOMIAL_SUM, qp, {"k_min": 2, "k_max": k_max}, residuals)
+        assert self.failed(check_qbinomial_sum(q, k_max)) == expected.residuals
 
 
 class TestCoefficientIdentities:

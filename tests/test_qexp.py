@@ -431,6 +431,32 @@ class TestEvalLogQExp:
             out = eval_log_qexp(q, Fraction(z))
             assert out.method == "series" and math.isfinite(out.value)
 
+    def test_float_power_overflow_stops_at_once(self, monkeypatch):
+        # the loop stops at the first partial sum that is not finite, 9.5^316
+        # being the first power past the binary64 range, whatever max_terms is
+        pairs = qexp_module._log_coeff_pairs
+        draws = []
+
+        def counted(qp):
+            for pair in pairs(qp):
+                draws.append(pair)
+                yield pair
+
+        monkeypatch.setattr(qexp_module, "_log_coeff_pairs", counted)
+        outcomes = []
+        for max_terms in (1000, 100000):
+            draws.clear()
+            with pytest.raises(DomainError) as err:
+                eval_log_qexp(Fraction(9, 10), 9.5, max_terms=max_terms)
+            outcomes.append((str(err.value), len(draws)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == 317     # c_1 .. c_317, the last read for the bound
+        # a max_terms that ends just before the first infinite sum still
+        # ends in ConvergenceError, as it did when the check ran at the end
+        for max_terms, error in ((315, ConvergenceError), (316, DomainError)):
+            with pytest.raises(error):
+                eval_log_qexp(Fraction(9, 10), 9.5, max_terms=max_terms)
+
     @settings(max_examples=25, deadline=None)
     @given(qvalues, st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2),
                                  max_denominator=12))

@@ -7,7 +7,7 @@ which never touches q-factorials.
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qexpseries import (DomainError, QFactorialTable, QParam, q_binomial,
                         q_binomial_pascal, q_number, radius_of_convergence)
-from qexpseries.qnumbers import PASCAL_MAX_K
+from qexpseries.qnumbers import PASCAL_MAX_K, _pascal_numerators
 
 qvalues = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=8)
 
@@ -182,8 +182,18 @@ class TestPascalRecursion:
         for j in range(-1, k + 2):
             assert q_binomial_pascal(k, j, q) == q_binomial(k, j, q)
 
+    @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(2, 3), Fraction(1), Fraction(5, 2),
+                                   Fraction(4)])
+    @pytest.mark.parametrize("width", [None, 0, 1, 3])
+    def test_integer_rows(self, q, width):
+        # row k holds G_{k,i} = [k ch i]_q b^(i(k-i)) for i = 0..min(k, width)
+        b = q.denominator
+        for k, row in enumerate(islice(_pascal_numerators(q, width), 16)):
+            assert row == [q_binomial(k, i, q) * b ** (i * (k - i))
+                           for i in range(min(k, k if width is None else width) + 1)]
+
     def test_large_k_fails_fast(self):
-        # the row sweep grows like k^5: k = 3000 would run for days
+        # the row sweep grows like k^4, so k = 3000 is refused before it runs
         assert q_binomial_pascal(PASCAL_MAX_K, 2, 2) == q_binomial(PASCAL_MAX_K, 2, 2)
         with pytest.raises(DomainError, match="q_binomial"):
             q_binomial_pascal(3000, 1500, Fraction(1, 2))
