@@ -7,14 +7,17 @@ irrational, is taken through the paper's logarithm ln E_q = sum_k c_k z^k,
 where it becomes a relation between series in z^n with rational
 coefficients.
 
-qbinomial_sum and the reciprocal, reflection and scaling products run in
-the divided-power basis z^k/[k]_Q!, Q = q or q^n, where a product is a
-convolution with Gaussian binomials (:func:`_divided_product`). For
-Q = a/b those are integers from one Pascal sweep over a known power of b,
-so every coefficient is an integer over a power of b known in advance, the
-two sides are compared by cross-multiplying integers, and no gcd is taken.
-Only a failing k is reduced, to the same Fraction f_k - g_k that
-:class:`~qexpseries.series.TruncatedSeries` arithmetic gives. The product
+Every check compares its two sides as streams of unreduced integer pairs
+(numerator, denominator), by cross-multiplying in :func:`_residuals`: no
+gcd is taken, and only a failing k is reduced, to the same Fraction
+f_k - g_k that :class:`~qexpseries.series.TruncatedSeries` arithmetic gives.
+The coefficient checks read c_k as the closed-form pairs
+((b-a)^(k-1), k S_k) for q = a/b, [k]_q = S_k / b^(k-1). qbinomial_sum and
+the reciprocal, reflection and scaling products run in the divided-power
+basis z^k/[k]_Q!, Q = q or q^n, where a product is a convolution with
+Gaussian binomials (:func:`_divided_product`). For Q = a/b those are
+integers from one Pascal sweep over a known power of b, so every
+coefficient is an integer over a power of b known in advance. The product
 uses no c_k, so these identities stay independent of the coefficient ones.
 
 The checked identities, with E = E_q the q-exponential and c_k = c_k(q) the
@@ -39,10 +42,10 @@ import operator
 from collections.abc import Sequence, Set as AbstractSet
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, count, cycle, islice
 
 from .errors import DomainError
-from .qexp import _log_coeff_pairs, log_coeffs_closed, qexp_series
+from .qexp import _log_coeff_pairs, qexp_series
 from .qnumbers import _pascal_numerators, q_number, q_number_numerators
 from .scalars import QParam, as_qparam, check_int, rational_str, shown
 from .series import TruncatedSeries
@@ -115,9 +118,7 @@ def check_qbinomial_sum(q, k_max: int = 40) -> VerificationReport:
                          lambda w, number: w * (b - a) * number, initial=1)
     ones = _ones(b, k_max)
     product = _divided_product(qp, 1, ([0, *weights], ones))
-    residuals = [(k, Fraction(total, one) - k)
-                 for k, (total, one) in enumerate(zip(product, ones))
-                 if k >= 2 and total != k * one]
+    residuals = _residuals(count(2), zip(product[2:], ones[2:]), ((k, 1) for k in count(2)))
     return _exact_report(QBINOMIAL_SUM, qp, {"k_min": 2, "k_max": k_max}, residuals)
 
 
@@ -130,7 +131,7 @@ def check_reciprocal_product(q, order: int = 32) -> VerificationReport:
     c_k(1/q) = (-1)^(k-1) c_k(q): it gives ln E_{1/q}(-z) = -ln E_q(z).
     At q = 1 the statement degenerates to exp(z) exp(-z) = 1 and still holds.
     The product is taken in the divided-power basis of q, where it must be
-    1, 0, 0, ...; that needs no q-factorial, so only a failure builds one.
+    1, 0, 0, and so on.
     """
     qp = as_qparam(q)
     check_int(order, "order", 1)
@@ -140,10 +141,7 @@ def check_reciprocal_product(q, order: int = 32) -> VerificationReport:
     # [k]_{1/q}! = q^(-k(k-1)/2) [k]_q!, so E_{1/q}(-z) has x_k = (-1)^k q^(k(k-1)/2)
     inverse = [(-1) ** k * a ** (k * (k - 1) // 2) for k in range(order + 1)]
     product = _divided_product(qp, 1, (_ones(b, order), inverse))
-    residuals = ()
-    if product != [1] + [0] * order:
-        one = [(1, 1)] + [(0, 1)] * order
-        residuals = _residuals(_coefficients(qp, 1, 0, product), one)
+    residuals = _residuals(count(), _coefficients(qp, 1, 0, product), [(1, 1)] + [(0, 1)] * order)
     return _exact_report(RECIPROCAL_PRODUCT, qp, params, residuals, note)
 
 
@@ -161,7 +159,7 @@ def check_reflection_product(q, order: int = 32) -> VerificationReport:
     scale = (1 - qp.value) / (1 + qp.value)
     rhs = qexp_series(qp.power(2), order).series.scale_substitute(scale, 2)
     return _exact_report(REFLECTION_PRODUCT, qp, {"order": order},
-                         _residuals(lhs, map(Fraction.as_integer_ratio, rhs.coeffs)))
+                         _residuals(count(), lhs, map(Fraction.as_integer_ratio, rhs.coeffs)))
 
 
 def check_scaling_product(q, n: int, order: int = 32) -> VerificationReport:
@@ -181,7 +179,7 @@ def check_scaling_product(q, n: int, order: int = 32) -> VerificationReport:
                 for k in range(order + 1)] for m in range(n)]
     rhs = _coefficients(qp, n, n - 1, _divided_product(qp, n, factors))
     return _exact_report(SCALING_PRODUCT, qp, {"n": n, "order": order},
-                         _residuals(map(Fraction.as_integer_ratio, lhs.coeffs), rhs))
+                         _residuals(count(), map(Fraction.as_integer_ratio, lhs.coeffs), rhs))
 
 
 def _divided_product(qp: QParam, n: int, factors) -> "list[int]":
@@ -222,11 +220,12 @@ def _coefficients(qp: QParam, n: int, c: int, product):
         den *= step * number
 
 
-def _residuals(lhs, rhs):
-    """(k, f_k - g_k) at each k where f_k = lhs[k] and g_k = rhs[k], both
-    integer pairs (numerator, positive denominator), differ. Equality is
-    tested by cross-multiplying; only a failing k is reduced to Fractions."""
-    for k, ((num, den), (other, other_den)) in enumerate(zip(lhs, rhs)):
+def _residuals(index, lhs, rhs):
+    """(k, f_k - g_k) for k from ``index`` wherever f_k and g_k, the next
+    integer pairs (numerator, nonzero denominator) of ``lhs`` and ``rhs``,
+    differ, up to the end of the shortest stream. Equality is tested by
+    cross-multiplying, and only a failing k is reduced to Fractions."""
+    for k, (num, den), (other, other_den) in zip(index, lhs, rhs):
         if num * other_den != other * den:
             yield k, Fraction(num, den) - Fraction(other, other_den)
 
@@ -246,11 +245,12 @@ def check_root_of_unity_product(q, n: int, order: int = 32) -> VerificationRepor
     qp = as_qparam(q)
     check_int(n, "n", 2)
     check_int(order, "order", 1)
-    c = log_coeffs_closed(order, qp).values
-    lhs = TruncatedSeries([n * c_k for c_k in c[::n]]).exp()
+    c_nj = (Fraction(n * num, den) for num, den in _stepped(qp, n, order // n))
+    lhs = TruncatedSeries([0, *c_nj]).exp()
     scale = (1 - qp.value) ** (n - 1) / q_number(n, qp)
     rhs = qexp_series(qp.power(n), order // n).series.scale_substitute(scale)
-    residuals = ((n * j, r) for j, r in enumerate(lhs.compare(rhs)))
+    residuals = _residuals(count(0, n), *(map(Fraction.as_integer_ratio, side.coeffs)
+                                          for side in (lhs, rhs)))
     return _exact_report(ROOT_OF_UNITY_PRODUCT, qp, {"n": n, "order": order}, residuals)
 
 
@@ -258,13 +258,8 @@ def check_coeff_sign_flip(q, k_max: int = 64) -> VerificationReport:
     """c_k(1/q) = (-1)^(k-1) c_k(q) for k = 1..k_max, exactly."""
     qp = as_qparam(q)
     check_int(k_max, "k_max", 1)
-    c_q = log_coeffs_closed(k_max, qp)
-    c_inv = log_coeffs_closed(k_max, qp.inverse())
-    residuals = []
-    sign = 1
-    for k in range(1, k_max + 1):
-        residuals.append((k, c_inv.coeff(k) - sign * c_q.coeff(k)))
-        sign = -sign
+    flipped = map(_times, cycle(((1, 1), (-1, 1))), _log_coeff_pairs(qp))
+    residuals = _residuals(range(1, k_max + 1), _log_coeff_pairs(qp.inverse()), flipped)
     return _exact_report(COEFF_SIGN_FLIP, qp, {"k_max": k_max}, residuals)
 
 
@@ -272,7 +267,7 @@ def check_coeff_double_order(q, k_max: int = 64) -> VerificationReport:
     """2 c_{2k}(q) = ((1-q)/(1+q))^k c_k(q^2) for k = 1..k_max, exactly.
 
     This is the multiple-order identity at n = 2, as [2]_q = 1 + q, and it
-    runs that check's residual loop.
+    runs that check's comparison.
     """
     qp = as_qparam(q)
     check_int(k_max, "k_max", 1)
@@ -285,16 +280,12 @@ def check_coeff_power_scale(q, n: int, k_max: int = 64) -> VerificationReport:
     qp = as_qparam(q)
     check_int(n, "n", 2)
     check_int(k_max, "k_max", 1)
-    c_q = log_coeffs_closed(k_max, qp)
-    c_qn = log_coeffs_closed(k_max, qp.power(n))
-    n_q = q_number(n, qp)
-    npow = n_q                 # ([n]_q)^k
-    residuals = []
-    for k in range(1, k_max + 1):
-        lhs = q_number(n, qp.power(k)) * c_qn.coeff(k)
-        residuals.append((k, lhs - npow * c_q.coeff(k)))
-        npow *= n_q
-    return _exact_report(COEFF_POWER_SCALE, qp, {"n": n, "k_max": k_max}, residuals)
+    s_n, b_n = q_number(n, qp).as_integer_ratio()    # S_n and b^(n-1) for q = a/b
+    n_qk = (q_number(n, qp.power(k)).as_integer_ratio() for k in count(1))    # [n]_{q^k}
+    lhs = map(_times, n_qk, _log_coeff_pairs(qp.power(n)))
+    rhs = map(_times, ((s_n ** k, b_n ** k) for k in count(1)), _log_coeff_pairs(qp))
+    return _exact_report(COEFF_POWER_SCALE, qp, {"n": n, "k_max": k_max},
+                         _residuals(range(1, k_max + 1), lhs, rhs))
 
 
 def check_coeff_multiple_order(q, n: int, k_max: int = 64) -> VerificationReport:
@@ -307,15 +298,23 @@ def check_coeff_multiple_order(q, n: int, k_max: int = 64) -> VerificationReport
 
 
 def _multiple_order_residuals(qp: QParam, n: int, k_max: int):
-    """(k, n c_{nk}(q) - ((1-q)^(n-1)/[n]_q)^k c_k(q^n)) for k = 1..k_max;
-    c_n, c_2n, .. of q are read from one stepped closed-form sweep."""
-    c_nk = islice(_log_coeff_pairs(qp), n - 1, n * k_max, n)
-    c_qn = log_coeffs_closed(k_max, qp.power(n))
-    factor = (1 - qp.value) ** (n - 1) / q_number(n, qp)
-    fpow = factor
-    for k, (num, den) in enumerate(c_nk, 1):
-        yield k, Fraction(n * num, den) - fpow * c_qn.coeff(k)
-        fpow *= factor
+    """The residuals of n c_{nk}(q) = ((1-q)^(n-1)/[n]_q)^k c_k(q^n), k = 1..k_max;
+    for q = a/b the factor is (b-a)^(n-1) / S_n, as [n]_q = S_n / b^(n-1)."""
+    c_nk = ((n * num, den) for num, den in _stepped(qp, n, k_max))
+    a, b = qp.value.as_integer_ratio()
+    s_n = q_number(n, qp).numerator
+    factors = (((b - a) ** (k * (n - 1)), s_n ** k) for k in count(1))
+    return _residuals(count(1), c_nk, map(_times, factors, _log_coeff_pairs(qp.power(n))))
+
+
+def _stepped(qp: QParam, n: int, k_max: int):
+    """c_n, c_2n, .., c_{n k_max} of q as pairs, from one stepped closed-form sweep."""
+    return islice(_log_coeff_pairs(qp), n - 1, check_int(n * k_max, "n * k_max"), n)
+
+
+def _times(x, y):
+    """The product of two integer pairs (numerator, denominator), unreduced."""
+    return x[0] * y[0], x[1] * y[1]
 
 
 #: The suite's identity table: the arguments each check takes after q, as

@@ -19,12 +19,12 @@ style of Arb). The stopping test, the value and the tail bound are taken
 only when both ends of their ball agree, the doubles by correctly rounded
 int / int division (Ziv's test), so they are the floats of the exact
 partial sums; an undecided ball hands the call to one exact integer sum.
-A positive tail bound below the binary64 range is reported as the least
-subnormal, never as 0.0. A float argument selects plain binary64
-arithmetic over the same integer sweep: each [k]_q and c_k is the
-correctly rounded int / int quotient of its integers, and the sum's own
-rounding is outside the certificate. A value beyond the binary64 range,
-or a float z^k beyond it in the log series, raises DomainError.
+A float argument selects plain binary64 arithmetic over the same integer
+sweep: each [k]_q and c_k is the correctly rounded int / int quotient of
+its integers, and the sum's own rounding is outside the certificate. On
+both paths a positive tail bound below the binary64 range is reported as
+the least subnormal, never as 0.0. A value beyond the binary64 range, or
+a float z^k beyond it in the log series, raises DomainError.
 """
 
 from __future__ import annotations
@@ -125,12 +125,12 @@ class Evaluation:
     """A certified partial-sum evaluation.
 
     ``order`` is the highest power included in the sum; ``tail_bound`` is a
-    certified upper bound on the truncation error of ``value``. On the
-    rational-argument path ``value`` and ``tail_bound`` are the correctly
+    certified upper bound on the truncation error of ``value``, and a
+    positive bound below the binary64 range is the least subnormal,
+    ``math.ulp(0.0)``. On the rational-argument path both are the correctly
     rounded doubles of the exact partial sum and bound, the floats
     ``float(Fraction)`` gives, whether a fixed-point ball or the exact sum
-    settled them; a positive bound below the binary64 range is the least
-    subnormal, ``math.ulp(0.0)``.
+    settled them.
     """
 
     value: "float | complex"
@@ -197,7 +197,7 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL
             if r < 1:
                 bound = abs(nxt) / (1 - r)
                 if bound <= tol:
-                    return Evaluation(total, k, bound, "series")
+                    return Evaluation(total, k, bound or (_TINIEST if z else 0.0), "series")
             total = total + nxt
             term = nxt
         if not cmath.isfinite(total):    # the sum ran off to inf on the way
@@ -269,7 +269,8 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
         c_k = next(coeffs)
         bound = abs(c_k * zpow) / (1 - r_cap)
         if bound <= tol:
-            return Evaluation(total, k, bound, "series")
+            # c_k z^k != 0 for every k unless z = 0, or q = 1 and k > 1
+            return Evaluation(total, k, bound or (_TINIEST if z and v != 1 else 0.0), "series")
         # the sum stops being finite only once z^k has run off to inf, and from
         # then on every bound is inf or nan: the float test keeps isfinite off
         # the hot path

@@ -239,6 +239,8 @@ class TestErrors:
         # counts past sys.maxsize, and a precision past the format spec's
         ["coeffs", "--q", "1/2", "--order", str(2 ** 80)],
         ["verify", "--suite", "reflection_product", "--order", str(2 ** 80)],
+        # n k_max past sys.maxsize in the stepped closed-form sweep
+        ["verify", "--suite", "coeff_double_order", "--q", "1/2", "--kmax", str(sys.maxsize)],
         ["coeffs", "--q", "1/2", "--order", "2", "--decimals", str(2 ** 31)],
         # there is no such option: --order reaches every product check
         ["verify", "--suite", "root_of_unity_product", "--numeric-order", "8"],

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qexpseries import (DomainError, LogCoeffVector, QExpSeries, QFactorialTable,
+from qexpseries import (DomainError, QExpSeries, QFactorialTable,
                         SuiteConfig, TruncatedSeries, as_qparam, check_coeff_double_order,
                         check_coeff_multiple_order, check_coeff_power_scale,
                         check_coeff_sign_flip, check_qbinomial_sum,
@@ -21,7 +22,8 @@ from qexpseries import (DomainError, LogCoeffVector, QExpSeries, QFactorialTable
 from qexpseries import identities
 from qexpseries import qexp as qexp_module
 from qexpseries.identities import (DEFAULT_QS, QBINOMIAL_SUM, RECIPROCAL_PRODUCT,
-                                   REFLECTION_PRODUCT, SCALING_PRODUCT, _exact_report)
+                                   REFLECTION_PRODUCT, SCALING_PRODUCT, _WORST,
+                                   _exact_report)
 
 qvalues = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=8)
 
@@ -139,8 +141,11 @@ class TestScalingProduct:
         with pytest.raises(DomainError, match="got a negative integer of 16610 bits"):
             check_root_of_unity_product(Fraction(1, 2), -10 ** 5000)
         # every count that indexes a sweep has the same upper limit
+        # and so has n k_max, the reach of the stepped closed-form sweep
         for call in (lambda: check_root_of_unity_product(Fraction(1, 2), 2, HUGE),
-                     lambda: check_coeff_multiple_order(Fraction(1, 2), 2, HUGE)):
+                     lambda: check_coeff_multiple_order(Fraction(1, 2), 2, HUGE),
+                     lambda: check_coeff_double_order(Fraction(1, 2), sys.maxsize),
+                     lambda: check_coeff_multiple_order(Fraction(1, 2), 3, sys.maxsize // 2)):
             with pytest.raises(DomainError, match="must be at most"):
                 call()
 
@@ -159,13 +164,9 @@ class TestRootOfUnityProduct:
     def test_fails_on_a_doubled_closed_form(self, monkeypatch, n):
         # the right side is E_{q^n}'s defining series, not the closed form,
         # so a closed form off by a constant factor cannot pass
-        closed_form = identities.log_coeffs_closed
-
-        def doubled(order, q):
-            vec = closed_form(order, q)
-            return LogCoeffVector(vec.q, tuple(2 * c for c in vec.values))
-
-        monkeypatch.setattr(identities, "log_coeffs_closed", doubled)
+        pairs = identities._log_coeff_pairs
+        monkeypatch.setattr(identities, "_log_coeff_pairs",
+                            lambda qp: ((2 * num, den) for num, den in pairs(qp)))
         report = check_root_of_unity_product(Fraction(1, 2), n, 12)
         assert not report.passed
         residuals = dict(report.residuals)
@@ -415,6 +416,80 @@ class TestCoefficientChecksFail:
         f = (1 - q) ** (n - 1) / sum(q ** i for i in range(n))
         expected = ((1, 2), (2, -f ** 2)) if n == 2 else ((2, -f ** 2),)
         assert self.failed(check_coeff_multiple_order(q, n, 8)) == expected
+
+
+class TestCoefficientChecksFailParity:
+    """Under a closed form off by a drawn d/e at every k, each coefficient
+    check and the root-of-unity product report the residuals, values and
+    order alike, that reduced Fractions give: LogCoeffVector values, and
+    TruncatedSeries.compare for the root-of-unity product. More than _WORST
+    residuals fail, so the sort by size and the cut to _WORST both count."""
+
+    K_MAX = 24
+    ORDER = 36
+    SEED = 7
+
+    @pytest.fixture(autouse=True)
+    def perturbed(self, monkeypatch):
+        pairs = qexp_module._log_coeff_pairs
+
+        def perturbed(qp):
+            # one draw per q, so both sides see the same c_k(q)
+            rng = random.Random(f"{self.SEED}:{qp.value}")
+            for num, den in pairs(qp):
+                d, e = rng.choice((1, -1, 2, -3)), rng.randint(1, 5)
+                yield num * e + d * den, den * e
+
+        monkeypatch.setattr(qexp_module, "_log_coeff_pairs", perturbed)
+        monkeypatch.setattr(identities, "_log_coeff_pairs", perturbed)
+
+    @staticmethod
+    def assert_parity(report, residuals):
+        assert sum(r != 0 for _, r in residuals) > _WORST
+        assert report == _exact_report(report.identity, report.q, report.params, residuals)
+
+    @staticmethod
+    def closed(order, q):
+        return log_coeffs_closed(order, q).values
+
+    def multiple_order(self, q, n):
+        c, c_qn = self.closed(n * self.K_MAX, q), self.closed(self.K_MAX, q ** n)
+        factor = (1 - q) ** (n - 1) / q_number(n, q)
+        return [(k, n * c[n * k] - factor ** k * c_qn[k]) for k in range(1, self.K_MAX + 1)]
+
+    @pytest.mark.parametrize("q", GRID + (Fraction(1),))
+    def test_sign_flip(self, q):
+        c, c_inv = self.closed(self.K_MAX, q), self.closed(self.K_MAX, 1 / q)
+        residuals = [(k, c_inv[k] - (-1) ** (k - 1) * c[k]) for k in range(1, self.K_MAX + 1)]
+        self.assert_parity(check_coeff_sign_flip(q, self.K_MAX), residuals)
+
+    @pytest.mark.parametrize("q", GRID + (Fraction(1),))
+    def test_double_order(self, q):
+        self.assert_parity(check_coeff_double_order(q, self.K_MAX), self.multiple_order(q, 2))
+
+    @pytest.mark.parametrize("q", GRID + (Fraction(1),))
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_multiple_order(self, q, n):
+        self.assert_parity(check_coeff_multiple_order(q, n, self.K_MAX),
+                           self.multiple_order(q, n))
+
+    @pytest.mark.parametrize("q", GRID + (Fraction(1),))
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_power_scale(self, q, n):
+        c, c_qn = self.closed(self.K_MAX, q), self.closed(self.K_MAX, q ** n)
+        residuals = [(k, q_number(n, q ** k) * c_qn[k] - q_number(n, q) ** k * c[k])
+                     for k in range(1, self.K_MAX + 1)]
+        self.assert_parity(check_coeff_power_scale(q, n, self.K_MAX), residuals)
+
+    @pytest.mark.parametrize("q", GRID + (Fraction(1),))
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_root_of_unity(self, q, n):
+        c = self.closed(self.ORDER, q)
+        lhs = TruncatedSeries([n * c_k for c_k in c[::n]]).exp()
+        scale = (1 - q) ** (n - 1) / q_number(n, q)
+        rhs = qexp_series(q ** n, self.ORDER // n).series.scale_substitute(scale)
+        residuals = [(n * j, r) for j, r in enumerate(lhs.compare(rhs))]
+        self.assert_parity(check_root_of_unity_product(q, n, self.ORDER), residuals)
 
 
 class TestReports:

@@ -649,6 +649,25 @@ class TestFloatPathMatchesReference:
         assert self.got(q, z, 1e-12, 3000) == expected
 
 
+    @pytest.mark.parametrize("evaluate, q, z, tol, bound", [
+        (eval_log_qexp, Fraction(1, 2), 1e-200, 1e-12, math.ulp(0.0)),
+        (eval_qexp, Fraction(1, 2), 1e-200, 1e-300, math.ulp(0.0)),
+        (eval_qexp, 2, 1e-200j, 1e-300, math.ulp(0.0)),
+        (eval_log_qexp, 3, -1e-170, 1e-300, math.ulp(0.0)),
+        # the tail is exactly 0: ln E_1(z) = z, and z = 0
+        (eval_log_qexp, 1, 1e-200, 1e-12, 0.0),
+        (eval_qexp, 2, 0.0, 1e-12, 0.0),
+        (eval_log_qexp, 2, 0.0, 1e-12, 0.0),
+    ])
+    def test_underflowing_bound(self, evaluate, q, z, tol, bound):
+        # a nonzero tail bound below the binary64 range is the least
+        # subnormal, as on the exact path; the bound depends only on |z|
+        got = evaluate(q, z, tol)
+        exact = evaluate(q, Fraction(z.real or z.imag), tol)
+        assert (got.order, got.tail_bound) == (exact.order, exact.tail_bound)
+        assert got.tail_bound == bound
+
+
 class TestMpmathOracle:
     """E_q(z) = 1/((1-q)z; q)_inf for q < 1 and ((1/q - 1)z; 1/q)_inf for
     q > 1, summed by mpmath at 40 digits."""
