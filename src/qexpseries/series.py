@@ -17,19 +17,27 @@ matching coefficients in f' = f h'. The round trip log(exp(h)) = h is an
 identity, not an approximation, and exp turns addition into multiplication
 at the truncation order.
 
-The product, log and exp build every coefficient as one sum of products
-through :func:`_dot`, which keeps the partial sum as an integer numerator
-over a running common denominator: one division of that denominator per
-term, a gcd no larger than the term's denominator only when the term does
-not divide it, and one reduction per coefficient, the 1/k of log and exp
-included, instead of reducing a Fraction at every term. The results are
-the same reduced Fractions either way.
+The product, log and exp build each coefficient as one sum sum_m t_m a_m
+over the nonzero a_m of one series (the first factor, f, or exp's output)
+by Horner's rule from the top m down, V <- V * a_m'/a_m + t_m, with the
+ratios of consecutive nonzero coefficients built once per call
+(:func:`_horner`). V is one unreduced integer pair and each coefficient one
+reduction, the 1/k of log and exp included: the same reduced Fractions as a
+term-by-term sum.
+
+Cost rule: a step costs the height of V times that of the ratio and of t_m.
+Consecutive coefficients of E_q differ by 1/[k]_q = b^(k-1)/S_k for q = a/b,
+so on every series this package builds the ratios are short and V stays near
+the height of 1/[k]_q!. For q = 2/5 at order 96, log and exp of E_q take 26-28
+and 31-32 ms, against 104-141 and 102-144 ms as sums over a common
+denominator. Kept on purpose: unrelated coefficients give ratios as tall as
+two of them, and there the walk is slower (exp of an order-40 series with
+random 30-bit coefficients: 10 -> 94 ms; best of 7, Python 3.11.7, x86_64).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd
 from numbers import Rational
 from typing import Iterable
@@ -38,29 +46,42 @@ from .errors import DomainError, OrderMismatchError
 from .scalars import check_int
 
 
-def _dot(triples: "Iterable[tuple[int, Fraction, Fraction]]", scale: int = 1) -> Fraction:
-    """sum w*x*y / scale over (w, x, y) with w an int and x, y Fractions,
-    reduced once.
+def _horner(terms: "Iterable[tuple[int, Rational]]", up: dict, w: Rational) -> "tuple[int, int]":
+    """w * sum t * a_m / a_l over (m, t) in ``terms``, as one unreduced pair.
 
-    ``den`` is the lcm of the products d = x.den * y.den seen so far and
-    ``num / den`` the partial sum, so a term costs one division of ``den``
-    by d. When d divides den the term just adds; otherwise Euclid's first
-    step gives g = gcd(den, d) = gcd(d, rem) on numbers no larger than d,
-    and den / g = quo * (d / g) + rem / g, so den is never divided by g.
+    ``terms`` walks down the nonzero a_m of one series, each next to the one
+    above it, to the lowest, a_l; ``up[m]`` is the integer pair of a_m'/a_m,
+    m' the nonzero index above m. V = num / den steps V <- V * a_m'/a_m + t;
+    t's denominator td joins den as their lcm, by one division of den by td
+    and, only when td does not divide den, a gcd no larger than td.
     """
     num, den = 0, 1
-    for w, x, y in triples:
-        d = x.denominator * y.denominator
-        term = w * x.numerator * y.numerator
-        quo, rem = divmod(den, d)
-        if rem:
-            g = gcd(d, rem)
-            step = d // g
-            num = num * step + term * (quo * step + rem // g)
-            den *= step
-        else:
-            num += term * quo
-    return Fraction(num, den * scale)
+    for m, t in terms:
+        if num:                 # V = 0 needs no ratio, the top term's included
+            p, r = up[m]
+            num, den = num * p, den * r
+        if t:
+            tn, td = t.numerator, t.denominator
+            quo, rem = divmod(den, td)
+            if rem:
+                g = gcd(td, rem)
+                step = td // g
+                num = num * step + tn * (quo * step + rem // g)
+                den *= step
+            else:
+                num += tn * quo
+    return num * w.numerator, den * w.denominator
+
+
+def _link(a: list, nz: list, up: dict, ms: Iterable[int]) -> "tuple[list, dict]":
+    """Add each nonzero a_m, m in ``ms`` rising, atop a's chain (nz, up)."""
+    for m in ms:
+        if a[m]:
+            if nz:
+                r = a[m] / a[nz[-1]]
+                up[nz[-1]] = r.numerator, r.denominator
+            nz.append(m)
+    return nz, up
 
 
 def _coerce(coeffs: Iterable) -> "tuple[Fraction, ...]":
@@ -131,8 +152,10 @@ class TruncatedSeries:
         """Cauchy product modulo z^(N+1)."""
         self._compatible(other)
         a, b = self.coeffs, other.coeffs
-        return TruncatedSeries(_dot((1, a[i], b[k - i]) for i in range(k + 1) if a[i] and b[k - i])
-                               for k in range(self.order + 1))
+        nz, up = _link(a, [], {}, range(len(a)))
+        low = a[nz[0]] if nz else 0         # an all-zero self has no terms
+        return TruncatedSeries(Fraction(*_horner(((m, b[k - m]) for m in reversed(nz) if m <= k),
+                                                 up, low)) for k in range(len(a)))
 
     def scale_substitute(self, factor, stretch: int = 1) -> "TruncatedSeries":
         """The series f(factor * z^stretch) at the same truncation order.
@@ -154,18 +177,18 @@ class TruncatedSeries:
     def log(self) -> "TruncatedSeries":
         """Formal logarithm h = log f with h_0 = 0; requires f_0 = 1.
 
-        h_1 = a_1 and, for k >= 2,
-        h_k = a_k - (1/k) * sum_{j=1}^{k-1} j * a_{k-j} * h_j.
-        Exact, since division by k stays rational.
+        k h_k = k a_k - sum_{j=1}^{k-1} j h_j a_{k-j}, exact as rationals.
         """
         a = self.coeffs
         if a[0] != 1:
             raise DomainError("log needs constant term exactly 1")
         h = [Fraction(0)] * (self.order + 1)
+        t = [0] * (self.order + 1)                # t_j = -j h_j; a_k weighs k
+        nz, up = _link(a, [], {}, range(len(a)))  # a_0 = 1 ends every walk
         for k in range(1, self.order + 1):
-            # k h_k = k a_k - sum_{j<k} j a_{k-j} h_j, as one sum
-            terms = ((-j, a[k - j], h[j]) for j in range(1, k))
-            h[k] = _dot(chain([(k, a[k], Fraction(1))], terms), k)
+            terms = ((m, t[k - m] if m < k else k) for m in reversed(nz) if m <= k)
+            h[k] = Fraction(*_horner(terms, up, Fraction(1, k)))
+            t[k] = -k * h[k]
         return TruncatedSeries(h)
 
     def exp(self) -> "TruncatedSeries":
@@ -177,9 +200,12 @@ class TruncatedSeries:
         h = self.coeffs
         if h[0] != 0:
             raise DomainError("exp needs constant term exactly 0")
+        t = [j * c for j, c in enumerate(h)]
         a = [Fraction(1)] + [Fraction(0)] * self.order
+        nz, up = [0], {}                          # the chain of the a_m so far
         for k in range(1, self.order + 1):
-            a[k] = _dot(((j, h[j], a[k - j]) for j in range(1, k + 1)), k)
+            a[k] = Fraction(*_horner(((m, t[k - m]) for m in reversed(nz)), up, Fraction(1, k)))
+            _link(a, nz, up, (k,))
         return TruncatedSeries(a)
 
     def compare(self, other: "TruncatedSeries") -> "tuple[Fraction, ...]":

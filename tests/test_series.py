@@ -9,7 +9,8 @@ positive valuation.
 Those oracles multiply with the product under test, so the product, log and
 exp are also held to the plain reduced-Fraction loops they replaced
 (``_reference_mul``, ``_reference_log``, ``_reference_exp``), which share no
-code with the running-denominator kernel.
+code with the Horner kernel that walks the ratios of consecutive
+coefficients.
 """
 
 from fractions import Fraction
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 
 from qexpseries import (DomainError, OrderMismatchError, TruncatedSeries, log_coeffs_closed,
                         qexp_series)
-from qexpseries.series import _dot
+from qexpseries import series
+from qexpseries.series import _horner, _link
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=9)
 
@@ -79,6 +81,16 @@ def _reference_exp(h):
             acc += j * h[j] * a[k - j]
         a[k] = acc / k
     return tuple(a)
+
+
+def _kernel_sum(pairs, k=1):
+    """sum t * x / k over (t, x) in ``pairs`` through the kernel, walked in
+    the given order: the x, all nonzero, are one series' coefficients from
+    the top down, so a step's ratio is the x before it over its own."""
+    x = [Fraction(x) for _, x in reversed(pairs)]
+    nz, up = _link(x, [], {}, range(len(x)))
+    terms = ((m, t) for m, (t, _) in zip(reversed(nz), pairs))
+    return Fraction(*_horner(terms, up, Fraction(x[0], k)))
 
 
 def log_by_composition(f: TruncatedSeries) -> TruncatedSeries:
@@ -281,8 +293,8 @@ class TestLogExp:
 
 
 class TestKernelMatchesReference:
-    """The running-denominator product, log and exp against the loops they
-    replaced: equal coefficient tuples, term by term."""
+    """The Horner kernel's product, log and exp against the plain
+    reduced-Fraction loops: equal coefficient tuples, term by term."""
 
     def test_qexp_series(self):
         for q in (Fraction(1, 7), Fraction(2, 3), Fraction(1), Fraction(5, 2)):
@@ -319,12 +331,33 @@ class TestKernelMatchesReference:
         a = TruncatedSeries([0, 1, Fraction(-1, 2)]).exp()
         assert a.coeffs == _reference_exp((0, 1, Fraction(-1, 2))) == (1, 1, 0)
         assert type(a.coeffs[2]) is Fraction and a.coeffs[2].denominator == 1
+        # gaps in the chain of ratios: a first factor with leading zeros,
+        # (z^2 + z^3) g, and one with no nonzero coefficient
+        g = TruncatedSeries([1, Fraction(2, 3), Fraction(-1, 5), 0, 7, Fraction(1, 9), 3])
+        for f in (TruncatedSeries([0, 0, 1, 1, 0, 0, 0]), TruncatedSeries.zero(6)):
+            product = f * g
+            assert product.coeffs == _reference_mul(f.coeffs, g.coeffs)
+            assert all(type(c) is Fraction and (c or c.denominator == 1) for c in product.coeffs)
+        for coeffs, method, reference in (
+                # log of 1 + z^2 - z^4/3: the chain skips the zero odd coefficients
+                ((1, 0, 1, 0, Fraction(-1, 3), 0, 0, 0, 0), "log", _reference_log),
+                # exp of z^2 + z^4/5: every odd output is zero
+                ((0, 0, 1, 0, Fraction(1, 5), 0, 0, 0, 0, 0), "exp", _reference_exp),
+                # exp of z - z^2/2 + z^3/7: a zero output, a_2, then nonzero ones
+                ((0, 1, Fraction(-1, 2), Fraction(1, 7), 0, 0, 0, 0), "exp", _reference_exp)):
+            out = getattr(TruncatedSeries(coeffs), method)().coeffs
+            assert out == reference(tuple(map(Fraction, coeffs)))
+            assert 0 in out[1:] and any(out[out.index(0, 1):])
+            assert all(type(c) is Fraction and (c or c.denominator == 1) for c in out)
 
     def _check_terms(self, coeffs):
         """The kernel on one sum of ``coeffs`` and through the product, log
         and exp of a series built from them, against the reference loops."""
-        triples = [(1, c, Fraction(1)) for c in coeffs]
-        assert _dot(triples) == sum(coeffs, Fraction(0))
+        total = sum(coeffs, Fraction(0))
+        # as weights over a chain of ones (each term's denominator joins the
+        # running one in this order), and as the chain itself
+        assert _kernel_sum([(c, 1) for c in coeffs]) == total
+        assert _kernel_sum([(1, c) for c in coeffs]) == total
         f = TruncatedSeries([1, *coeffs])
         g = TruncatedSeries([1, *reversed(coeffs)])
         h = TruncatedSeries([0, *coeffs])
@@ -344,16 +377,43 @@ class TestKernelMatchesReference:
                            Fraction(-5, 11), Fraction(4, 13)])
 
     def test_scale_is_one_reduction(self):
-        triples = [(3, Fraction(1, 6), Fraction(5, 4)), (-2, Fraction(7, 10), Fraction(1, 9)),
-                   (1, Fraction(2, 15), Fraction(-3, 8))]
+        pairs = [(3 * Fraction(5, 4), Fraction(1, 6)), (-2 * Fraction(1, 9), Fraction(7, 10)),
+                 (Fraction(-3, 8), Fraction(2, 15))]
+        total = sum(t * x for t, x in pairs)
         for k in (1, 2, 7, 30):
-            assert _dot(triples, k) == _dot(triples) / k
+            assert _kernel_sum(pairs, k) == total / k
         # 1/6 - 1/10 - 1/15 = 0: zero over denominator 1 at every scale
-        cancelling = [(1, Fraction(1, 6), Fraction(1)), (-1, Fraction(1, 10), Fraction(1)),
-                      (1, Fraction(-1, 15), Fraction(1))]
+        cancelling = [(1, Fraction(1, 6)), (-1, Fraction(1, 10)), (1, Fraction(-1, 15))]
         for k in (1, 2, 7, 30):
-            total = _dot(cancelling, k)
+            total = _kernel_sum(cancelling, k)
             assert type(total) is Fraction and total == 0 and total.denominator == 1
+
+    @pytest.mark.parametrize("q", [Fraction(2, 5), Fraction(5, 3), Fraction(9, 7)])
+    def test_kernel_stays_at_coefficient_height(self, q, monkeypatch):
+        """The unreduced denominator of every coefficient of log E_q, of exp
+        of the closed-form log and of E_q(z) E_q(-z) is at most 32 bits longer
+        than that of 1/[k]_q! (6 bits at most on these inputs). A walk whose
+        denominator outgrows the coefficients, say one that joins a term's
+        denominator without its gcd, fails here with every value right."""
+        order = 64
+        e = qexp_series(q, order).series
+        c = log_coeffs_closed(order, q).as_series()
+        flipped = e.scale_substitute(-1)
+        bits = [x.denominator.bit_length() for x in e.coeffs]
+        dens = []
+
+        def spy(*args):
+            num, den = _horner(*args)
+            dens.append(den)
+            return num, den
+
+        monkeypatch.setattr(series, "_horner", spy)
+        for run, first in ((e.log, 1), (c.exp, 1), (lambda: e * flipped, 0)):
+            dens.clear()
+            run()
+            assert len(dens) == order + 1 - first
+            for k, den in enumerate(dens, first):
+                assert den.bit_length() <= bits[k] + 32, (run, k)
 
 
 class TestCompare:
