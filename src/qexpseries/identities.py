@@ -14,10 +14,14 @@ f_k - g_k that :class:`~qexpseries.series.TruncatedSeries` arithmetic gives.
 The coefficient checks read c_k as the closed-form pairs
 ((b-a)^(k-1), k S_k) for q = a/b, [k]_q = S_k / b^(k-1). qbinomial_sum and
 the reciprocal, reflection and scaling products run in the divided-power
-basis z^k/[k]_Q!, Q = q or q^n, where a product is a convolution with
-Gaussian binomials (:func:`_divided_product`). For Q = a/b those are
-integers from one Pascal sweep over a known power of b, so every
-coefficient is an integer over a power of b known in advance. The product
+basis z^k/[k]_Q!, Q = q or q^n, where one factor of every product is
+E_Q(beta z), beta = +-q^m. As D_Q E_Q(beta z) = beta E_Q(beta z), the
+q-Leibniz rule takes the product with no Gaussian binomial
+(:func:`_leibniz`). Every coefficient is an integer over a power of b known
+in advance, and each of the N^2/2 steps, F_j <- F_(j+1) +- a^(m+nj)
+b^(nk+c-m) F_j, multiplies a tall F_j, of about n (j+k)^2/2 log2 b bits,
+by a short factor of O(n (j+k)) bits. The closed-form sides E_Q(s z) are
+integer pairs from the q-number sweep (:func:`_scaled_qexp`). The product
 uses no c_k, so these identities stay independent of the coefficient ones.
 
 The checked identities, with E = E_q the q-exponential and c_k = c_k(q) the
@@ -42,11 +46,11 @@ import operator
 from collections.abc import Sequence, Set as AbstractSet
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, cycle, islice
+from itertools import accumulate, chain, count, cycle, islice, repeat
 
 from .errors import DomainError
-from .qexp import _log_coeff_pairs, qexp_series
-from .qnumbers import _pascal_numerators, q_number, q_number_numerators
+from .qexp import _log_coeff_pairs
+from .qnumbers import _numerator_sweep, q_number_numerators
 from .scalars import QParam, as_qparam, check_int, rational_str, shown
 from .series import TruncatedSeries
 
@@ -107,18 +111,18 @@ def check_qbinomial_sum(q, k_max: int = 40) -> VerificationReport:
     """sum_{j=1}^{k} [k choose j]_q (1-q)^(j-1) [j-1]_q! = k for k = 2..k_max.
 
     Row k is coefficient k, in the divided-power basis of q, of the product
-    of sum_j w_j z^j / [j]_q!, w_j = (1-q)^(j-1) [j-1]_q!, with E_q(z), whose
-    x_j are 1. For q = a/b, w_j is (b-a)^(j-1) S_1 .. S_(j-1) over
-    b^(j(j-1)/2), so each row is one integer sum over b^(k(k-1)/2).
+    of sum_j w_j z^j / [j]_q!, w_j = (1-q)^(j-1) [j-1]_q!, with E_q(z). For
+    q = a/b, w_j is (b-a)^(j-1) S_1 .. S_(j-1) over b^(j(j-1)/2), so each
+    row is one integer over b^(k(k-1)/2).
     """
     qp = as_qparam(q)
     check_int(k_max, "k_max", 2)
     a, b = qp.value.as_integer_ratio()
     weights = accumulate(islice(q_number_numerators(qp), k_max - 1),
                          lambda w, number: w * (b - a) * number, initial=1)
-    ones = _ones(b, k_max)
-    product = _divided_product(qp, 1, ([0, *weights], ones))
-    residuals = _residuals(count(2), zip(product[2:], ones[2:]), ((k, 1) for k in count(2)))
+    product = _leibniz(qp, 1, 0, [0, *weights])
+    residuals = _residuals(count(2), zip(product[2:], _geometric(1, b, k_max)[2:]),
+                           ((k, 1) for k in count(2)))
     return _exact_report(QBINOMIAL_SUM, qp, {"k_min": 2, "k_max": k_max}, residuals)
 
 
@@ -137,87 +141,102 @@ def check_reciprocal_product(q, order: int = 32) -> VerificationReport:
     check_int(order, "order", 1)
     params = {"order": order}
     note = "degenerates to exp(z) exp(-z) = 1" if qp.value == 1 else ""
-    a, b = qp.value.as_integer_ratio()
     # [k]_{1/q}! = q^(-k(k-1)/2) [k]_q!, so E_{1/q}(-z) has x_k = (-1)^k q^(k(k-1)/2)
-    inverse = [(-1) ** k * a ** (k * (k - 1) // 2) for k in range(order + 1)]
-    product = _divided_product(qp, 1, (_ones(b, order), inverse))
-    residuals = _residuals(count(), _coefficients(qp, 1, 0, product), [(1, 1)] + [(0, 1)] * order)
+    product = _leibniz(qp, 1, 0, _geometric(-1, qp.value.numerator, order))
+    residuals = _residuals(count(), _coefficients(qp, 1, 1, product), [(1, 1)] + [(0, 1)] * order)
     return _exact_report(RECIPROCAL_PRODUCT, qp, params, residuals, note)
 
 
 def check_reflection_product(q, order: int = 32) -> VerificationReport:
     """E_q(z) E_q(-z) = E_{q^2}((1-q)/(1+q) z^2) coefficientwise, exactly.
 
-    The left side is taken in the divided-power basis of q, where the two
-    factors have x_k = 1 and x_k = (-1)^k.
+    The left side is E_q(z), x_k = 1 in the divided-power basis of q, times
+    E_q(-z). The right side's coefficient of z^(2j) is s^j / [j]_{q^2}!,
+    s = (1-q)/(1+q) = (b-a)/(b+a) for q = a/b, and its odd ones are 0.
     """
     qp = as_qparam(q)
     check_int(order, "order", 2)
-    ones = _ones(qp.value.denominator, order)
-    signs = [(-1) ** k * one for k, one in enumerate(ones)]
-    lhs = _coefficients(qp, 1, 0, _divided_product(qp, 1, (ones, signs)))
-    scale = (1 - qp.value) / (1 + qp.value)
-    rhs = qexp_series(qp.power(2), order).series.scale_substitute(scale, 2)
-    return _exact_report(REFLECTION_PRODUCT, qp, {"order": order},
-                         _residuals(count(), lhs, map(Fraction.as_integer_ratio, rhs.coeffs)))
+    a, b = qp.value.as_integer_ratio()
+    lhs = _coefficients(qp, 1, 1, _leibniz(qp, 1, 0, _geometric(1, b, order), sign=-1))
+    rhs = chain.from_iterable(zip(_scaled_qexp(qp, 2, (b - a, b + a), order // 2),
+                                  repeat((0, 1))))
+    return _exact_report(REFLECTION_PRODUCT, qp, {"order": order}, _residuals(count(), lhs, rhs))
 
 
 def check_scaling_product(q, n: int, order: int = 32) -> VerificationReport:
     """E_q([n]_q z) = prod_{m=0}^{n-1} E_{q^n}(q^m z) coefficientwise, exactly.
 
-    The right side is taken in the divided-power basis of q^n, where factor m
-    has x_k = q^(mk).
+    The right side is E_{q^n}(z), x_k = 1 in the divided-power basis of
+    q^n, times E_{q^n}(q^m z) for m = 1..n-1.
     """
     qp = as_qparam(q)
     check_int(n, "n", 2)
     check_int(order, "order", 1)
-    lhs = qexp_series(qp, order).series.scale_substitute(q_number(n, qp))
     a, b = qp.value.as_integer_ratio()
-    # x_k = q^(mk) over b^(n k(k-1)/2 + (n-1) k): the offset c = n - 1 keeps
-    # every numerator an integer
-    factors = [[a ** (m * k) * b ** (n * k * (k - 1) // 2 + (n - 1 - m) * k)
-                for k in range(order + 1)] for m in range(n)]
-    rhs = _coefficients(qp, n, n - 1, _divided_product(qp, n, factors))
+    lhs = _scaled_qexp(qp, 1, _q_number_pair(n, a, b), order)
+    # x_k = 1 over b^(n k(k-1)/2 + (n-1) k): the offset c = n - 1 admits every m < n
+    product = _geometric(b ** (n - 1), b ** n, order)
+    for m in range(1, n):
+        product = _leibniz(qp, n, n - 1, product, m)
+    rhs = _coefficients(qp, n, b ** (n - 1), product)
     return _exact_report(SCALING_PRODUCT, qp, {"n": n, "order": order},
-                         _residuals(count(), map(Fraction.as_integer_ratio, lhs.coeffs), rhs))
+                         _residuals(count(), lhs, rhs))
 
 
-def _divided_product(qp: QParam, n: int, factors) -> "list[int]":
-    """The product of series sum_k x_k z^k / [k]_Q!, Q = q^n, in the same
-    divided-power basis, where its x_k is sum_i [k ch i]_Q x_i y_(k-i).
+def _leibniz(qp: QParam, n: int, c: int, f: "list[int]", m: int = 0,
+             sign: int = 1) -> "list[int]":
+    """The product of sum_j x_j z^j / [j]_Q!, Q = q^n, with E_Q(beta z),
+    beta = sign q^m, in the same divided-power basis.
 
-    For q = a/b each factor is given by integers X_k, x_k = X_k / b^(e_k)
-    with e_k = n k(k-1)/2 + c k for one c >= 0 shared by all factors, and so
-    is the result. As [k ch i]_Q = G_{k,i} / b^(n i(k-i)) and
-    n i(k-i) + e_i + e_(k-i) = e_k, the product's X_k is the integer sum
-    sum_i G_{k,i} X_i Y_(k-i), with G from the integer Pascal sweep: no
-    Fraction is built and no gcd is taken.
+    For q = a/b, f holds the integers X_j, x_j = X_j / b^(e_j) with
+    e_j = n j(j-1)/2 + c j for a c >= m, and so does the result. As
+    D_Q E_Q(beta z) = beta E_Q(beta z), the q-Leibniz rule gives
+    D_Q(g E_Q(beta z)) = (L g) E_Q(beta z) with (L g)_j = g_(j+1) + beta Q^j g_j,
+    so the product's x_k is (L^k f)_0. Level k of L^k f, held over
+    b^(e_(j+k)), steps to level k+1 by the integer rule
+
+        F_j <- F_(j+1) + sign a^(m+nj) b^(nk+c-m) F_j,
+
+    a big integer times a short one: no binomial is formed and no gcd is
+    taken.
     """
-    rows = list(islice(_pascal_numerators(qp.power(n)), len(factors[0])))
-    product = factors[0]
-    for factor in factors[1:]:
-        product = [sum(map(operator.mul, map(operator.mul, row, product),
-                           reversed(factor[:k + 1])))
-                   for k, row in enumerate(rows)]
+    a, b = qp.value.as_integer_ratio()
+    lifts = [sign * a ** (m + n * j) for j in range(len(f) - 1)]
+    shift, step = b ** (c - m), b ** n     # b^(nk+c-m) at k = 0, and its step in k
+    product = [f[0]]
+    for _ in lifts:
+        f = [high + lift * shift * low for high, lift, low in zip(f[1:], lifts, f)]
+        product.append(f[0])
+        shift *= step
     return product
 
 
-def _ones(b: int, order: int) -> "list[int]":
-    """E_q(z) for q = a/b in the divided-power basis of q, with c = 0:
-    x_k = 1 = b^(k(k-1)/2) / b^(k(k-1)/2) for k = 0..order."""
-    return [b ** (k * (k - 1) // 2) for k in range(order + 1)]
+def _geometric(ratio: int, base: int, order: int) -> "list[int]":
+    """ratio^k base^(k(k-1)/2) for k = 0..order, by one running product."""
+    return list(accumulate((ratio * base ** k for k in range(order)), operator.mul, initial=1))
 
 
-def _coefficients(qp: QParam, n: int, c: int, product):
-    """The power-series coefficients x_k / [k]_Q!, Q = q^n, of a
-    :func:`_divided_product` with offset c, as unreduced integer pairs
-    (X_k, b^(c k) F_k): [k]_Q! = F_k / b^(n k(k-1)/2), F_k = S_1 .. S_k from
-    the q-number sweep of Q."""
-    step = qp.value.denominator ** c
+def _q_number_pair(n: int, a: int, b: int) -> "tuple[int, int]":
+    """[n]_q for q = a/b as the integer pair (S_n, b^(n-1)) from the q-number sweep."""
+    return next(islice(_numerator_sweep(a, b), n - 1, None)), b ** (n - 1)
+
+
+def _coefficients(qp: QParam, n: int, step: int, numerators):
+    """The power-series coefficients of sum_k X_k / step^k z^k / [k]_Q!,
+    Q = q^n, as unreduced integer pairs (X_k, step^k F_k): [k]_Q! =
+    F_k / b^(n k(k-1)/2), F_k = S_1 .. S_k from the q-number sweep of Q.
+    A :func:`_leibniz` product with offset c has step b^c."""
     den = 1
-    for num, number in zip(product, q_number_numerators(qp.power(n))):
+    for num, number in zip(numerators, q_number_numerators(qp.power(n))):
         yield num, den
         den *= step * number
+
+
+def _scaled_qexp(qp: QParam, n: int, scale: "tuple[int, int]", order: int):
+    """E_Q(s z), Q = q^n, s = num/den given as ``scale``, through z^order as
+    the integer pairs (num^k b^(n k(k-1)/2), den^k F_k) of :func:`_coefficients`."""
+    num, den = scale
+    return _coefficients(qp, n, den, _geometric(num, qp.value.denominator ** n, order))
 
 
 def _residuals(index, lhs, rhs):
@@ -247,10 +266,10 @@ def check_root_of_unity_product(q, n: int, order: int = 32) -> VerificationRepor
     check_int(order, "order", 1)
     c_nj = (Fraction(n * num, den) for num, den in _stepped(qp, n, order // n))
     lhs = TruncatedSeries([0, *c_nj]).exp()
-    scale = (1 - qp.value) ** (n - 1) / q_number(n, qp)
-    rhs = qexp_series(qp.power(n), order // n).series.scale_substitute(scale)
-    residuals = _residuals(count(0, n), *(map(Fraction.as_integer_ratio, side.coeffs)
-                                          for side in (lhs, rhs)))
+    a, b = qp.value.as_integer_ratio()
+    # s = (1-q)^(n-1) / [n]_q = (b-a)^(n-1) / S_n
+    rhs = _scaled_qexp(qp, n, ((b - a) ** (n - 1), _q_number_pair(n, a, b)[0]), order // n)
+    residuals = _residuals(count(0, n), map(Fraction.as_integer_ratio, lhs.coeffs), rhs)
     return _exact_report(ROOT_OF_UNITY_PRODUCT, qp, {"n": n, "order": order}, residuals)
 
 
@@ -280,8 +299,9 @@ def check_coeff_power_scale(q, n: int, k_max: int = 64) -> VerificationReport:
     qp = as_qparam(q)
     check_int(n, "n", 2)
     check_int(k_max, "k_max", 1)
-    s_n, b_n = q_number(n, qp).as_integer_ratio()    # S_n and b^(n-1) for q = a/b
-    n_qk = (q_number(n, qp.power(k)).as_integer_ratio() for k in count(1))    # [n]_{q^k}
+    a, b = qp.value.as_integer_ratio()
+    s_n, b_n = _q_number_pair(n, a, b)
+    n_qk = (_q_number_pair(n, a ** k, b ** k) for k in count(1))    # [n]_{q^k}
     lhs = map(_times, n_qk, _log_coeff_pairs(qp.power(n)))
     rhs = map(_times, ((s_n ** k, b_n ** k) for k in count(1)), _log_coeff_pairs(qp))
     return _exact_report(COEFF_POWER_SCALE, qp, {"n": n, "k_max": k_max},
@@ -302,7 +322,7 @@ def _multiple_order_residuals(qp: QParam, n: int, k_max: int):
     for q = a/b the factor is (b-a)^(n-1) / S_n, as [n]_q = S_n / b^(n-1)."""
     c_nk = ((n * num, den) for num, den in _stepped(qp, n, k_max))
     a, b = qp.value.as_integer_ratio()
-    s_n = q_number(n, qp).numerator
+    s_n, _ = _q_number_pair(n, a, b)
     factors = (((b - a) ** (k * (n - 1)), s_n ** k) for k in count(1))
     return _residuals(count(1), c_nk, map(_times, factors, _log_coeff_pairs(qp.power(n))))
 

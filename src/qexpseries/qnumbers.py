@@ -30,10 +30,13 @@ def q_number_numerators(q) -> Iterator[int]:
     The one place q-numbers are summed; every q-number, q-factorial, E_q
     coefficient and log coefficient is built from it. Each S_k / b^(k-1)
     is already in lowest terms, as S_k is congruent to a^(k-1) modulo every
-    prime factor of b. Lazy, so q is only checked when the first value is
-    drawn.
+    prime factor of b.
     """
-    a, b = as_qparam(q).value.as_integer_ratio()
+    return _numerator_sweep(*as_qparam(q).value.as_integer_ratio())
+
+
+def _numerator_sweep(a: int, b: int) -> Iterator[int]:
+    """:func:`q_number_numerators` of q = a/b, for coprime integers a, b > 0."""
     number, power = 1, 1      # S_k and a^(k-1)
     while True:
         yield number
@@ -41,7 +44,7 @@ def q_number_numerators(q) -> Iterator[int]:
         number = b * number + power
 
 
-def _pascal_numerators(q, width: "int | None" = None) -> Iterator["list[int]"]:
+def _pascal_numerators(q, width: int) -> Iterator["list[int]"]:
     """The integer Pascal sweep: rows k = 0, 1, 2, ... of the integers
     G_{k,i} with [k choose i]_q = G_{k,i} / b^(i(k-i)) for q = a/b in lowest
     terms. The Pascal rule [k ch i]_q = q^i [k-1 ch i]_q + [k-1 ch i-1]_q,
@@ -58,7 +61,7 @@ def _pascal_numerators(q, width: "int | None" = None) -> Iterator["list[int]"]:
     for k in count(1):
         yield row
         b_pow.append(b_pow[-1] * b)
-        if width is None or k <= width:
+        if k <= width:
             a_pow.append(a_pow[-1] * a)
             row = row + [0]   # G_{k-1,k}
         row = [1] + [a_pow[i] * row[i] + b_pow[k - i] * row[i - 1] for i in range(1, len(row))]

@@ -2,16 +2,17 @@
 
 import json
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qexpseries import (DomainError, QExpSeries, QFactorialTable,
+from qexpseries import (DomainError, QFactorialTable,
                         SuiteConfig, TruncatedSeries, as_qparam, check_coeff_double_order,
                         check_coeff_multiple_order, check_coeff_power_scale,
                         check_coeff_sign_flip, check_qbinomial_sum,
@@ -41,8 +42,8 @@ def closed(k, q):
 
 def _reference_qbinomial_sum(q, k_max):
     """The qbinomial_sum residuals through factorial-quotient binomials, one
-    reduced Fraction per step, apart from the integer Pascal sweep that the
-    check reads."""
+    reduced Fraction per step, apart from the Leibniz product that the check
+    takes."""
     table = QFactorialTable(q, k_max)
     one_minus = 1 - as_qparam(q).value
     residuals = []
@@ -203,27 +204,36 @@ class TestRootOfUnityProduct:
         assert numeric.passed == exact.passed
 
 
-def _power_series(qp, n, c, numerators):
-    """The series of a divided-power operand of identities._divided_product:
+def _factorials(q, order):
+    """[k]_q! for k = 0..order, as running products of q_number."""
+    return list(accumulate((q_number(j, q) for j in range(1, order + 1)), operator.mul,
+                           initial=Fraction(1)))
+
+
+def _power_series(qp, n, c, numerators, factorials):
+    """The series of a divided-power operand of identities._leibniz:
     coefficient k is x_k / [k]_Q!, Q = q^n, x_k = X_k / b^(n k(k-1)/2 + c k)."""
     b = qp.value.denominator
-    table = QFactorialTable(qp.power(n), len(numerators) - 1)
-    return TruncatedSeries(Fraction(x, b ** (n * k * (k - 1) // 2 + c * k)) / table.factorial(k)
+    return TruncatedSeries(Fraction(x, b ** (n * k * (k - 1) // 2 + c * k)) / factorials[k]
                            for k, x in enumerate(numerators))
 
 
 class TestDividedProduct:
-    """The divided-power product, taken back to power-series coefficients,
-    equals the TruncatedSeries product of its factors."""
+    """The Leibniz product of an arbitrary divided-power operand with
+    E_Q(beta z), beta = +-q^m, taken back to power-series coefficients,
+    equals the TruncatedSeries product of the two series, for every offset
+    c <= 4 and every 0 <= m <= c."""
 
     @staticmethod
-    def assert_matches(q, n, factors):
+    def assert_matches(q, n, c, m, sign, numerators):
         qp = as_qparam(q)
-        product = identities._divided_product(qp, n, factors)
-        series = [_power_series(qp, n, n - 1, numerators) for numerators in factors]
-        expected = math.prod(series[1:], start=series[0])
-        assert _power_series(qp, n, n - 1, product) == expected
-        pairs = identities._coefficients(qp, n, n - 1, product)
+        product = identities._leibniz(qp, n, c, numerators, m, sign)
+        beta = sign * qp.value ** m
+        factorials = _factorials(q ** n, len(numerators) - 1)
+        factor = TruncatedSeries(beta ** k / factorial for k, factorial in enumerate(factorials))
+        expected = _power_series(qp, n, c, numerators, factorials) * factor
+        assert _power_series(qp, n, c, product, factorials) == expected
+        pairs = identities._coefficients(qp, n, qp.value.denominator ** c, product)
         assert tuple(Fraction(*pair) for pair in pairs) == expected.coeffs
 
     @pytest.mark.parametrize("q", GRID + (Fraction(1), Fraction(5, 7)))
@@ -231,15 +241,20 @@ class TestDividedProduct:
     @pytest.mark.parametrize("order", [0, 1, 32])
     def test_matches_series_product(self, q, n, order):
         rng = random.Random(f"{q} {n} {order}")
-        factors = [[rng.randint(-9, 9) for _ in range(order + 1)] for _ in range(3)]
-        self.assert_matches(q, n, factors)
+        for c in range(5):
+            for m in range(c + 1):
+                for sign in (1, -1):
+                    numerators = [rng.randint(-9, 9) for _ in range(order + 1)]
+                    self.assert_matches(q, n, c, m, sign, numerators)
 
     @settings(max_examples=20, deadline=None)
-    @given(qvalues, st.integers(1, 5), st.integers(0, 12), st.data())
-    def test_matches_series_product_drawn(self, q, n, order, data):
-        numerators = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=order + 1,
-                              max_size=order + 1)
-        self.assert_matches(q, n, data.draw(st.lists(numerators, min_size=2, max_size=3)))
+    @given(qvalues, st.integers(1, 5), st.integers(0, 12), st.integers(0, 4), st.data())
+    def test_matches_series_product_drawn(self, q, n, order, c, data):
+        m = data.draw(st.integers(0, c))
+        sign = data.draw(st.sampled_from((1, -1)))
+        numerators = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=order + 1,
+                                        max_size=order + 1))
+        self.assert_matches(q, n, c, m, sign, numerators)
 
 
 class TestProductChecksFail:
@@ -258,16 +273,16 @@ class TestProductChecksFail:
 
     @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(1), Fraction(5, 2)])
     def test_reciprocal(self, monkeypatch, q):
-        # X_3 of E_{1/q}(-z) off by one: its coefficient 3 gains 1 / (b^3 [3]_q!)
-        kernel = identities._divided_product
+        # X_3 of E_{1/q}(-z), the kernel's operand, off by one: its
+        # coefficient 3 gains 1 / (b^3 [3]_q!)
+        kernel = identities._leibniz
 
-        def perturbed(qp, n, factors):
-            ones, inverse = factors
-            return kernel(qp, n, (ones, [x + (k == 3) for k, x in enumerate(inverse)]))
+        def perturbed(qp, n, c, f, *beta):
+            return kernel(qp, n, c, [x + (k == 3) for k, x in enumerate(f)], *beta)
 
-        monkeypatch.setattr(identities, "_divided_product", perturbed)
+        monkeypatch.setattr(identities, "_leibniz", perturbed)
         order, qp = self.ORDER, as_qparam(q)
-        delta = Fraction(1, q.denominator ** 3) / QFactorialTable(q, 3).factorial(3)
+        delta = Fraction(1, q.denominator ** 3) / _factorials(q, 3)[3]
         second = (qexp_series(1 / q, order).series.scale_substitute(-1)
                   + TruncatedSeries([0, 0, 0, delta] + [0] * (order - 3)))
         lhs = qexp_series(q, order).series * second
@@ -277,15 +292,20 @@ class TestProductChecksFail:
 
     @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(1), Fraction(5, 2)])
     def test_reflection(self, monkeypatch, q):
-        # E_{q^2}'s coefficient j off by (j + 1)/7
+        # E_{q^2}(s t)'s coefficient j off by (j + 1)/7, t = z^2
+        scaled = identities._scaled_qexp
+
+        def perturbed(*args):
+            for j, (num, den) in enumerate(scaled(*args)):
+                yield 7 * num + (j + 1) * den, 7 * den
+
+        monkeypatch.setattr(identities, "_scaled_qexp", perturbed)
         order, qp = self.ORDER, as_qparam(q)
-        square = qexp_series(q ** 2, order).series
+        square = qexp_series(q ** 2, order).series.scale_substitute((1 - q) / (1 + q))
         bent = TruncatedSeries(c + Fraction(j + 1, 7) for j, c in enumerate(square.coeffs))
-        monkeypatch.setattr(identities, "qexp_series",
-                            lambda q_, order_: QExpSeries(as_qparam(q_), bent))
         base = qexp_series(q, order).series
         lhs = base * base.scale_substitute(-1)
-        rhs = bent.scale_substitute((1 - q) / (1 + q), 2)
+        rhs = bent.scale_substitute(1, 2)
         expected = _exact_report(REFLECTION_PRODUCT, qp, {"order": order},
                                  enumerate(lhs.compare(rhs)))
         assert self.failed(check_reflection_product(q, order)) == expected.residuals
@@ -293,10 +313,14 @@ class TestProductChecksFail:
     @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(1), Fraction(5, 2)])
     @pytest.mark.parametrize("n", [2, 3])
     def test_scaling(self, monkeypatch, q, n):
-        # [n]_q off by 1/7 on the left side
-        true_q_number = identities.q_number
-        monkeypatch.setattr(identities, "q_number",
-                            lambda k, q_: true_q_number(k, q_) + Fraction(1, 7))
+        # [n]_q off by 1/7 on the left side, the only one that reads it
+        true_pair = identities._q_number_pair
+
+        def perturbed(*args):
+            num, den = true_pair(*args)
+            return 7 * num + den, 7 * den
+
+        monkeypatch.setattr(identities, "_q_number_pair", perturbed)
         order, qp = self.ORDER, as_qparam(q)
         lhs = qexp_series(q, order).series.scale_substitute(q_number(n, q) + Fraction(1, 7))
         base = qexp_series(q ** n, order).series
@@ -515,6 +539,14 @@ class TestSuite:
     def test_all_pass(self):
         reports = run_suite(self.CONFIG)
         assert reports and all(r.passed for r in reports)
+
+    def test_product_checks_pass_at_order_64(self):
+        # the four Leibniz-product checks at order = k_max = 64, which the
+        # default suite runs only for qbinomial_sum
+        config = SuiteConfig(order=64, k_max=64, checks=(
+            QBINOMIAL_SUM, RECIPROCAL_PRODUCT, REFLECTION_PRODUCT, SCALING_PRODUCT))
+        reports = run_suite(config)
+        assert len(reports) == 6 * (3 + 4) and all(r.passed for r in reports)
 
     def test_deterministic_bytes(self):
         first = reports_to_json(run_suite(self.CONFIG))
