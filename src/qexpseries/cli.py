@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import ConvergenceError, DomainError
 from .identities import ALL_IDENTITIES, DEFAULT_NS, DEFAULT_QS, SuiteConfig, run_suite
 from .qexp import (DEFAULT_MAX_TERMS, DEFAULT_TOL, eval_log_qexp, eval_qexp, log_coeffs_closed,
-                   log_coeffs_recursive, qexp_series)
+                   qexp_series)
 from .scalars import QParam, check_int, check_tol, parse_rational
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?$")
@@ -140,7 +140,7 @@ def cmd_coeffs(args) -> int:
     order = args.order
     series = qexp_series(args.q, order).series
     closed = log_coeffs_closed(order, args.q).values
-    recursive = log_coeffs_recursive(order, args.q).values
+    recursive = series.log().coeffs     # log_coeffs_recursive, on the series built here
     columns = list(COEFF_COLUMNS)
     if args.decimals is not None:
         columns += ["qexp_coeff_dec", "log_closed_dec"]

@@ -10,19 +10,20 @@ coefficients.
 Every check compares its two sides as streams of unreduced integer pairs
 (numerator, denominator), by cross-multiplying in :func:`_residuals`: no
 gcd is taken, and only a failing k is reduced, to the same Fraction
-f_k - g_k that :class:`~qexpseries.series.TruncatedSeries` arithmetic gives.
+f_k - g_k that :meth:`~qexpseries.series.TruncatedSeries.compare` gives.
 The coefficient checks read c_k as the closed-form pairs
 ((b-a)^(k-1), k S_k) for q = a/b, [k]_q = S_k / b^(k-1). qbinomial_sum and
 the reciprocal, reflection and scaling products run in the divided-power
 basis z^k/[k]_Q!, Q = q or q^n, where one factor of every product is
-E_Q(beta z), beta = +-q^m. As D_Q E_Q(beta z) = beta E_Q(beta z), the
-q-Leibniz rule takes the product with no Gaussian binomial
-(:func:`_leibniz`). Every coefficient is an integer over a power of b known
-in advance, and each of the N^2/2 steps, F_j <- F_(j+1) +- a^(m+nj)
-b^(nk+c-m) F_j, multiplies a tall F_j, of about n (j+k)^2/2 log2 b bits,
-by a short factor of O(n (j+k)) bits. The closed-form sides E_Q(s z) are
-integer pairs from the q-number sweep (:func:`_scaled_qexp`). The product
-uses no c_k, so these identities stay independent of the coefficient ones.
+E_Q(q^m z), 0 <= m < n; reflection takes E_q(-z) E_q(z). As
+D_Q E_Q(beta z) = beta E_Q(beta z), the q-Leibniz rule takes the product
+with no Gaussian binomial (:func:`_leibniz`). Every coefficient is an
+integer over a power of b known in advance, and each of the N^2/2 steps,
+F_j <- F_(j+1) + a^(m+nj) b^(nk+n-1-m) F_j, multiplies a tall F_j, of
+about n (j+k)^2/2 log2 b bits, by a short factor of O(n (j+k)) bits. The
+closed-form sides E_Q(s z) are integer pairs from the q-number sweep
+(:func:`_scaled_qexp`). The product uses no c_k, so these identities stay
+independent of the coefficient ones.
 
 The checked identities, with E = E_q the q-exponential and c_k = c_k(q) the
 log coefficients (1-q)^(k-1)/(k [k]_q):
@@ -50,7 +51,7 @@ from itertools import accumulate, chain, count, cycle, islice, repeat
 
 from .errors import DomainError
 from .qexp import _log_coeff_pairs
-from .qnumbers import _numerator_sweep, q_number_numerators
+from .qnumbers import _q_number_pair, q_number_numerators
 from .scalars import QParam, as_qparam, check_int, rational_str, shown
 from .series import TruncatedSeries
 
@@ -120,7 +121,7 @@ def check_qbinomial_sum(q, k_max: int = 40) -> VerificationReport:
     a, b = qp.value.as_integer_ratio()
     weights = accumulate(islice(q_number_numerators(qp), k_max - 1),
                          lambda w, number: w * (b - a) * number, initial=1)
-    product = _leibniz(qp, 1, 0, [0, *weights])
+    product = _leibniz(qp, 1, [0, *weights])
     residuals = _residuals(count(2), zip(product[2:], _geometric(1, b, k_max)[2:]),
                            ((k, 1) for k in count(2)))
     return _exact_report(QBINOMIAL_SUM, qp, {"k_min": 2, "k_max": k_max}, residuals)
@@ -142,7 +143,7 @@ def check_reciprocal_product(q, order: int = 32) -> VerificationReport:
     params = {"order": order}
     note = "degenerates to exp(z) exp(-z) = 1" if qp.value == 1 else ""
     # [k]_{1/q}! = q^(-k(k-1)/2) [k]_q!, so E_{1/q}(-z) has x_k = (-1)^k q^(k(k-1)/2)
-    product = _leibniz(qp, 1, 0, _geometric(-1, qp.value.numerator, order))
+    product = _leibniz(qp, 1, _geometric(-1, qp.value.numerator, order))
     residuals = _residuals(count(), _coefficients(qp, 1, 1, product), [(1, 1)] + [(0, 1)] * order)
     return _exact_report(RECIPROCAL_PRODUCT, qp, params, residuals, note)
 
@@ -150,14 +151,14 @@ def check_reciprocal_product(q, order: int = 32) -> VerificationReport:
 def check_reflection_product(q, order: int = 32) -> VerificationReport:
     """E_q(z) E_q(-z) = E_{q^2}((1-q)/(1+q) z^2) coefficientwise, exactly.
 
-    The left side is E_q(z), x_k = 1 in the divided-power basis of q, times
-    E_q(-z). The right side's coefficient of z^(2j) is s^j / [j]_{q^2}!,
+    The left side is E_q(-z), x_k = (-1)^k in the divided-power basis of q,
+    times E_q(z). The right side's coefficient of z^(2j) is s^j / [j]_{q^2}!,
     s = (1-q)/(1+q) = (b-a)/(b+a) for q = a/b, and its odd ones are 0.
     """
     qp = as_qparam(q)
     check_int(order, "order", 2)
     a, b = qp.value.as_integer_ratio()
-    lhs = _coefficients(qp, 1, 1, _leibniz(qp, 1, 0, _geometric(1, b, order), sign=-1))
+    lhs = _coefficients(qp, 1, 1, _leibniz(qp, 1, _geometric(-1, b, order)))
     rhs = chain.from_iterable(zip(_scaled_qexp(qp, 2, (b - a, b + a), order // 2),
                                   repeat((0, 1))))
     return _exact_report(REFLECTION_PRODUCT, qp, {"order": order}, _residuals(count(), lhs, rhs))
@@ -174,35 +175,34 @@ def check_scaling_product(q, n: int, order: int = 32) -> VerificationReport:
     check_int(order, "order", 1)
     a, b = qp.value.as_integer_ratio()
     lhs = _scaled_qexp(qp, 1, _q_number_pair(n, a, b), order)
-    # x_k = 1 over b^(n k(k-1)/2 + (n-1) k): the offset c = n - 1 admits every m < n
+    # x_k = 1 over b^(n k(k-1)/2 + (n-1) k), the kernel's denominators
     product = _geometric(b ** (n - 1), b ** n, order)
     for m in range(1, n):
-        product = _leibniz(qp, n, n - 1, product, m)
+        product = _leibniz(qp, n, product, m)
     rhs = _coefficients(qp, n, b ** (n - 1), product)
     return _exact_report(SCALING_PRODUCT, qp, {"n": n, "order": order},
                          _residuals(count(), lhs, rhs))
 
 
-def _leibniz(qp: QParam, n: int, c: int, f: "list[int]", m: int = 0,
-             sign: int = 1) -> "list[int]":
-    """The product of sum_j x_j z^j / [j]_Q!, Q = q^n, with E_Q(beta z),
-    beta = sign q^m, in the same divided-power basis.
+def _leibniz(qp: QParam, n: int, f: "list[int]", m: int = 0) -> "list[int]":
+    """The product of sum_j x_j z^j / [j]_Q!, Q = q^n, with E_Q(q^m z),
+    0 <= m < n, in the same divided-power basis.
 
     For q = a/b, f holds the integers X_j, x_j = X_j / b^(e_j) with
-    e_j = n j(j-1)/2 + c j for a c >= m, and so does the result. As
-    D_Q E_Q(beta z) = beta E_Q(beta z), the q-Leibniz rule gives
+    e_j = n j(j-1)/2 + (n-1) j, and so does the result. As
+    D_Q E_Q(beta z) = beta E_Q(beta z), beta = q^m, the q-Leibniz rule gives
     D_Q(g E_Q(beta z)) = (L g) E_Q(beta z) with (L g)_j = g_(j+1) + beta Q^j g_j,
     so the product's x_k is (L^k f)_0. Level k of L^k f, held over
     b^(e_(j+k)), steps to level k+1 by the integer rule
 
-        F_j <- F_(j+1) + sign a^(m+nj) b^(nk+c-m) F_j,
+        F_j <- F_(j+1) + a^(m+nj) b^(nk+n-1-m) F_j,
 
     a big integer times a short one: no binomial is formed and no gcd is
     taken.
     """
     a, b = qp.value.as_integer_ratio()
-    lifts = [sign * a ** (m + n * j) for j in range(len(f) - 1)]
-    shift, step = b ** (c - m), b ** n     # b^(nk+c-m) at k = 0, and its step in k
+    lifts = [a ** (m + n * j) for j in range(len(f) - 1)]
+    shift, step = b ** (n - 1 - m), b ** n     # b^(nk+n-1-m) at k = 0, and its step in k
     product = [f[0]]
     for _ in lifts:
         f = [high + lift * shift * low for high, lift, low in zip(f[1:], lifts, f)]
@@ -216,16 +216,11 @@ def _geometric(ratio: int, base: int, order: int) -> "list[int]":
     return list(accumulate((ratio * base ** k for k in range(order)), operator.mul, initial=1))
 
 
-def _q_number_pair(n: int, a: int, b: int) -> "tuple[int, int]":
-    """[n]_q for q = a/b as the integer pair (S_n, b^(n-1)) from the q-number sweep."""
-    return next(islice(_numerator_sweep(a, b), n - 1, None)), b ** (n - 1)
-
-
 def _coefficients(qp: QParam, n: int, step: int, numerators):
     """The power-series coefficients of sum_k X_k / step^k z^k / [k]_Q!,
     Q = q^n, as unreduced integer pairs (X_k, step^k F_k): [k]_Q! =
     F_k / b^(n k(k-1)/2), F_k = S_1 .. S_k from the q-number sweep of Q.
-    A :func:`_leibniz` product with offset c has step b^c."""
+    A :func:`_leibniz` product has step b^(n-1)."""
     den = 1
     for num, number in zip(numerators, q_number_numerators(qp.power(n))):
         yield num, den

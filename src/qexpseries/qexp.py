@@ -40,7 +40,7 @@ from typing import Iterator, Literal
 
 from .errors import ConvergenceError, DomainError
 from .qnumbers import q_number_numerators, q_numbers, radius_of_convergence
-from .scalars import QParam, as_qparam, check_int, check_tol, ensure_finite, shown
+from .scalars import QParam, as_qparam, check_int, check_tol, shown
 from .series import TruncatedSeries
 
 DEFAULT_TOL = 1e-12
@@ -140,18 +140,19 @@ class Evaluation:
 
 
 def _arguments(q, z, tol, max_terms):
-    """The evaluators' one argument gate: checks q, tol, max_terms, the type
-    of z and the radius of convergence, in that order, and returns
+    """The evaluators' one argument gate: checks q, tol, max_terms, z's type
+    and finiteness, and the radius of convergence, in that order, and returns
     ``(qp, z, is_exact)``. Exact rationals keep exact partial sums."""
     qp = as_qparam(q)
     check_tol(tol)
     check_int(max_terms, "max_terms", 1, None)
     if isinstance(z, Rational) and not isinstance(z, bool):
         z, is_exact = Fraction(z), True
-    elif isinstance(z, float):
-        z, is_exact = ensure_finite(complex(z)).real, False
-    elif isinstance(z, complex):
-        z, is_exact = ensure_finite(z), False
+    elif isinstance(z, (float, complex)):
+        w = complex(z)
+        if not cmath.isfinite(w):
+            raise DomainError(f"non-finite numeric value: {w!r}")
+        z, is_exact = (w.real if isinstance(z, float) else w), False
     else:
         raise DomainError(f"unsupported argument type {type(z).__name__}")
     if qp.value < 1:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import accumulate, count, islice
+from itertools import accumulate, islice
 from typing import Iterator
 
 from .errors import DomainError
@@ -44,27 +44,10 @@ def _numerator_sweep(a: int, b: int) -> Iterator[int]:
         number = b * number + power
 
 
-def _pascal_numerators(q, width: int) -> Iterator["list[int]"]:
-    """The integer Pascal sweep: rows k = 0, 1, 2, ... of the integers
-    G_{k,i} with [k choose i]_q = G_{k,i} / b^(i(k-i)) for q = a/b in lowest
-    terms. The Pascal rule [k ch i]_q = q^i [k-1 ch i]_q + [k-1 ch i-1]_q,
-    times b^(i(k-i)), reads
-
-        G_{k,i} = a^i G_{k-1,i} + b^(k-i) G_{k-1,i-1},
-
-    so each step multiplies a big integer by a small one and no gcd is taken.
-    Row k is a new list of columns 0..min(k, width).
-    """
-    a, b = as_qparam(q).value.as_integer_ratio()
-    a_pow, b_pow = [1], [1]   # a^i, b^i
-    row = [1]
-    for k in count(1):
-        yield row
-        b_pow.append(b_pow[-1] * b)
-        if k <= width:
-            a_pow.append(a_pow[-1] * a)
-            row = row + [0]   # G_{k-1,k}
-        row = [1] + [a_pow[i] * row[i] + b_pow[k - i] * row[i - 1] for i in range(1, len(row))]
+def _q_number_pair(n: int, a: int, b: int) -> "tuple[int, int]":
+    """[n]_q for q = a/b, n >= 1, as the integer pair (S_n, b^(n-1)) from the
+    q-number sweep."""
+    return next(islice(_numerator_sweep(a, b), n - 1, None)), b ** (n - 1)
 
 
 def q_numbers(q) -> Iterator[Fraction]:
@@ -84,8 +67,7 @@ def q_number(k: int, q) -> Fraction:
     qp = as_qparam(q)
     if not k:
         return Fraction(0)
-    number = next(islice(q_number_numerators(qp), k - 1, None))
-    return Fraction(number, qp.value.denominator ** (k - 1))
+    return Fraction(*_q_number_pair(k, *qp.value.as_integer_ratio()))
 
 
 class QFactorialTable:
@@ -143,9 +125,11 @@ def q_binomial_pascal(k: int, j: int, q) -> Fraction:
         [k choose j]_q = q^j [k-1 choose j]_q + [k-1 choose j-1]_q.
 
     An independent route kept as a cross-check oracle; it must agree with
-    :func:`q_binomial` everywhere. It reads columns 0..j of the integer rows
-    of :func:`_pascal_numerators` up to row k and divides once, by
-    b^(j(k-j)); k is capped at :data:`PASCAL_MAX_K`.
+    :func:`q_binomial` everywhere. For q = a/b it runs columns 0..j of the
+    integer rows G_{r,i} = [r ch i]_q b^(i(r-i)) up to row k, by
+    G_{r,i} = a^i G_{r-1,i} + b^(r-i) G_{r-1,i-1}, a big integer times a
+    small one with no gcd, and divides once, by b^(j(k-j)); k is capped at
+    :data:`PASCAL_MAX_K`.
     """
     check_int(k, "k")
     if k > PASCAL_MAX_K:
@@ -153,9 +137,16 @@ def q_binomial_pascal(k: int, j: int, q) -> Fraction:
                           "use q_binomial for larger k")
     if check_int(j, "j", None, None) < 0 or j > k:
         return Fraction(0)
-    qp = as_qparam(q)
-    row = next(islice(_pascal_numerators(qp, j), k, None))
-    return Fraction(row[j], qp.value.denominator ** (j * (k - j)))
+    a, b = as_qparam(q).value.as_integer_ratio()
+    a_pow, b_pow = [1], [1]   # a^i, b^i
+    row = [1]                 # G_{0,0}
+    for r in range(1, k + 1):
+        b_pow.append(b_pow[-1] * b)
+        if r <= j:
+            a_pow.append(a_pow[-1] * a)
+            row = row + [0]   # G_{r-1,r}
+        row = [1] + [a_pow[i] * row[i] + b_pow[r - i] * row[i - 1] for i in range(1, len(row))]
+    return Fraction(row[j], b ** (j * (k - j)))
 
 
 def radius_of_convergence(q) -> "Fraction | float":

@@ -4,15 +4,13 @@ Exact computation runs on ``fractions.Fraction``, which stores every value as
 a normalized num/den pair with gcd(|num|, den) = 1 and den > 0 and never
 rounds. :class:`QParam` validates the deformation parameter q > 0.
 :func:`check_int` and :func:`check_tol` are the package's one integer and
-one tolerance check; :func:`ensure_finite` guards the binary64 arguments of
-the float evaluators. :func:`shown` prints a value in an error message.
+one tolerance check. :func:`shown` prints a value in an error message.
 
 Everything here is immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -117,11 +115,3 @@ def shown(value) -> str:
             return f"{'a negative' if num < 0 else 'an'} integer of {num.bit_length()} bits"
         return (f"a {'negative ' if num < 0 else ''}rational of {num.bit_length()} bits "
                 f"over {den.bit_length()} bits")
-
-
-def ensure_finite(value: complex) -> complex:
-    """``value`` as a complex number; NaN and Inf are rejected."""
-    z = complex(value)
-    if not cmath.isfinite(z):
-        raise DomainError(f"non-finite numeric value: {value!r}")
-    return z

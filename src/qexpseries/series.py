@@ -112,15 +112,6 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        """The constant series 1 at the given order."""
-        return cls((Fraction(1),) + (Fraction(0),) * check_int(order, "order"))
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls((Fraction(0),) * (check_int(order, "order") + 1))
-
     def _compatible(self, other: "TruncatedSeries") -> None:
         if not isinstance(other, TruncatedSeries):
             raise DomainError(f"expected a TruncatedSeries, got {type(other).__name__}")
@@ -139,14 +130,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order}, coeffs={self.coeffs!r})"
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._compatible(other)
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._compatible(other)
-        return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product modulo z^(N+1)."""

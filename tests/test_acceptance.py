@@ -20,6 +20,8 @@ from qexpseries import (DomainError, QFactorialTable, TruncatedSeries,
                         log_coeffs_recursive, q_binomial, q_binomial_pascal,
                         qexp_series)
 
+from oracles import add
+
 GRID = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
         Fraction(3, 2), Fraction(2), Fraction(5, 2))
 
@@ -139,4 +141,4 @@ def test_exp_homomorphism_property():
                                  + [random_fraction(rng) for _ in range(order)])
             h2 = TruncatedSeries([Fraction(0)]
                                  + [random_fraction(rng) for _ in range(order)])
-            assert (h1 + h2).exp() == h1.exp() * h2.exp()
+            assert add(h1, h2).exp() == h1.exp() * h2.exp()

@@ -157,6 +157,11 @@ class TestEval:
         assert code == 1
         assert "tail bound" in err
 
+    def test_rejects_zero_denominator(self, capsys):
+        code, err = exit_code(capsys, "eval", "--q", "1/2", "--z", "1/0")
+        assert code == 2
+        assert "not a number: '1/0'" in err
+
     def test_rejects_bad_tol(self, capsys):
         for tol in ("-1", "inf", "nan", "a"):
             with pytest.raises(SystemExit) as exc:

@@ -410,6 +410,14 @@ class TestEvalLogQExp:
                 eval_log_qexp(Fraction(1, 2), z)
             assert "2" in str(err.value)
 
+    def test_float_rounding_onto_the_radius(self):
+        # z is below the radius 4/3 exactly, so the radius guard passes it,
+        # but the binary64 product |z| (1 - q) rounds to 1.0
+        z = 1.3333333333333333
+        assert Fraction(z) < Fraction(4, 3) and z * (1 - Fraction(1, 4)) == 1.0
+        with pytest.raises(DomainError, match="too close to the radius of convergence"):
+            eval_log_qexp(Fraction(1, 4), z)
+
     def test_binary64_overflow(self):
         # ln E_1(z) = z, so a rational z past the binary64 range is a value
         # past it too: DomainError, as for E_q, not a raw OverflowError
