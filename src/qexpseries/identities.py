@@ -75,17 +75,21 @@ class VerificationReport:
     """Structured outcome of one identity check.
 
     ``residuals`` holds the worst offenders as (index, residual) pairs,
-    the largest first; only nonzero residuals are kept, so a pass has none.
-    ``mode`` is always :data:`EXACT`.
+    the largest first; only nonzero residuals are kept, so a check passes
+    when it has none. ``mode`` is always :data:`EXACT`.
     """
 
     identity: str
     q: QParam
     params: dict
-    mode: str
-    passed: bool
     residuals: tuple
     note: str = ""
+
+    mode = EXACT
+
+    @property
+    def passed(self) -> bool:
+        return not self.residuals
 
     def to_json(self) -> dict:
         out = {
@@ -104,8 +108,7 @@ class VerificationReport:
 def _exact_report(identity, qp, params, residuals, note="") -> VerificationReport:
     offenders = [(k, r) for k, r in residuals if r != 0]
     offenders.sort(key=lambda kr: (-abs(kr[1]), kr[0]))
-    return VerificationReport(identity, qp, params, EXACT,
-                              not offenders, tuple(offenders[:_WORST]), note)
+    return VerificationReport(identity, qp, params, tuple(offenders[:_WORST]), note)
 
 
 def check_qbinomial_sum(q, k_max: int = 40) -> VerificationReport:
@@ -119,9 +122,9 @@ def check_qbinomial_sum(q, k_max: int = 40) -> VerificationReport:
     qp = as_qparam(q)
     check_int(k_max, "k_max", 2)
     a, b = qp.value.as_integer_ratio()
-    weights = accumulate(islice(q_number_numerators(qp), k_max - 1),
+    weights = accumulate(islice(q_number_numerators(a, b), k_max - 1),
                          lambda w, number: w * (b - a) * number, initial=1)
-    product = _leibniz(qp, 1, [0, *weights])
+    product = _leibniz(a, b, 1, [0, *weights])
     residuals = _residuals(count(2), zip(product[2:], _geometric(1, b, k_max)[2:]),
                            ((k, 1) for k in count(2)))
     return _exact_report(QBINOMIAL_SUM, qp, {"k_min": 2, "k_max": k_max}, residuals)
@@ -142,9 +145,10 @@ def check_reciprocal_product(q, order: int = 32) -> VerificationReport:
     check_int(order, "order", 1)
     params = {"order": order}
     note = "degenerates to exp(z) exp(-z) = 1" if qp.value == 1 else ""
+    a, b = qp.value.as_integer_ratio()
     # [k]_{1/q}! = q^(-k(k-1)/2) [k]_q!, so E_{1/q}(-z) has x_k = (-1)^k q^(k(k-1)/2)
-    product = _leibniz(qp, 1, _geometric(-1, qp.value.numerator, order))
-    residuals = _residuals(count(), _coefficients(qp, 1, 1, product), [(1, 1)] + [(0, 1)] * order)
+    product = _leibniz(a, b, 1, _geometric(-1, a, order))
+    residuals = _residuals(count(), _coefficients(a, b, 1, product), [(1, 1)] + [(0, 1)] * order)
     return _exact_report(RECIPROCAL_PRODUCT, qp, params, residuals, note)
 
 
@@ -158,8 +162,8 @@ def check_reflection_product(q, order: int = 32) -> VerificationReport:
     qp = as_qparam(q)
     check_int(order, "order", 2)
     a, b = qp.value.as_integer_ratio()
-    lhs = _coefficients(qp, 1, 1, _leibniz(qp, 1, _geometric(-1, b, order)))
-    rhs = chain.from_iterable(zip(_scaled_qexp(qp, 2, (b - a, b + a), order // 2),
+    lhs = _coefficients(a, b, 1, _leibniz(a, b, 1, _geometric(-1, b, order)))
+    rhs = chain.from_iterable(zip(_scaled_qexp(a * a, b * b, (b - a, b + a), order // 2),
                                   repeat((0, 1))))
     return _exact_report(REFLECTION_PRODUCT, qp, {"order": order}, _residuals(count(), lhs, rhs))
 
@@ -174,17 +178,17 @@ def check_scaling_product(q, n: int, order: int = 32) -> VerificationReport:
     check_int(n, "n", 2)
     check_int(order, "order", 1)
     a, b = qp.value.as_integer_ratio()
-    lhs = _scaled_qexp(qp, 1, _q_number_pair(n, a, b), order)
+    lhs = _scaled_qexp(a, b, _q_number_pair(n, a, b), order)
     # x_k = 1 over b^(n k(k-1)/2 + (n-1) k), the kernel's denominators
     product = _geometric(b ** (n - 1), b ** n, order)
     for m in range(1, n):
-        product = _leibniz(qp, n, product, m)
-    rhs = _coefficients(qp, n, b ** (n - 1), product)
+        product = _leibniz(a, b, n, product, m)
+    rhs = _coefficients(a ** n, b ** n, b ** (n - 1), product)
     return _exact_report(SCALING_PRODUCT, qp, {"n": n, "order": order},
                          _residuals(count(), lhs, rhs))
 
 
-def _leibniz(qp: QParam, n: int, f: "list[int]", m: int = 0) -> "list[int]":
+def _leibniz(a: int, b: int, n: int, f: "list[int]", m: int = 0) -> "list[int]":
     """The product of sum_j x_j z^j / [j]_Q!, Q = q^n, with E_Q(q^m z),
     0 <= m < n, in the same divided-power basis.
 
@@ -200,7 +204,6 @@ def _leibniz(qp: QParam, n: int, f: "list[int]", m: int = 0) -> "list[int]":
     a big integer times a short one: no binomial is formed and no gcd is
     taken.
     """
-    a, b = qp.value.as_integer_ratio()
     lifts = [a ** (m + n * j) for j in range(len(f) - 1)]
     shift, step = b ** (n - 1 - m), b ** n     # b^(nk+n-1-m) at k = 0, and its step in k
     product = [f[0]]
@@ -216,22 +219,23 @@ def _geometric(ratio: int, base: int, order: int) -> "list[int]":
     return list(accumulate((ratio * base ** k for k in range(order)), operator.mul, initial=1))
 
 
-def _coefficients(qp: QParam, n: int, step: int, numerators):
+def _coefficients(a: int, b: int, step: int, numerators):
     """The power-series coefficients of sum_k X_k / step^k z^k / [k]_Q!,
-    Q = q^n, as unreduced integer pairs (X_k, step^k F_k): [k]_Q! =
-    F_k / b^(n k(k-1)/2), F_k = S_1 .. S_k from the q-number sweep of Q.
-    A :func:`_leibniz` product has step b^(n-1)."""
+    Q = a/b, as unreduced integer pairs (X_k, step^k F_k): [k]_Q! =
+    F_k / b^(k(k-1)/2), F_k = S_1 .. S_k from the q-number sweep of Q.
+    A :func:`_leibniz` product over q^n has Q = q^n and step b^(n-1) for
+    q's own b."""
     den = 1
-    for num, number in zip(numerators, q_number_numerators(qp.power(n))):
+    for num, number in zip(numerators, q_number_numerators(a, b)):
         yield num, den
         den *= step * number
 
 
-def _scaled_qexp(qp: QParam, n: int, scale: "tuple[int, int]", order: int):
-    """E_Q(s z), Q = q^n, s = num/den given as ``scale``, through z^order as
-    the integer pairs (num^k b^(n k(k-1)/2), den^k F_k) of :func:`_coefficients`."""
+def _scaled_qexp(a: int, b: int, scale: "tuple[int, int]", order: int):
+    """E_Q(s z), Q = a/b, s = num/den given as ``scale``, through z^order as
+    the integer pairs (num^k b^(k(k-1)/2), den^k F_k) of :func:`_coefficients`."""
     num, den = scale
-    return _coefficients(qp, n, den, _geometric(num, qp.value.denominator ** n, order))
+    return _coefficients(a, b, den, _geometric(num, b, order))
 
 
 def _residuals(index, lhs, rhs):
@@ -259,11 +263,12 @@ def check_root_of_unity_product(q, n: int, order: int = 32) -> VerificationRepor
     qp = as_qparam(q)
     check_int(n, "n", 2)
     check_int(order, "order", 1)
-    c_nj = (Fraction(n * num, den) for num, den in _stepped(qp, n, order // n))
-    lhs = TruncatedSeries([0, *c_nj]).exp()
     a, b = qp.value.as_integer_ratio()
+    c_nj = (Fraction(n * num, den) for num, den in _stepped(a, b, n, order // n))
+    lhs = TruncatedSeries([0, *c_nj]).exp()
     # s = (1-q)^(n-1) / [n]_q = (b-a)^(n-1) / S_n
-    rhs = _scaled_qexp(qp, n, ((b - a) ** (n - 1), _q_number_pair(n, a, b)[0]), order // n)
+    rhs = _scaled_qexp(a ** n, b ** n, ((b - a) ** (n - 1), _q_number_pair(n, a, b)[0]),
+                       order // n)
     residuals = _residuals(count(0, n), map(Fraction.as_integer_ratio, lhs.coeffs), rhs)
     return _exact_report(ROOT_OF_UNITY_PRODUCT, qp, {"n": n, "order": order}, residuals)
 
@@ -272,8 +277,9 @@ def check_coeff_sign_flip(q, k_max: int = 64) -> VerificationReport:
     """c_k(1/q) = (-1)^(k-1) c_k(q) for k = 1..k_max, exactly."""
     qp = as_qparam(q)
     check_int(k_max, "k_max", 1)
-    flipped = map(_times, cycle(((1, 1), (-1, 1))), _log_coeff_pairs(qp))
-    residuals = _residuals(range(1, k_max + 1), _log_coeff_pairs(qp.inverse()), flipped)
+    a, b = qp.value.as_integer_ratio()
+    flipped = map(_times, cycle(((1, 1), (-1, 1))), _log_coeff_pairs(a, b))
+    residuals = _residuals(range(1, k_max + 1), _log_coeff_pairs(b, a), flipped)
     return _exact_report(COEFF_SIGN_FLIP, qp, {"k_max": k_max}, residuals)
 
 
@@ -286,7 +292,7 @@ def check_coeff_double_order(q, k_max: int = 64) -> VerificationReport:
     qp = as_qparam(q)
     check_int(k_max, "k_max", 1)
     return _exact_report(COEFF_DOUBLE_ORDER, qp, {"k_max": k_max},
-                         _multiple_order_residuals(qp, 2, k_max))
+                         _multiple_order_residuals(*qp.value.as_integer_ratio(), 2, k_max))
 
 
 def check_coeff_power_scale(q, n: int, k_max: int = 64) -> VerificationReport:
@@ -297,8 +303,8 @@ def check_coeff_power_scale(q, n: int, k_max: int = 64) -> VerificationReport:
     a, b = qp.value.as_integer_ratio()
     s_n, b_n = _q_number_pair(n, a, b)
     n_qk = (_q_number_pair(n, a ** k, b ** k) for k in count(1))    # [n]_{q^k}
-    lhs = map(_times, n_qk, _log_coeff_pairs(qp.power(n)))
-    rhs = map(_times, ((s_n ** k, b_n ** k) for k in count(1)), _log_coeff_pairs(qp))
+    lhs = map(_times, n_qk, _log_coeff_pairs(a ** n, b ** n))
+    rhs = map(_times, ((s_n ** k, b_n ** k) for k in count(1)), _log_coeff_pairs(a, b))
     return _exact_report(COEFF_POWER_SCALE, qp, {"n": n, "k_max": k_max},
                          _residuals(range(1, k_max + 1), lhs, rhs))
 
@@ -309,22 +315,22 @@ def check_coeff_multiple_order(q, n: int, k_max: int = 64) -> VerificationReport
     check_int(n, "n", 2)
     check_int(k_max, "k_max", 1)
     return _exact_report(COEFF_MULTIPLE_ORDER, qp, {"n": n, "k_max": k_max},
-                         _multiple_order_residuals(qp, n, k_max))
+                         _multiple_order_residuals(*qp.value.as_integer_ratio(), n, k_max))
 
 
-def _multiple_order_residuals(qp: QParam, n: int, k_max: int):
+def _multiple_order_residuals(a: int, b: int, n: int, k_max: int):
     """The residuals of n c_{nk}(q) = ((1-q)^(n-1)/[n]_q)^k c_k(q^n), k = 1..k_max;
     for q = a/b the factor is (b-a)^(n-1) / S_n, as [n]_q = S_n / b^(n-1)."""
-    c_nk = ((n * num, den) for num, den in _stepped(qp, n, k_max))
-    a, b = qp.value.as_integer_ratio()
+    c_nk = ((n * num, den) for num, den in _stepped(a, b, n, k_max))
     s_n, _ = _q_number_pair(n, a, b)
     factors = (((b - a) ** (k * (n - 1)), s_n ** k) for k in count(1))
-    return _residuals(count(1), c_nk, map(_times, factors, _log_coeff_pairs(qp.power(n))))
+    return _residuals(count(1), c_nk, map(_times, factors, _log_coeff_pairs(a ** n, b ** n)))
 
 
-def _stepped(qp: QParam, n: int, k_max: int):
-    """c_n, c_2n, .., c_{n k_max} of q as pairs, from one stepped closed-form sweep."""
-    return islice(_log_coeff_pairs(qp), n - 1, check_int(n * k_max, "n * k_max"), n)
+def _stepped(a: int, b: int, n: int, k_max: int):
+    """c_n, c_2n, .., c_{n k_max} of q = a/b as pairs, from one stepped
+    closed-form sweep."""
+    return islice(_log_coeff_pairs(a, b), n - 1, check_int(n * k_max, "n * k_max"), n)
 
 
 def _times(x, y):

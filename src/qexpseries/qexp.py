@@ -59,7 +59,8 @@ def qexp_series(q, order: int) -> QExpSeries:
     """Build the q-exponential series through z^order, exactly."""
     check_int(order, "order")
     qp = as_qparam(q)
-    coeffs = accumulate(islice(q_numbers(qp), order), operator.truediv, initial=Fraction(1))
+    coeffs = accumulate(islice(q_numbers(*qp.value.as_integer_ratio()), order),
+                        operator.truediv, initial=Fraction(1))
     return QExpSeries(qp, TruncatedSeries(coeffs))
 
 
@@ -86,13 +87,12 @@ class LogCoeffVector:
         return TruncatedSeries(self.values)
 
 
-def _log_coeff_pairs(qp: QParam) -> Iterator["tuple[int, int]"]:
+def _log_coeff_pairs(a: int, b: int) -> Iterator["tuple[int, int]"]:
     """The closed-form sweep c_1, c_2, ... over the integer q-number sweep,
     as unreduced integer pairs: c_k = (1-q)^(k-1) / (k [k]_q) =
     (b-a)^(k-1) / (k S_k) for q = a/b, as [k]_q = S_k / b^(k-1)."""
-    a, b = qp.value.as_integer_ratio()
     shift = 1                 # (b-a)^(k-1)
-    for k, number in enumerate(q_number_numerators(qp), 1):
+    for k, number in enumerate(q_number_numerators(a, b), 1):
         yield shift, k * number
         shift *= b - a
 
@@ -101,7 +101,7 @@ def log_coeffs_closed(order: int, q) -> LogCoeffVector:
     """Closed-form log coefficients c_1..c_order in one O(order) sweep."""
     check_int(order, "order")
     qp = as_qparam(q)
-    coeffs = starmap(Fraction, islice(_log_coeff_pairs(qp), order))
+    coeffs = starmap(Fraction, islice(_log_coeff_pairs(*qp.value.as_integer_ratio()), order))
     return LogCoeffVector(qp, (Fraction(0), *coeffs))
 
 
@@ -142,7 +142,8 @@ class Evaluation:
 def _arguments(q, z, tol, max_terms):
     """The evaluators' one argument gate: checks q, tol, max_terms, z's type
     and finiteness, and the radius of convergence, in that order, and returns
-    ``(qp, z, is_exact)``. Exact rationals keep exact partial sums."""
+    ``(q, z, is_exact)``, q as a Fraction. Exact rationals keep exact partial
+    sums."""
     qp = as_qparam(q)
     check_tol(tol)
     check_int(max_terms, "max_terms", 1, None)
@@ -162,7 +163,7 @@ def _arguments(q, z, tol, max_terms):
                 f"|z| = {shown(abs(z))} is outside the radius of convergence "
                 f"(1-q)^(-1) = {shown(radius)} for q = {shown(qp.value)}"
             )
-    return qp, z, is_exact
+    return qp.value, z, is_exact
 
 
 def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL,
@@ -176,16 +177,16 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL
     range raises :class:`DomainError`, at once when z > 0 is itself beyond
     it, as E_q(z) > z there.
     """
-    qp, z, is_exact = _arguments(q, z, tol, max_terms)
+    q, z, is_exact = _arguments(q, z, tol, max_terms)
+    a, b = q.as_integer_ratio()
 
     try:
         if is_exact:
             if z > 0:
                 float(z)    # raises OverflowError past the binary64 range
-            return (_sum_fixed((1, 1), _qexp_steps(qp, z), 0, tol, max_terms)
-                    or _sum_exact((1, 1), _qexp_steps(qp, z), 0, tol, max_terms))
-        b = qp.value.denominator
-        numbers = q_number_numerators(qp)
+            return (_sum_fixed((1, 1), _qexp_steps(a, b, z), 0, tol, max_terms)
+                    or _sum_exact((1, 1), _qexp_steps(a, b, z), 0, tol, max_terms))
+        numbers = q_number_numerators(a, b)
         power = 1                 # b^(j-1) of the last [j]_q read
         term = total = 1.0
         scale = next(numbers) / power
@@ -204,18 +205,17 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL
         if not cmath.isfinite(total):    # the sum ran off to inf on the way
             raise OverflowError
     except OverflowError:
-        raise DomainError(f"E_q(z) exceeds the binary64 range at q = {shown(qp.value)}, "
+        raise DomainError(f"E_q(z) exceeds the binary64 range at q = {shown(q)}, "
                           f"z = {shown(z)}") from None
     raise _not_converged(tol, max_terms)
 
 
-def _qexp_steps(qp: QParam, z: Fraction) -> Iterator["tuple[int, int, int, int]"]:
+def _qexp_steps(a: int, b: int, z: Fraction) -> Iterator["tuple[int, int, int, int]"]:
     """E_q's kernel steps for z = u/w from t_0 = 1: t_{k+1} = t_k u b^k /
     (w S_{k+1}) for q = a/b, as [k]_q = S_k / b^(k-1), and lift / gap =
     1 / (1 - r) for r = |z| / [k+2]_q, with lift = w S_{k+2}."""
     mul, w = z.as_integer_ratio()     # u b^k, from u
-    b = qp.value.denominator
-    numbers = q_number_numerators(qp)
+    numbers = q_number_numerators(a, b)
     div = w * next(numbers)           # w S_{k+1}
     for number in numbers:
         lift = w * number
@@ -237,30 +237,31 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
     whose power z^k leaves the binary64 range before the bound reaches tol
     raises :class:`DomainError`; the same z as an exact rational does not.
     """
-    qp, z, is_exact = _arguments(q, z, tol, max_terms)
-    z_abs, v = abs(z), qp.value
+    q, z, is_exact = _arguments(q, z, tol, max_terms)
+    z_abs, (a, b) = abs(z), q.as_integer_ratio()
 
-    if v > 1:
-        r_cap = z_abs * (v - 1) / v
+    if q > 1:
+        r_cap = z_abs * (q - 1) / q
         if r_cap >= 1:
-            return _log_via_qexp(qp, z, tol, max_terms)
+            return _log_via_qexp(q, z, tol, max_terms)
     else:
-        r_cap = z_abs * (1 - v)
+        r_cap = z_abs * (1 - q)
         if r_cap >= 1:    # float rounding pushed |z|(1-q) onto 1 right at the radius
             raise DomainError(
                 f"|z| = {z_abs} is too close to the radius of convergence for a "
-                f"certified log series at q = {shown(qp.value)}; pass z as an exact rational"
+                f"certified log series at q = {shown(q)}; pass z as an exact rational"
             )
 
     if is_exact:
         try:
-            return (_sum_fixed(z.as_integer_ratio(), _log_steps(qp, z, r_cap), 1, tol, max_terms)
-                    or _sum_exact(z.as_integer_ratio(), _log_steps(qp, z, r_cap), 1, tol,
+            return (_sum_fixed(z.as_integer_ratio(), _log_steps(a, b, z, r_cap), 1, tol,
+                               max_terms)
+                    or _sum_exact(z.as_integer_ratio(), _log_steps(a, b, z, r_cap), 1, tol,
                                   max_terms))
         except OverflowError:
-            raise DomainError(f"ln E_q(z) exceeds the binary64 range at q = {shown(qp.value)}, "
+            raise DomainError(f"ln E_q(z) exceeds the binary64 range at q = {shown(q)}, "
                               f"z = {shown(z)}") from None
-    coeffs = starmap(operator.truediv, _log_coeff_pairs(qp))    # c_k, rounded once
+    coeffs = starmap(operator.truediv, _log_coeff_pairs(a, b))    # c_k, rounded once
     zpow = z                  # z^k
     c_k = next(coeffs)
     total = 0.0
@@ -271,26 +272,26 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
         bound = abs(c_k * zpow) / (1 - r_cap)
         if bound <= tol:
             # c_k z^k != 0 for every k unless z = 0, or q = 1 and k > 1
-            return Evaluation(total, k, bound or (_TINIEST if z and v != 1 else 0.0), "series")
+            return Evaluation(total, k, bound or (_TINIEST if z and q != 1 else 0.0), "series")
         # the sum stops being finite only once z^k has run off to inf, and from
         # then on every bound is inf or nan: the float test keeps isfinite off
         # the hot path
         if not bound < math.inf and not cmath.isfinite(total):
             raise DomainError(f"z^k left the binary64 range in ln E_q(z) at "
-                              f"q = {shown(qp.value)}, z = {shown(z)}; "
+                              f"q = {shown(q)}, z = {shown(z)}; "
                               "an exact rational z avoids this")
     raise _not_converged(tol, max_terms)
 
 
-def _log_steps(qp: QParam, z: Fraction, r_cap: Fraction) -> Iterator["tuple[int, int, int, int]"]:
+def _log_steps(a: int, b: int, z: Fraction,
+               r_cap: Fraction) -> Iterator["tuple[int, int, int, int]"]:
     """ln E_q's kernel steps for z = u/w from t_1 = z: t_{k+1} = t_k (b-a) k
     S_k u / ((k+1) S_{k+1} w), as c_k = (b-a)^(k-1) / (k S_k), with b - a
     taken as it is: c_{k+1} / c_k is 0/0 at q = 1. lift / gap is
     1 / (1 - r_cap), as r_cap caps every term ratio."""
-    a, b = qp.value.as_integer_ratio()
     u, w = z.as_integer_ratio()
     cap_num, cap_den = r_cap.as_integer_ratio()
-    for k, (number, next_number) in enumerate(pairwise(q_number_numerators(qp)), 1):
+    for k, (number, next_number) in enumerate(pairwise(q_number_numerators(a, b)), 1):
         yield (b - a) * u * k * number, (k + 1) * next_number * w, cap_den, cap_den - cap_num
 
 
@@ -337,8 +338,11 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol,
                 scale = 1 << p
                 try:
                     value = _settled((total - total_err) / scale, (total + total_err) / scale)
-                except OverflowError:    # the exact sum decides the range
-                    return None
+                except OverflowError:
+                    # when the end nearer zero overflows too, the whole ball and
+                    # so the sum are past the binary64 range, and this raises
+                    (abs(total) - total_err) / scale
+                    return None     # the ball straddles DBL_MAX: the exact sum decides
                 bound = _settled(_bound(low, gap << p, positive), _bound(high, gap << p, positive))
                 if value is None or bound is None:
                     return None
@@ -412,23 +416,23 @@ def _not_converged(tol, max_terms: int) -> ConvergenceError:
     return ConvergenceError(f"tail bound did not reach tol={shown(tol)} within {max_terms} terms")
 
 
-def _log_via_qexp(qp: QParam, z, tol: float, max_terms: int) -> Evaluation:
+def _log_via_qexp(q: Fraction, z, tol: float, max_terms: int) -> Evaluation:
     """log(E_q(z)) with the log-propagation error kept under tol.
 
     Two passes: an absolute-tolerance evaluation of E_q(z), then a tightened
     one when |E| is small. |delta log| <= tail / (|E| - tail) for tail < |E|.
     """
-    inner = eval_qexp(qp, z, tol, max_terms)
+    inner = eval_qexp(q, z, tol, max_terms)
     for _ in range(2):
         magnitude = abs(inner.value)
         if not isinstance(inner.value, complex) and inner.value <= 0:
             raise DomainError(
                 f"ln E_q(z) undefined: E_q({shown(z)}) = {inner.value} <= 0 "
-                f"at q = {shown(qp.value)}"
+                f"at q = {shown(q)}"
             )
         if magnitude <= inner.tail_bound:
             raise DomainError(
-                f"cannot certify E_q(z) != 0 at q = {shown(qp.value)}, z = {shown(z)}: "
+                f"cannot certify E_q(z) != 0 at q = {shown(q)}, z = {shown(z)}: "
                 f"|value| = {magnitude} within tail bound {inner.tail_bound}"
             )
         propagated = inner.tail_bound / (magnitude - inner.tail_bound)
@@ -436,8 +440,8 @@ def _log_via_qexp(qp: QParam, z, tol: float, max_terms: int) -> Evaluation:
             log_value = (cmath.log(inner.value) if isinstance(inner.value, complex)
                          else math.log(inner.value))
             return Evaluation(log_value, inner.order, propagated, "log_of_qexp")
-        inner = eval_qexp(qp, z, tol * magnitude / 2, max_terms)
+        inner = eval_qexp(q, z, tol * magnitude / 2, max_terms)
     raise ConvergenceError(
-        f"could not certify tol={shown(tol)} for ln E_q(z) at q = {shown(qp.value)}, "
+        f"could not certify tol={shown(tol)} for ln E_q(z) at q = {shown(q)}, "
         f"z = {shown(z)}"
     )

@@ -17,26 +17,22 @@ from .errors import DomainError
 from .scalars import as_qparam, check_int
 
 #: Largest k that :func:`q_binomial_pascal` accepts. Its integer row sweep
-#: costs about k^4: at q = 2/3 and 5/2, 0.05-0.08 s at (200, 100), 0.9-1.3 s at
-#: (400, 200) and 2.1-3.1 s at (490, 245) on Python 3.11 (x86_64). The cap
+#: costs about k^4: at q = 2/3 and 5/2, 0.04-0.08 s at (200, 100), 1.1-2.1 s at
+#: (400, 200) and 2.1-3.4 s at (490, 245) (best of 2-3, two rounds, on Python
+#: 3.11.7, x86_64, 2 shared vCPUs; single runs have read up to 4.3 s). The cap
 #: stays at the largest k this route has always accepted.
 PASCAL_MAX_K = 490
 
 
-def q_number_numerators(q) -> Iterator[int]:
+def q_number_numerators(a: int, b: int) -> Iterator[int]:
     """The integer sweep S_1, S_2, S_3, ... with [k]_q = S_k / b^(k-1) for
-    q = a/b in lowest terms: S_1 = 1 and S_{k+1} = b S_k + a^k.
+    q = a/b, a, b > 0 coprime: S_1 = 1 and S_{k+1} = b S_k + a^k.
 
     The one place q-numbers are summed; every q-number, q-factorial, E_q
     coefficient and log coefficient is built from it. Each S_k / b^(k-1)
     is already in lowest terms, as S_k is congruent to a^(k-1) modulo every
     prime factor of b.
     """
-    return _numerator_sweep(*as_qparam(q).value.as_integer_ratio())
-
-
-def _numerator_sweep(a: int, b: int) -> Iterator[int]:
-    """:func:`q_number_numerators` of q = a/b, for coprime integers a, b > 0."""
     number, power = 1, 1      # S_k and a^(k-1)
     while True:
         yield number
@@ -47,16 +43,14 @@ def _numerator_sweep(a: int, b: int) -> Iterator[int]:
 def _q_number_pair(n: int, a: int, b: int) -> "tuple[int, int]":
     """[n]_q for q = a/b, n >= 1, as the integer pair (S_n, b^(n-1)) from the
     q-number sweep."""
-    return next(islice(_numerator_sweep(a, b), n - 1, None)), b ** (n - 1)
+    return next(islice(q_number_numerators(a, b), n - 1, None)), b ** (n - 1)
 
 
-def q_numbers(q) -> Iterator[Fraction]:
-    """The sweep [1]_q, [2]_q, [3]_q, ... as Fractions S_k / b^(k-1), from
-    :func:`q_number_numerators`."""
-    qp = as_qparam(q)
-    b = qp.value.denominator
+def q_numbers(a: int, b: int) -> Iterator[Fraction]:
+    """The sweep [1]_q, [2]_q, [3]_q, ... for q = a/b as Fractions
+    S_k / b^(k-1), from :func:`q_number_numerators`."""
     scale = 1                 # b^(k-1)
-    for number in q_number_numerators(qp):
+    for number in q_number_numerators(a, b):
         yield Fraction(number, scale)
         scale *= b
 
@@ -64,10 +58,10 @@ def q_numbers(q) -> Iterator[Fraction]:
 def q_number(k: int, q) -> Fraction:
     """[k]_q = 1 + q + ... + q^(k-1); equals (1 - q^k)/(1 - q) for q != 1."""
     check_int(k, "k")
-    qp = as_qparam(q)
+    a, b = as_qparam(q).value.as_integer_ratio()
     if not k:
         return Fraction(0)
-    return Fraction(*_q_number_pair(k, *qp.value.as_integer_ratio()))
+    return Fraction(*_q_number_pair(k, a, b))
 
 
 class QFactorialTable:
@@ -82,8 +76,9 @@ class QFactorialTable:
     def __init__(self, q, max_order: int):
         check_int(max_order, "max_order")
         self.q = as_qparam(q)
-        self.values = tuple(accumulate(islice(q_numbers(self.q), max_order),
-                                       operator.mul, initial=Fraction(1)))
+        numbers = q_numbers(*self.q.value.as_integer_ratio())
+        self.values = tuple(accumulate(islice(numbers, max_order), operator.mul,
+                                       initial=Fraction(1)))
 
     @property
     def max_order(self) -> int:
@@ -114,7 +109,7 @@ def q_binomial(k: int, j: int, q) -> Fraction:
     if check_int(j, "j", None, None) < 0 or j > k:
         return Fraction(0)
     j = min(j, k - j)
-    numbers = list(islice(q_numbers(as_qparam(q)), k))
+    numbers = list(islice(q_numbers(*as_qparam(q).value.as_integer_ratio()), k))
     return (math.prod(numbers[k - j:], start=Fraction(1))
             / math.prod(numbers[:j], start=Fraction(1)))
 

@@ -2,7 +2,9 @@
 
 Exact computation runs on ``fractions.Fraction``, which stores every value as
 a normalized num/den pair with gcd(|num|, den) = 1 and den > 0 and never
-rounds. :class:`QParam` validates the deformation parameter q > 0.
+rounds. :class:`QParam` validates the deformation parameter q > 0; each
+public entry validates q once and hands its kernels the coprime integer pair
+(a, b) of q = a/b, so 1/q is (b, a) and q^n is (a^n, b^n).
 :func:`check_int` and :func:`check_tol` are the package's one integer and
 one tolerance check. :func:`shown` prints a value in an error message.
 
@@ -41,24 +43,14 @@ class QParam:
             raise DomainError(f"q must be positive, got {shown(value)}")
         object.__setattr__(self, "value", value)
 
-    def inverse(self) -> "QParam":
-        """The reciprocal parameter 1/q."""
-        return QParam(1 / self.value)
-
-    def power(self, n: int) -> "QParam":
-        """q**n as a new parameter; n may be negative."""
-        return QParam(self.value ** n)
-
     def __str__(self) -> str:
         return str(self.value)
 
 
-def as_qparam(q: "QParam | Rational | str") -> QParam:
-    """Coerce a rational-like value (or a "p/q" string) to a validated QParam."""
+def as_qparam(q: "QParam | Rational") -> QParam:
+    """Coerce a rational value to a validated QParam."""
     if isinstance(q, QParam):
         return q
-    if isinstance(q, str):
-        return QParam(parse_rational(q))
     return QParam(q)
 
 

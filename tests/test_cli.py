@@ -157,6 +157,12 @@ class TestEval:
         assert code == 1
         assert "tail bound" in err
 
+    def test_value_past_binary64_range_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--q", "999/1000", "--z", "590",
+                                 "--max-terms", "100000")
+        assert (code, out) == (1, "")
+        assert "exceeds the binary64 range" in err
+
     def test_rejects_zero_denominator(self, capsys):
         code, err = exit_code(capsys, "eval", "--q", "1/2", "--z", "1/0")
         assert code == 2
@@ -218,8 +224,7 @@ class TestVerify:
     def test_failure_exits_one(self, capsys, monkeypatch):
         failing = VerificationReport(
             identity="qbinomial_sum", q=as_qparam(Fraction(1, 2)),
-            params={"k_max": 4}, mode="exact", passed=False,
-            residuals=((3, Fraction(1, 7)),))
+            params={"k_max": 4}, residuals=((3, Fraction(1, 7)),))
         monkeypatch.setattr(cli, "run_suite", lambda config: (failing,))
         code, out, _ = run_cli(capsys, "verify", "--suite", "qbinomial_sum")
         assert code == 1

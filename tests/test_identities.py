@@ -1,5 +1,6 @@
 """Tests for the identity checks and the verification suite."""
 
+import hashlib
 import json
 import math
 import operator
@@ -169,7 +170,7 @@ class TestRootOfUnityProduct:
         # so a closed form off by a constant factor cannot pass
         pairs = identities._log_coeff_pairs
         monkeypatch.setattr(identities, "_log_coeff_pairs",
-                            lambda qp: ((2 * num, den) for num, den in pairs(qp)))
+                            lambda a, b: ((2 * num, den) for num, den in pairs(a, b)))
         report = check_root_of_unity_product(Fraction(1, 2), n, 12)
         assert not report.passed
         residuals = dict(report.residuals)
@@ -206,16 +207,40 @@ class TestRootOfUnityProduct:
         assert numeric.passed == exact.passed
 
 
+class TestPairSubstitution:
+    """The kernels take q = a/b as its coprime pair (a, b): 1/q is (b, a)
+    and q^n is (a^n, b^n), both still coprime, so their q-number sweeps are
+    those of 1/q and q^n themselves, in lowest terms."""
+
+    ORDER = 12
+
+    @classmethod
+    def sweep(cls, a, b):
+        """[1]_Q .. [ORDER]_Q, Q = a/b, as the sweep's pairs (S_k, b^(k-1))."""
+        numbers = islice(identities.q_number_numerators(a, b), cls.ORDER)
+        return [(s, b ** i) for i, s in enumerate(numbers)]
+
+    @classmethod
+    def reduced(cls, q):
+        return [q_number(k, q).as_integer_ratio() for k in range(1, cls.ORDER + 1)]
+
+    @pytest.mark.parametrize("q", DEFAULT_QS)
+    def test_inverse_and_powers(self, q):
+        a, b = q.as_integer_ratio()
+        assert self.sweep(b, a) == self.reduced(1 / q)
+        for n in range(1, 6):
+            assert self.sweep(a ** n, b ** n) == self.reduced(q ** n)
+
+
 def _factorials(q, order):
     """[k]_q! for k = 0..order, as running products of q_number."""
     return list(accumulate((q_number(j, q) for j in range(1, order + 1)), operator.mul,
                            initial=Fraction(1)))
 
 
-def _power_series(qp, n, numerators, factorials):
+def _power_series(b, n, numerators, factorials):
     """The series of a divided-power operand of identities._leibniz:
     coefficient k is x_k / [k]_Q!, Q = q^n, x_k = X_k / b^(n k(k-1)/2 + (n-1) k)."""
-    b = qp.value.denominator
     return TruncatedSeries(Fraction(x, b ** (n * k * (k - 1) // 2 + (n - 1) * k)) / factorials[k]
                            for k, x in enumerate(numerators))
 
@@ -228,14 +253,14 @@ class TestDividedProduct:
 
     @staticmethod
     def assert_matches(q, n, m, numerators):
-        qp = as_qparam(q)
-        product = identities._leibniz(qp, n, numerators, m)
-        beta = qp.value ** m
+        a, b = q.as_integer_ratio()
+        product = identities._leibniz(a, b, n, numerators, m)
+        beta = q ** m
         factorials = _factorials(q ** n, len(numerators) - 1)
         factor = TruncatedSeries(beta ** k / factorial for k, factorial in enumerate(factorials))
-        expected = _power_series(qp, n, numerators, factorials) * factor
-        assert _power_series(qp, n, product, factorials) == expected
-        pairs = identities._coefficients(qp, n, qp.value.denominator ** (n - 1), product)
+        expected = _power_series(b, n, numerators, factorials) * factor
+        assert _power_series(b, n, product, factorials) == expected
+        pairs = identities._coefficients(a ** n, b ** n, b ** (n - 1), product)
         assert tuple(Fraction(*pair) for pair in pairs) == expected.coeffs
 
     @pytest.mark.parametrize("q", GRID + (Fraction(1), Fraction(5, 7)))
@@ -277,8 +302,8 @@ class TestProductChecksFail:
         # coefficient 3 gains 1 / (b^3 [3]_q!)
         kernel = identities._leibniz
 
-        def perturbed(qp, n, f, *m):
-            return kernel(qp, n, [x + (k == 3) for k, x in enumerate(f)], *m)
+        def perturbed(a, b, n, f, *m):
+            return kernel(a, b, n, [x + (k == 3) for k, x in enumerate(f)], *m)
 
         monkeypatch.setattr(identities, "_leibniz", perturbed)
         order, qp = self.ORDER, as_qparam(q)
@@ -335,13 +360,14 @@ class TestProductChecksFail:
         # S_1 off by one, so [1]_q = 2 in every [j-1]_q!, j >= 2: rows 2..k_max fail
         sweep = identities.q_number_numerators
 
-        def perturbed(q_):
-            for k, number in enumerate(sweep(q_), 1):
+        def perturbed(a, b):
+            for k, number in enumerate(sweep(a, b), 1):
                 yield number + (k == 1)
 
         monkeypatch.setattr(identities, "q_number_numerators", perturbed)
         qp, b = as_qparam(q), q.denominator
-        numbers = [Fraction(s, b ** i) for i, s in enumerate(islice(perturbed(q), k_max))]
+        numbers = [Fraction(s, b ** i)
+                   for i, s in enumerate(islice(perturbed(*q.as_integer_ratio()), k_max))]
         residuals = []
         for k in range(2, k_max + 1):
             total = sum(q_binomial(k, j, q) * (1 - q) ** (j - 1)
@@ -398,8 +424,8 @@ class TestCoefficientChecksFail:
     def c2_off_by_one(self, monkeypatch):
         pairs = qexp_module._log_coeff_pairs
 
-        def perturbed(qp):
-            for k, (num, den) in enumerate(pairs(qp), 1):
+        def perturbed(a, b):
+            for k, (num, den) in enumerate(pairs(a, b), 1):
                 yield (num + den, den) if k == 2 else (num, den)
 
         # identities imports the sweep by name for its stepped reads
@@ -457,10 +483,10 @@ class TestCoefficientChecksFailParity:
     def perturbed(self, monkeypatch):
         pairs = qexp_module._log_coeff_pairs
 
-        def perturbed(qp):
+        def perturbed(a, b):
             # one draw per q, so both sides see the same c_k(q)
-            rng = random.Random(f"{self.SEED}:{qp.value}")
-            for num, den in pairs(qp):
+            rng = random.Random(f"{self.SEED}:{Fraction(a, b)}")
+            for num, den in pairs(a, b):
                 d, e = rng.choice((1, -1, 2, -3)), rng.randint(1, 5)
                 yield num * e + d * den, den * e
 
@@ -553,6 +579,16 @@ class TestSuite:
         second = reports_to_json(run_suite(self.CONFIG))
         assert first == second
         json.loads(first)   # valid JSON
+
+    @pytest.mark.parametrize("config, prefix", [
+        (SuiteConfig(), "e36f2cf7f9ed560b"),
+        (SuiteConfig(qs=(1, Fraction(1, 7), Fraction(7, 3)), ns=(2, 3, 6), order=20, k_max=30),
+         "b1916c182cb9bd4a"),
+    ])
+    def test_report_bytes_pinned(self, config, prefix):
+        # the sha256 of the suite's JSON: a refactor of any kernel keeps it
+        digest = hashlib.sha256(reports_to_json(run_suite(config)).encode()).hexdigest()
+        assert digest[:16] == prefix
 
     def test_sorted_by_identity_then_q(self):
         reports = run_suite(self.CONFIG)

@@ -53,7 +53,7 @@ def _reference_eval_qexp(q, z, tol, max_terms):
     z = Fraction(z)
     tol_cmp = Fraction(tol)
     term = total = Fraction(1)
-    numbers = q_numbers(q)
+    numbers = q_numbers(*as_qparam(q).value.as_integer_ratio())
     qn = next(numbers)
     k = 0
     while True:
@@ -82,7 +82,7 @@ def _reference_eval_log_qexp(q, z, tol, max_terms):
     r_cap = abs(z) * (v - 1) / v if v > 1 else abs(z) * (1 - v)
     assert r_cap < 1
     total = Fraction(0)
-    numbers = q_numbers(qp)
+    numbers = q_numbers(*qp.value.as_integer_ratio())
     qn = next(numbers)
     shift = Fraction(1)
     zpow = z
@@ -105,7 +105,7 @@ def _reference_float_eval_qexp(q, z, tol, max_terms):
     """E_q(z) for a float or complex z in binary64, each [k]_q a reduced
     Fraction converted by float(): the loop the integer sweep replaced."""
     qp = as_qparam(q)
-    numbers = q_numbers(qp)
+    numbers = q_numbers(*qp.value.as_integer_ratio())
     try:
         term = total = 1.0
         scale = float(next(numbers))
@@ -135,7 +135,7 @@ def _reference_float_eval_log_qexp(q, z, tol, max_terms):
     v = qp.value
     r_cap = abs(z) * (v - 1) / v if v > 1 else abs(z) * (1 - v)
     assert r_cap < 1
-    numbers = q_numbers(qp)
+    numbers = q_numbers(*qp.value.as_integer_ratio())
     shift = Fraction(1)       # (1-q)^(k-1)
     zpow = z
     c_k = float(shift / next(numbers))
@@ -367,6 +367,18 @@ class TestEvalQExp:
             with pytest.raises(DomainError, match="binary64 range"):
                 evaluate(2, Fraction(10 ** 400, 3), max_terms=1)
 
+    def test_overflow_decided_without_the_exact_sum(self, monkeypatch):
+        # a ball wholly past DBL_MAX overflows at its end nearer zero too,
+        # which decides the range: no exact sum of some 2800 terms runs
+        def unreachable(*args):
+            raise AssertionError("the exact fallback ran")
+        monkeypatch.setattr(qexp_module, "_sum_exact", unreachable)
+        with pytest.raises(DomainError, match="binary64 range"):
+            eval_qexp(Fraction(999, 1000), Fraction(590), 1e-12, 10 ** 5)
+        # below DBL_MAX the ball still settles the value
+        out = eval_qexp(Fraction(999, 1000), Fraction(540), 1e-12, 10 ** 5)
+        assert (out.order, out.value) == (2582, 2.6158504929813798e+277)
+
 
 class TestEvalLogQExp:
     def test_argument_zero(self):
@@ -445,8 +457,8 @@ class TestEvalLogQExp:
         pairs = qexp_module._log_coeff_pairs
         draws = []
 
-        def counted(qp):
-            for pair in pairs(qp):
+        def counted(a, b):
+            for pair in pairs(a, b):
                 draws.append(pair)
                 yield pair
 
@@ -502,7 +514,7 @@ class TestExactPathMatchesReference:
         if as_qparam(q).value > 1 and abs(z) >= q / (q - 1):
             with monkeypatch.context() as patch:
                 patch.setattr(qexp_module, "eval_qexp", _reference_eval_qexp)
-                return qexp_outcome, _outcome(qexp_module._log_via_qexp, as_qparam(q), z,
+                return qexp_outcome, _outcome(qexp_module._log_via_qexp, Fraction(q), z,
                                               tol, max_terms)
         return qexp_outcome, _outcome(_reference_eval_log_qexp, q, z, tol, max_terms)
 
