@@ -11,20 +11,24 @@ Three views of the same object:
 
 For 0 < q < 1 the series has radius of convergence (1-q)^(-1) and the
 evaluators reject arguments on or outside it; for q >= 1 it converges
-everywhere. With a rational argument both evaluators run one kernel:
-each term is the one before times a ratio of short integers from the
-integer q-number sweep, summed in fixed point as an integer scaled by 2^p
-with an integer radius that covers every floor taken (a ball, in the
-style of Arb). The stopping test, the value and the tail bound are taken
-only when both ends of their ball agree, the doubles by correctly rounded
-int / int division (Ziv's test), so they are the floats of the exact
-partial sums; an undecided ball hands the call to one exact integer sum.
-A float argument selects plain binary64 arithmetic over the same integer
-sweep: each [k]_q and c_k is the correctly rounded int / int quotient of
-its integers, and the sum's own rounding is outside the certificate. On
-both paths a positive tail bound below the binary64 range is reported as
-the least subnormal, never as 0.0. A value beyond the binary64 range, or
-a float z^k beyond it in the log series, raises DomainError.
+everywhere. Both evaluators pass one argument gate, which reads q as its
+coprime pair (a, b) and decides the radius by one integer
+cross-multiplication, |u| (b-a) >= w b for |z| = |u|/w, a float read
+exactly by ``as_integer_ratio``. With a rational argument both evaluators
+run one kernel: each term is the one before times a ratio of short
+integers from the integer q-number sweep, summed in fixed point as an
+integer scaled by 2^p with an integer radius that covers every floor taken
+(a ball, in the style of Arb). The stopping test, the value and the tail
+bound are taken only when both ends of their ball agree, the doubles by
+correctly rounded int / int division (Ziv's test), so they are the floats
+of the exact partial sums; an undecided ball hands the call to one exact
+integer sum. A float argument selects plain binary64 arithmetic over the
+same integer sweep: each [k]_q and c_k is the correctly rounded int / int
+quotient of its integers, and the sum's own rounding is outside the
+certificate. On both paths a positive tail bound below the binary64 range
+is reported as the least subnormal, never as 0.0. A value beyond the
+binary64 range, or a float z^k beyond it in the log series, raises
+DomainError.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from numbers import Rational
 from typing import Iterator, Literal
 
 from .errors import ConvergenceError, DomainError
-from .qnumbers import q_number_numerators, q_numbers, radius_of_convergence
+from .qnumbers import q_number_numerators, q_numbers
 from .scalars import QParam, as_qparam, check_int, check_tol, shown
 from .series import TruncatedSeries
 
@@ -139,15 +143,28 @@ class Evaluation:
     method: Literal["series", "log_of_qexp"] = "series"
 
 
+#: The argument types the gate reads as they are, with no ABC check.
+_EXACT = (Fraction, int)
+
+
 def _arguments(q, z, tol, max_terms):
     """The evaluators' one argument gate: checks q, tol, max_terms, z's type
     and finiteness, and the radius of convergence, in that order, and returns
-    ``(q, z, is_exact)``, q as a Fraction. Exact rationals keep exact partial
-    sums."""
-    qp = as_qparam(q)
-    check_tol(tol)
-    check_int(max_terms, "max_terms", 1, None)
-    if isinstance(z, Rational) and not isinstance(z, bool):
+    ``(q, a, b, z, is_exact)`` with q = a/b in lowest terms. A Fraction or
+    int q or z, a float tol and an int max_terms are read as they are; any
+    other type goes through the package's validators, which raise the same
+    errors. Exact rationals keep exact partial sums."""
+    a, b = q.as_integer_ratio() if type(q) in _EXACT else (0, 1)
+    if a <= 0:    # not a positive Fraction or int: the validator decides
+        q = as_qparam(q).value
+        a, b = q.as_integer_ratio()
+    if type(tol) is not float or not 0.0 < tol < math.inf:
+        check_tol(tol)
+    if type(max_terms) is not int or max_terms < 1:
+        check_int(max_terms, "max_terms", 1, None)
+    if type(z) in _EXACT:
+        is_exact = True
+    elif type(z) not in (float, complex) and isinstance(z, Rational) and not isinstance(z, bool):
         z, is_exact = Fraction(z), True
     elif isinstance(z, (float, complex)):
         w = complex(z)
@@ -156,14 +173,16 @@ def _arguments(q, z, tol, max_terms):
         z, is_exact = (w.real if isinstance(z, float) else w), False
     else:
         raise DomainError(f"unsupported argument type {type(z).__name__}")
-    if qp.value < 1:
-        radius = radius_of_convergence(qp)
-        if abs(z) >= radius:
+    if a < b:
+        # |z| >= 1/(1-q) = b/(b-a) as |u| (b-a) >= w b for |z| = |u|/w, the
+        # exact value of a float or of a complex z's rounded modulus
+        u, w = (abs(z) if type(z) is complex else z).as_integer_ratio()
+        if abs(u) * (b - a) >= w * b:
             raise DomainError(
                 f"|z| = {shown(abs(z))} is outside the radius of convergence "
-                f"(1-q)^(-1) = {shown(radius)} for q = {shown(qp.value)}"
+                f"(1-q)^(-1) = {shown(Fraction(b, b - a))} for q = {shown(q)}"
             )
-    return qp.value, z, is_exact
+    return q, a, b, z, is_exact
 
 
 def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL,
@@ -177,8 +196,7 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL
     range raises :class:`DomainError`, at once when z > 0 is itself beyond
     it, as E_q(z) > z there.
     """
-    q, z, is_exact = _arguments(q, z, tol, max_terms)
-    a, b = q.as_integer_ratio()
+    q, a, b, z, is_exact = _arguments(q, z, tol, max_terms)
 
     try:
         if is_exact:
@@ -237,30 +255,42 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
     whose power z^k leaves the binary64 range before the bound reaches tol
     raises :class:`DomainError`; the same z as an exact rational does not.
     """
-    q, z, is_exact = _arguments(q, z, tol, max_terms)
-    z_abs, (a, b) = abs(z), q.as_integer_ratio()
+    q, a, b, z, is_exact = _arguments(q, z, tol, max_terms)
 
-    if q > 1:
-        r_cap = z_abs * (q - 1) / q
+    if is_exact:
+        # the cap as an integer pair in lowest terms; inside the radius of
+        # q < 1 it is below 1
+        u, w = z.as_integer_ratio()
+        cap = (abs(u) * (a - b), w * a) if a > b else (abs(u) * (b - a), w * b)
+        common = math.gcd(*cap)
+        cap_num, cap_den = cap[0] // common, cap[1] // common
+        if cap_num >= cap_den:
+            return _log_via_qexp(q, z, tol, max_terms)
+        try:
+            return (_sum_fixed((u, w), _log_steps(a, b, u, w, cap_num, cap_den), 1, tol,
+                               max_terms)
+                    or _sum_exact((u, w), _log_steps(a, b, u, w, cap_num, cap_den), 1, tol,
+                                  max_terms))
+        except OverflowError:
+            raise DomainError(f"ln E_q(z) exceeds the binary64 range at q = {shown(q)}, "
+                              f"z = {shown(z)}") from None
+
+    # the doubles float * Fraction gives: |z| * float(q - 1) / float(q) and
+    # |z| * float(1 - q), each quotient of coprime integers correctly
+    # rounded; |z| * float((q - 1) / q) rounds differently at some z
+    z_abs = abs(z)
+    if a > b:
+        r_cap = z_abs * ((a - b) / b) / (a / b)
         if r_cap >= 1:
             return _log_via_qexp(q, z, tol, max_terms)
     else:
-        r_cap = z_abs * (1 - q)
+        r_cap = z_abs * ((b - a) / b)
         if r_cap >= 1:    # float rounding pushed |z|(1-q) onto 1 right at the radius
             raise DomainError(
                 f"|z| = {z_abs} is too close to the radius of convergence for a "
                 f"certified log series at q = {shown(q)}; pass z as an exact rational"
             )
 
-    if is_exact:
-        try:
-            return (_sum_fixed(z.as_integer_ratio(), _log_steps(a, b, z, r_cap), 1, tol,
-                               max_terms)
-                    or _sum_exact(z.as_integer_ratio(), _log_steps(a, b, z, r_cap), 1, tol,
-                                  max_terms))
-        except OverflowError:
-            raise DomainError(f"ln E_q(z) exceeds the binary64 range at q = {shown(q)}, "
-                              f"z = {shown(z)}") from None
     coeffs = starmap(operator.truediv, _log_coeff_pairs(a, b))    # c_k, rounded once
     zpow = z                  # z^k
     c_k = next(coeffs)
@@ -272,7 +302,7 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
         bound = abs(c_k * zpow) / (1 - r_cap)
         if bound <= tol:
             # c_k z^k != 0 for every k unless z = 0, or q = 1 and k > 1
-            return Evaluation(total, k, bound or (_TINIEST if z and q != 1 else 0.0), "series")
+            return Evaluation(total, k, bound or (_TINIEST if z and a != b else 0.0), "series")
         # the sum stops being finite only once z^k has run off to inf, and from
         # then on every bound is inf or nan: the float test keeps isfinite off
         # the hot path
@@ -283,16 +313,16 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
     raise _not_converged(tol, max_terms)
 
 
-def _log_steps(a: int, b: int, z: Fraction,
-               r_cap: Fraction) -> Iterator["tuple[int, int, int, int]"]:
+def _log_steps(a: int, b: int, u: int, w: int, cap_num: int,
+               cap_den: int) -> Iterator["tuple[int, int, int, int]"]:
     """ln E_q's kernel steps for z = u/w from t_1 = z: t_{k+1} = t_k (b-a) k
     S_k u / ((k+1) S_{k+1} w), as c_k = (b-a)^(k-1) / (k S_k), with b - a
     taken as it is: c_{k+1} / c_k is 0/0 at q = 1. lift / gap is
-    1 / (1 - r_cap), as r_cap caps every term ratio."""
-    u, w = z.as_integer_ratio()
-    cap_num, cap_den = r_cap.as_integer_ratio()
+    1 / (1 - r_cap) for r_cap = cap_num / cap_den, as r_cap caps every term
+    ratio."""
+    gap = cap_den - cap_num
     for k, (number, next_number) in enumerate(pairwise(q_number_numerators(a, b)), 1):
-        yield (b - a) * u * k * number, (k + 1) * next_number * w, cap_den, cap_den - cap_num
+        yield (b - a) * u * k * number, (k + 1) * next_number * w, cap_den, gap
 
 
 def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol,
@@ -310,7 +340,7 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol,
     agree (:func:`_settled`), so it is the exact sum's.
     """
     num, den = first
-    tol_num, tol_den = Fraction(tol).as_integer_ratio()
+    tol_num, tol_den = tol.as_integer_ratio()
     p = _precision(tol_num, tol_den)
     limit = tol_num << p
     # while bit lengths alone show bound > tol the ball test is skipped
@@ -360,7 +390,7 @@ def _sum_exact(first: "tuple[int, int]", steps, order: int, tol, max_terms: int)
     only grows by the short factor div of each step, so no step reduces a
     big fraction; bound <= tol is tested by cross-multiplication.
     """
-    tol_num, tol_den = Fraction(tol).as_integer_ratio()
+    tol_num, tol_den = tol.as_integer_ratio()
     term, den = first
     total = term
     for k, (mul, div, lift, gap) in zip(range(order, order + max_terms), steps):

@@ -1,12 +1,18 @@
-"""Series arithmetic that only the tests use.
+"""Series arithmetic and an argument gate that only the tests use.
 
 The package's :class:`~qexpseries.TruncatedSeries` keeps construction,
 equality, the product, log and exp. The constants and the coefficientwise
 sum and difference that the test oracles build on live here, apart from
-the code under test.
+the code under test, as does :func:`reference_arguments`, the evaluators'
+argument gate as it was before it read q, tol and z on plain integers.
 """
 
-from qexpseries import TruncatedSeries
+import cmath
+from fractions import Fraction
+from numbers import Rational
+
+from qexpseries import DomainError, TruncatedSeries, radius_of_convergence
+from qexpseries.scalars import as_qparam, check_int, check_tol, shown
 
 
 def one(order: int) -> TruncatedSeries:
@@ -29,3 +35,30 @@ def sub(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """f - g, coefficientwise, at their common order."""
     assert f.order == g.order, (f.order, g.order)
     return TruncatedSeries(x - y for x, y in zip(f.coeffs, g.coeffs))
+
+
+def reference_arguments(q, z, tol, max_terms):
+    """The evaluators' argument gate through the package's validators
+    alone: checks q, tol, max_terms, z's type and finiteness, and the
+    radius of convergence, in that order, and returns ``(q, z, is_exact)``,
+    q as a Fraction and an exact z as a Fraction."""
+    qp = as_qparam(q)
+    check_tol(tol)
+    check_int(max_terms, "max_terms", 1, None)
+    if isinstance(z, Rational) and not isinstance(z, bool):
+        z, is_exact = Fraction(z), True
+    elif isinstance(z, (float, complex)):
+        w = complex(z)
+        if not cmath.isfinite(w):
+            raise DomainError(f"non-finite numeric value: {w!r}")
+        z, is_exact = (w.real if isinstance(z, float) else w), False
+    else:
+        raise DomainError(f"unsupported argument type {type(z).__name__}")
+    if qp.value < 1:
+        radius = radius_of_convergence(qp)
+        if abs(z) >= radius:
+            raise DomainError(
+                f"|z| = {shown(abs(z))} is outside the radius of convergence "
+                f"(1-q)^(-1) = {shown(radius)} for q = {shown(qp.value)}"
+            )
+    return qp.value, z, is_exact

@@ -10,7 +10,10 @@ the product formulas at 40 digits.
 """
 
 import cmath
+import itertools
 import math
+import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -23,6 +26,7 @@ from qexpseries import (ConvergenceError, DomainError, Evaluation, QParam, as_qp
                         q_number, qexp_series)
 from qexpseries.qnumbers import q_numbers
 from qexpseries.scalars import shown
+from oracles import reference_arguments
 
 qvalues = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=8)
 
@@ -668,6 +672,19 @@ class TestFloatPathMatchesReference:
         assert expected[0][0] is DomainError
         assert self.got(q, z, 1e-12, 3000) == expected
 
+    @pytest.mark.parametrize("q, z", [(Fraction(3, 2), 2.729), (Fraction(5, 2), 0.184),
+                                      (Fraction(5, 2), 0.206)])
+    def test_log_cap_rounding(self, q, z):
+        # the cap |z|(q-1)/q rounds to another double than the once-rounded
+        # |z|(a-b)/a here: 0.9096666666666667 against 0.9096666666666666 at
+        # z = 2.729, 0.11040000000000001 against 0.1104 at z = 0.184. The tail
+        # bound shows which cap ran wherever 1 - cap differs too, as at
+        # 2.729 and 0.206; at 0.184 both give 1 - cap = 0.8896
+        a, b = q.as_integer_ratio()
+        assert z * (q - 1) / q != z * ((a - b) / a)
+        args = (q, z, 1e-12, 1000)
+        assert self.got(*args) == self.expected(*args)
+
 
     @pytest.mark.parametrize("evaluate, q, z, tol, bound", [
         (eval_log_qexp, Fraction(1, 2), 1e-200, 1e-12, math.ulp(0.0)),
@@ -686,6 +703,88 @@ class TestFloatPathMatchesReference:
         exact = evaluate(q, Fraction(z.real or z.imag), tol)
         assert (got.order, got.tail_bound) == (exact.order, exact.tail_bound)
         assert got.tail_bound == bound
+
+
+class _FractionSub(Fraction):
+    pass
+
+
+class _IntSub(int):
+    pass
+
+
+class _FloatSub(float):
+    pass
+
+
+class TestArgumentGate:
+    """qexp._arguments reads a Fraction or int q and z, a float tol and an
+    int max_terms on plain integers; it returns what the gate that runs
+    every argument through the package's validators returns, or raises
+    the same error with the same message, in the same order of checks."""
+
+    QS = (Fraction(1, 4), Fraction(2, 3), Fraction(1), Fraction(3, 2), 1, 2, True, 0.5,
+          Decimal("0.5"), _FractionSub(1, 2), 0, Fraction(-1, 2), -2,
+          QParam(Fraction(1, 3)), "1/2")
+    ZS = (Fraction(1, 3), Fraction(-7, 5), Fraction(4, 3), Fraction(-4, 3), 3, -1, 0, True,
+          Decimal("0.5"), _IntSub(1), _FloatSub(0.5), _FloatSub(math.inf), 0.0, -0.0,
+          math.inf, -math.inf, math.nan, 1.3333333333333333, 1.3333333333333335,
+          -1.3333333333333335, 0.25, complex(0.3, -0.4), complex(math.nan, 0.0),
+          complex(0.5, math.nan), complex(0.8, 0.6) * 1.3333333333333335,
+          complex(1.5e308, 1.5e308), 10**400, "1", None)
+    TOLS = (1e-12, Fraction(1, 10**6), 1, True, 0, 0.0, -1e-3, math.inf, math.nan,
+            Decimal("1e-6"))
+    MAX_TERMS = (1, 0, True, 1.0, 2**70, 1000)
+
+    @staticmethod
+    def outcome(gate, *args):
+        """A gate's result as (q, is_exact, z), a binary64 z by its type and
+        repr so that -0.0 shows, or the error it raised."""
+        try:
+            out = gate(*args)
+        except Exception as err:    # any class: abs(complex(1.5e308, 1.5e308)) overflows
+            return type(err), str(err)
+        if len(out) == 5:
+            q, a, b, z, is_exact = out
+            assert (a, b) == Fraction(q).as_integer_ratio()
+            out = q, z, is_exact
+        q, z, is_exact = out
+        return Fraction(q), is_exact, Fraction(z) if is_exact else (type(z), repr(z))
+
+    def check(self, *args):
+        assert self.outcome(qexp_module._arguments, *args) == \
+            self.outcome(reference_arguments, *args), args
+
+    def test_grid(self):
+        for args in itertools.product(self.QS, self.ZS, self.TOLS, self.MAX_TERMS):
+            self.check(*args)
+
+    def test_seeded_near_radius(self):
+        # floats and complex numbers within a few ulps of 1/(1-q), and
+        # rationals within 1/w of it, over random q < 1 and q >= 1
+        rng = random.Random(20231)
+        for _ in range(300):
+            q = Fraction(rng.randint(1, 60), rng.randint(1, 60))
+            radius = 1 / (1 - q) if q < 1 else Fraction(rng.randint(1, 50))
+            near = float(radius)
+            for _ in range(rng.randint(0, 3)):
+                near = math.nextafter(near, math.inf if rng.random() < 0.5 else 0.0)
+            w = rng.randint(1, 10**6)
+            zs = (near, -near, complex(0.6 * near, 0.8 * near),
+                  Fraction(round(radius * w) + rng.randint(-1, 1), w) * rng.choice((1, -1)))
+            for z in zs:
+                self.check(q, z, rng.choice((1e-12, 1e-8, Fraction(1, 7))),
+                           rng.choice((1, 1000)))
+            self.check(rng.choice((int(q), q)), zs[0], 1e-10, 10)
+
+    def test_ulps_at_the_radius(self):
+        # at q = 1/4 the radius is 4/3: 1.3333333333333333 is inside it,
+        # 1.3333333333333335 outside
+        q = Fraction(1, 4)
+        assert qexp_module._arguments(q, 1.3333333333333333, 1e-12, 10)[3] == \
+            1.3333333333333333
+        with pytest.raises(DomainError, match="outside the radius"):
+            qexp_module._arguments(q, 1.3333333333333335, 1e-12, 10)
 
 
 class TestMpmathOracle:
