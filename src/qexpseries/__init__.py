@@ -27,7 +27,7 @@ Fraction(1, 6)
 """
 
 from .errors import ConvergenceError, DomainError, OrderMismatchError
-from .scalars import QParam, as_qparam, parse_rational, rational_str
+from .scalars import check_q, parse_rational, rational_str
 from .qnumbers import (QFactorialTable, q_binomial, q_binomial_pascal, q_number,
                        radius_of_convergence)
 from .series import TruncatedSeries
@@ -57,15 +57,14 @@ __all__ = [
     "OrderMismatchError",
     "QExpSeries",
     "QFactorialTable",
-    "QParam",
     "SuiteConfig",
     "TruncatedSeries",
     "VerificationReport",
-    "as_qparam",
     "check_coeff_double_order",
     "check_coeff_multiple_order",
     "check_coeff_power_scale",
     "check_coeff_sign_flip",
+    "check_q",
     "check_qbinomial_sum",
     "check_reciprocal_product",
     "check_reflection_product",

@@ -20,7 +20,7 @@ from .errors import ConvergenceError, DomainError
 from .identities import ALL_IDENTITIES, DEFAULT_NS, DEFAULT_QS, SuiteConfig, run_suite
 from .qexp import (DEFAULT_MAX_TERMS, DEFAULT_TOL, eval_log_qexp, eval_qexp, log_coeffs_closed,
                    qexp_series)
-from .scalars import QParam, check_int, check_tol, parse_rational
+from .scalars import check_int, check_q, check_tol, parse_rational
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?$")
 
@@ -41,7 +41,7 @@ def _arg(convert):
     return parse
 
 
-_qparam_arg = _arg(lambda text: QParam(parse_rational(text)))
+_q_arg = _arg(lambda text: check_q(parse_rational(text)))
 _tol_arg = _arg(lambda text: check_tol(float(text)))
 
 
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     coeffs = sub.add_parser("coeffs", help="emit 1/[k]_q! and the log coefficients two ways")
-    coeffs.add_argument("--q", type=_qparam_arg, required=True, metavar="P/Q")
+    coeffs.add_argument("--q", type=_q_arg, required=True, metavar="P/Q")
     coeffs.add_argument("--order", type=_int_arg("order", 0), required=True)
     coeffs.add_argument("--format", choices=FORMATS, default="text")
     # the format spec of the decimal columns takes at most 2**31 - 1 digits
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     coeffs.set_defaults(func=cmd_coeffs)
 
     ev = sub.add_parser("eval", help="evaluate E_q(z) and ln E_q(z) with certified bounds")
-    ev.add_argument("--q", type=_qparam_arg, required=True, metavar="P/Q")
+    ev.add_argument("--q", type=_q_arg, required=True, metavar="P/Q")
     ev.add_argument("--z", type=_scalar_arg, required=True,
                     help='argument; "p/q" or integer stays exact, decimals go binary64')
     ev.add_argument("--tol", type=_tol_arg, default=DEFAULT_TOL)
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run identity checks and report pass/fail")
     verify.add_argument("--suite", choices=("all",) + ALL_IDENTITIES, default="all")
-    verify.add_argument("--q", type=_qparam_arg, action="append", metavar="P/Q",
+    verify.add_argument("--q", type=_q_arg, action="append", metavar="P/Q",
                         help="grid value; repeatable (default: built-in grid)")
     verify.add_argument("--n", type=_int_arg("n", 2), action="append",
                         help="factor count for the product identities; repeatable (default: 2..5)")

@@ -52,7 +52,7 @@ from itertools import accumulate, chain, count, cycle, islice, repeat
 from .errors import DomainError
 from .qexp import _log_coeff_pairs
 from .qnumbers import _q_number_pair, q_number_numerators
-from .scalars import QParam, as_qparam, check_int, rational_str, shown
+from .scalars import check_int, check_q, rational_str, shown
 from .series import TruncatedSeries
 
 EXACT = "exact"
@@ -80,7 +80,7 @@ class VerificationReport:
     """
 
     identity: str
-    q: QParam
+    q: Fraction
     params: dict
     residuals: tuple
     note: str = ""
@@ -94,7 +94,7 @@ class VerificationReport:
     def to_json(self) -> dict:
         out = {
             "identity": self.identity,
-            "q": rational_str(self.q.value),
+            "q": rational_str(self.q),
             "params": dict(self.params),
             "mode": self.mode,
             "passed": self.passed,
@@ -105,10 +105,10 @@ class VerificationReport:
         return out
 
 
-def _exact_report(identity, qp, params, residuals, note="") -> VerificationReport:
+def _exact_report(identity, q, params, residuals, note="") -> VerificationReport:
     offenders = [(k, r) for k, r in residuals if r != 0]
     offenders.sort(key=lambda kr: (-abs(kr[1]), kr[0]))
-    return VerificationReport(identity, qp, params, tuple(offenders[:_WORST]), note)
+    return VerificationReport(identity, q, params, tuple(offenders[:_WORST]), note)
 
 
 def check_qbinomial_sum(q, k_max: int = 40) -> VerificationReport:
@@ -119,15 +119,15 @@ def check_qbinomial_sum(q, k_max: int = 40) -> VerificationReport:
     q = a/b, w_j is (b-a)^(j-1) S_1 .. S_(j-1) over b^(j(j-1)/2), so each
     row is one integer over b^(k(k-1)/2).
     """
-    qp = as_qparam(q)
+    q = check_q(q)
     check_int(k_max, "k_max", 2)
-    a, b = qp.value.as_integer_ratio()
+    a, b = q.as_integer_ratio()
     weights = accumulate(islice(q_number_numerators(a, b), k_max - 1),
                          lambda w, number: w * (b - a) * number, initial=1)
     product = _leibniz(a, b, 1, [0, *weights])
     residuals = _residuals(count(2), zip(product[2:], _geometric(1, b, k_max)[2:]),
                            ((k, 1) for k in count(2)))
-    return _exact_report(QBINOMIAL_SUM, qp, {"k_min": 2, "k_max": k_max}, residuals)
+    return _exact_report(QBINOMIAL_SUM, q, {"k_min": 2, "k_max": k_max}, residuals)
 
 
 def check_reciprocal_product(q, order: int = 32) -> VerificationReport:
@@ -141,15 +141,15 @@ def check_reciprocal_product(q, order: int = 32) -> VerificationReport:
     The product is taken in the divided-power basis of q, where it must be
     1, 0, 0, and so on.
     """
-    qp = as_qparam(q)
+    q = check_q(q)
     check_int(order, "order", 1)
     params = {"order": order}
-    note = "degenerates to exp(z) exp(-z) = 1" if qp.value == 1 else ""
-    a, b = qp.value.as_integer_ratio()
+    note = "degenerates to exp(z) exp(-z) = 1" if q == 1 else ""
+    a, b = q.as_integer_ratio()
     # [k]_{1/q}! = q^(-k(k-1)/2) [k]_q!, so E_{1/q}(-z) has x_k = (-1)^k q^(k(k-1)/2)
     product = _leibniz(a, b, 1, _geometric(-1, a, order))
     residuals = _residuals(count(), _coefficients(a, b, 1, product), [(1, 1)] + [(0, 1)] * order)
-    return _exact_report(RECIPROCAL_PRODUCT, qp, params, residuals, note)
+    return _exact_report(RECIPROCAL_PRODUCT, q, params, residuals, note)
 
 
 def check_reflection_product(q, order: int = 32) -> VerificationReport:
@@ -159,13 +159,13 @@ def check_reflection_product(q, order: int = 32) -> VerificationReport:
     times E_q(z). The right side's coefficient of z^(2j) is s^j / [j]_{q^2}!,
     s = (1-q)/(1+q) = (b-a)/(b+a) for q = a/b, and its odd ones are 0.
     """
-    qp = as_qparam(q)
+    q = check_q(q)
     check_int(order, "order", 2)
-    a, b = qp.value.as_integer_ratio()
+    a, b = q.as_integer_ratio()
     lhs = _coefficients(a, b, 1, _leibniz(a, b, 1, _geometric(-1, b, order)))
     rhs = chain.from_iterable(zip(_scaled_qexp(a * a, b * b, (b - a, b + a), order // 2),
                                   repeat((0, 1))))
-    return _exact_report(REFLECTION_PRODUCT, qp, {"order": order}, _residuals(count(), lhs, rhs))
+    return _exact_report(REFLECTION_PRODUCT, q, {"order": order}, _residuals(count(), lhs, rhs))
 
 
 def check_scaling_product(q, n: int, order: int = 32) -> VerificationReport:
@@ -174,17 +174,17 @@ def check_scaling_product(q, n: int, order: int = 32) -> VerificationReport:
     The right side is E_{q^n}(z), x_k = 1 in the divided-power basis of
     q^n, times E_{q^n}(q^m z) for m = 1..n-1.
     """
-    qp = as_qparam(q)
+    q = check_q(q)
     check_int(n, "n", 2)
     check_int(order, "order", 1)
-    a, b = qp.value.as_integer_ratio()
+    a, b = q.as_integer_ratio()
     lhs = _scaled_qexp(a, b, _q_number_pair(n, a, b), order)
     # x_k = 1 over b^(n k(k-1)/2 + (n-1) k), the kernel's denominators
     product = _geometric(b ** (n - 1), b ** n, order)
     for m in range(1, n):
         product = _leibniz(a, b, n, product, m)
     rhs = _coefficients(a ** n, b ** n, b ** (n - 1), product)
-    return _exact_report(SCALING_PRODUCT, qp, {"n": n, "order": order},
+    return _exact_report(SCALING_PRODUCT, q, {"n": n, "order": order},
                          _residuals(count(), lhs, rhs))
 
 
@@ -260,27 +260,27 @@ def check_root_of_unity_product(q, n: int, order: int = 32) -> VerificationRepor
     sum_j (s t)^j / [j]_{q^n}! of the right side, s = (1-q)^(n-1)/[n]_q,
     which does not use the closed form; residuals are indexed by k = n j.
     """
-    qp = as_qparam(q)
+    q = check_q(q)
     check_int(n, "n", 2)
     check_int(order, "order", 1)
-    a, b = qp.value.as_integer_ratio()
+    a, b = q.as_integer_ratio()
     c_nj = (Fraction(n * num, den) for num, den in _stepped(a, b, n, order // n))
     lhs = TruncatedSeries([0, *c_nj]).exp()
     # s = (1-q)^(n-1) / [n]_q = (b-a)^(n-1) / S_n
     rhs = _scaled_qexp(a ** n, b ** n, ((b - a) ** (n - 1), _q_number_pair(n, a, b)[0]),
                        order // n)
     residuals = _residuals(count(0, n), map(Fraction.as_integer_ratio, lhs.coeffs), rhs)
-    return _exact_report(ROOT_OF_UNITY_PRODUCT, qp, {"n": n, "order": order}, residuals)
+    return _exact_report(ROOT_OF_UNITY_PRODUCT, q, {"n": n, "order": order}, residuals)
 
 
 def check_coeff_sign_flip(q, k_max: int = 64) -> VerificationReport:
     """c_k(1/q) = (-1)^(k-1) c_k(q) for k = 1..k_max, exactly."""
-    qp = as_qparam(q)
+    q = check_q(q)
     check_int(k_max, "k_max", 1)
-    a, b = qp.value.as_integer_ratio()
+    a, b = q.as_integer_ratio()
     flipped = map(_times, cycle(((1, 1), (-1, 1))), _log_coeff_pairs(a, b))
     residuals = _residuals(range(1, k_max + 1), _log_coeff_pairs(b, a), flipped)
-    return _exact_report(COEFF_SIGN_FLIP, qp, {"k_max": k_max}, residuals)
+    return _exact_report(COEFF_SIGN_FLIP, q, {"k_max": k_max}, residuals)
 
 
 def check_coeff_double_order(q, k_max: int = 64) -> VerificationReport:
@@ -289,33 +289,33 @@ def check_coeff_double_order(q, k_max: int = 64) -> VerificationReport:
     This is the multiple-order identity at n = 2, as [2]_q = 1 + q, and it
     runs that check's comparison.
     """
-    qp = as_qparam(q)
+    q = check_q(q)
     check_int(k_max, "k_max", 1)
-    return _exact_report(COEFF_DOUBLE_ORDER, qp, {"k_max": k_max},
-                         _multiple_order_residuals(*qp.value.as_integer_ratio(), 2, k_max))
+    return _exact_report(COEFF_DOUBLE_ORDER, q, {"k_max": k_max},
+                         _multiple_order_residuals(*q.as_integer_ratio(), 2, k_max))
 
 
 def check_coeff_power_scale(q, n: int, k_max: int = 64) -> VerificationReport:
     """[n]_{q^k} c_k(q^n) = ([n]_q)^k c_k(q) for k = 1..k_max, exactly."""
-    qp = as_qparam(q)
+    q = check_q(q)
     check_int(n, "n", 2)
     check_int(k_max, "k_max", 1)
-    a, b = qp.value.as_integer_ratio()
+    a, b = q.as_integer_ratio()
     s_n, b_n = _q_number_pair(n, a, b)
     n_qk = (_q_number_pair(n, a ** k, b ** k) for k in count(1))    # [n]_{q^k}
     lhs = map(_times, n_qk, _log_coeff_pairs(a ** n, b ** n))
     rhs = map(_times, ((s_n ** k, b_n ** k) for k in count(1)), _log_coeff_pairs(a, b))
-    return _exact_report(COEFF_POWER_SCALE, qp, {"n": n, "k_max": k_max},
+    return _exact_report(COEFF_POWER_SCALE, q, {"n": n, "k_max": k_max},
                          _residuals(range(1, k_max + 1), lhs, rhs))
 
 
 def check_coeff_multiple_order(q, n: int, k_max: int = 64) -> VerificationReport:
     """n c_{nk}(q) = ((1-q)^(n-1)/[n]_q)^k c_k(q^n) for k = 1..k_max, exactly."""
-    qp = as_qparam(q)
+    q = check_q(q)
     check_int(n, "n", 2)
     check_int(k_max, "k_max", 1)
-    return _exact_report(COEFF_MULTIPLE_ORDER, qp, {"n": n, "k_max": k_max},
-                         _multiple_order_residuals(*qp.value.as_integer_ratio(), n, k_max))
+    return _exact_report(COEFF_MULTIPLE_ORDER, q, {"n": n, "k_max": k_max},
+                         _multiple_order_residuals(*q.as_integer_ratio(), n, k_max))
 
 
 def _multiple_order_residuals(a: int, b: int, n: int, k_max: int):
@@ -386,20 +386,20 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> "tuple[VerificationReport,
     Deterministic: reports are ordered by identity name, then q, then n,
     and identical inputs produce byte-identical JSON. ``qs``, ``ns`` and
     ``checks`` must each be a sequence (or set), never a lone value or a
-    string, and each is deduplicated; each q must be a valid
-    :class:`QParam` value (floats are rejected) and each n an integer >= 2.
+    string, and each is deduplicated; each q must pass :func:`check_q`
+    (floats are rejected) and each n an integer >= 2.
     """
     checks, qs, ns = (_grid(config, name) for name in ("checks", "qs", "ns"))
     unknown = sorted(set(checks) - set(ALL_IDENTITIES))
     if unknown:
         raise DomainError(f"unknown identity check(s): {', '.join(unknown)}")
-    qps = sorted({as_qparam(q) for q in qs}, key=lambda qp: qp.value)
+    qs = sorted({check_q(q) for q in qs})
     ns = sorted({check_int(n, "n", 2) for n in ns})
     reports = []
     for identity in sorted(set(checks)):
-        for qp in qps:
+        for q in qs:
             for n in ns if identity in PER_N_IDENTITIES else (None,):
-                reports.append(_dispatch(identity, qp, config, n))
+                reports.append(_dispatch(identity, q, config, n))
     return tuple(reports)
 
 
@@ -412,9 +412,9 @@ def _grid(config: SuiteConfig, name: str):
     return values
 
 
-def _dispatch(identity, qp, config: SuiteConfig, n):
+def _dispatch(identity, q, config: SuiteConfig, n):
     args = (n if name == "n" else getattr(config, name) for name in _ARGUMENTS[identity])
-    return globals()[f"check_{identity}"](qp, *args)
+    return globals()[f"check_{identity}"](q, *args)
 
 
 def reports_to_json(reports) -> str:

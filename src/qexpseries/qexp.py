@@ -27,8 +27,8 @@ same integer sweep: each [k]_q and c_k is the correctly rounded int / int
 quotient of its integers, and the sum's own rounding is outside the
 certificate. On both paths a positive tail bound below the binary64 range
 is reported as the least subnormal, never as 0.0. A value beyond the
-binary64 range, or a float z^k beyond it in the log series, raises
-DomainError.
+binary64 range, a complex z whose modulus is beyond it, or a float z^k
+beyond it in the log series, raises DomainError.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, pairwise, starmap
-from numbers import Rational
 from typing import Iterator, Literal
 
 from .errors import ConvergenceError, DomainError
 from .qnumbers import q_number_numerators, q_numbers
-from .scalars import QParam, as_qparam, check_int, check_tol, shown
+from .scalars import as_exact, check_int, check_q, check_tol, shown
 from .series import TruncatedSeries
 
 DEFAULT_TOL = 1e-12
@@ -55,24 +54,24 @@ DEFAULT_MAX_TERMS = 1000
 class QExpSeries:
     """E_q as a truncated exact series; coefficient k is 1/[k]_q!."""
 
-    q: QParam
+    q: Fraction
     series: TruncatedSeries
 
 
 def qexp_series(q, order: int) -> QExpSeries:
     """Build the q-exponential series through z^order, exactly."""
     check_int(order, "order")
-    qp = as_qparam(q)
-    coeffs = accumulate(islice(q_numbers(*qp.value.as_integer_ratio()), order),
+    q = check_q(q)
+    coeffs = accumulate(islice(q_numbers(*q.as_integer_ratio()), order),
                         operator.truediv, initial=Fraction(1))
-    return QExpSeries(qp, TruncatedSeries(coeffs))
+    return QExpSeries(q, TruncatedSeries(coeffs))
 
 
 @dataclass(frozen=True)
 class LogCoeffVector:
     """Coefficients c_1..c_N of ln E_q(z) = sum_k c_k z^k (slot 0 holds 0)."""
 
-    q: QParam
+    q: Fraction
     values: "tuple[Fraction, ...]"
 
     @property
@@ -104,9 +103,9 @@ def _log_coeff_pairs(a: int, b: int) -> Iterator["tuple[int, int]"]:
 def log_coeffs_closed(order: int, q) -> LogCoeffVector:
     """Closed-form log coefficients c_1..c_order in one O(order) sweep."""
     check_int(order, "order")
-    qp = as_qparam(q)
-    coeffs = starmap(Fraction, islice(_log_coeff_pairs(*qp.value.as_integer_ratio()), order))
-    return LogCoeffVector(qp, (Fraction(0), *coeffs))
+    q = check_q(q)
+    coeffs = starmap(Fraction, islice(_log_coeff_pairs(*q.as_integer_ratio()), order))
+    return LogCoeffVector(q, (Fraction(0), *coeffs))
 
 
 def log_coeffs_recursive(order: int, q) -> LogCoeffVector:
@@ -143,46 +142,44 @@ class Evaluation:
     method: Literal["series", "log_of_qexp"] = "series"
 
 
-#: The argument types the gate reads as they are, with no ABC check.
-_EXACT = (Fraction, int)
-
-
 def _arguments(q, z, tol, max_terms):
     """The evaluators' one argument gate: checks q, tol, max_terms, z's type
     and finiteness, and the radius of convergence, in that order, and returns
-    ``(q, a, b, z, is_exact)`` with q = a/b in lowest terms. A Fraction or
-    int q or z, a float tol and an int max_terms are read as they are; any
-    other type goes through the package's validators, which raise the same
-    errors. Exact rationals keep exact partial sums."""
-    a, b = q.as_integer_ratio() if type(q) in _EXACT else (0, 1)
-    if a <= 0:    # not a positive Fraction or int: the validator decides
-        q = as_qparam(q).value
-        a, b = q.as_integer_ratio()
-    if type(tol) is not float or not 0.0 < tol < math.inf:
-        check_tol(tol)
-    if type(max_terms) is not int or max_terms < 1:
-        check_int(max_terms, "max_terms", 1, None)
-    if type(z) in _EXACT:
-        is_exact = True
-    elif type(z) not in (float, complex) and isinstance(z, Rational) and not isinstance(z, bool):
-        z, is_exact = Fraction(z), True
-    elif isinstance(z, (float, complex)):
+    ``(q, a, b, z, tol, is_exact)`` with q = a/b in lowest terms, tol as
+    :func:`check_tol` gives it, and an exact z, which keeps exact partial
+    sums, as a Fraction of Python ints."""
+    q = check_q(q)
+    a, b = q.as_integer_ratio()
+    tol = check_tol(tol)
+    check_int(max_terms, "max_terms", 1, None)
+    if isinstance(z, (float, complex)):
         w = complex(z)
         if not cmath.isfinite(w):
             raise DomainError(f"non-finite numeric value: {w!r}")
         z, is_exact = (w.real if isinstance(z, float) else w), False
-    else:
+    elif (exact := as_exact(z)) is None:
         raise DomainError(f"unsupported argument type {type(z).__name__}")
+    else:
+        z, is_exact = exact, True
     if a < b:
         # |z| >= 1/(1-q) = b/(b-a) as |u| (b-a) >= w b for |z| = |u|/w, the
         # exact value of a float or of a complex z's rounded modulus
-        u, w = (abs(z) if type(z) is complex else z).as_integer_ratio()
+        u, w = (_modulus(q, z) if type(z) is complex else z).as_integer_ratio()
         if abs(u) * (b - a) >= w * b:
             raise DomainError(
                 f"|z| = {shown(abs(z))} is outside the radius of convergence "
                 f"(1-q)^(-1) = {shown(Fraction(b, b - a))} for q = {shown(q)}"
             )
-    return q, a, b, z, is_exact
+    return q, a, b, z, tol, is_exact
+
+
+def _modulus(q: Fraction, z: "float | complex") -> float:
+    """|z| of a binary64 z, or DomainError if it is beyond the binary64 range."""
+    try:
+        return abs(z)
+    except OverflowError:
+        raise DomainError(f"|z| exceeds the binary64 range at q = {shown(q)}, "
+                          f"z = {shown(z)}") from None
 
 
 def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL,
@@ -196,7 +193,7 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL
     range raises :class:`DomainError`, at once when z > 0 is itself beyond
     it, as E_q(z) > z there.
     """
-    q, a, b, z, is_exact = _arguments(q, z, tol, max_terms)
+    q, a, b, z, tol, is_exact = _arguments(q, z, tol, max_terms)
 
     try:
         if is_exact:
@@ -255,7 +252,7 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
     whose power z^k leaves the binary64 range before the bound reaches tol
     raises :class:`DomainError`; the same z as an exact rational does not.
     """
-    q, a, b, z, is_exact = _arguments(q, z, tol, max_terms)
+    q, a, b, z, tol, is_exact = _arguments(q, z, tol, max_terms)
 
     if is_exact:
         # the cap as an integer pair in lowest terms; inside the radius of
@@ -278,7 +275,7 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
     # the doubles float * Fraction gives: |z| * float(q - 1) / float(q) and
     # |z| * float(1 - q), each quotient of coprime integers correctly
     # rounded; |z| * float((q - 1) / q) rounds differently at some z
-    z_abs = abs(z)
+    z_abs = _modulus(q, z)
     if a > b:
         r_cap = z_abs * ((a - b) / b) / (a / b)
         if r_cap >= 1:

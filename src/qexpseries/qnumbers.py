@@ -14,7 +14,7 @@ from itertools import accumulate, islice
 from typing import Iterator
 
 from .errors import DomainError
-from .scalars import as_qparam, check_int
+from .scalars import check_int, check_q
 
 #: Largest k that :func:`q_binomial_pascal` accepts. Its integer row sweep
 #: costs about k^4: at q = 2/3 and 5/2, 0.04-0.08 s at (200, 100), 1.1-2.1 s at
@@ -58,7 +58,7 @@ def q_numbers(a: int, b: int) -> Iterator[Fraction]:
 def q_number(k: int, q) -> Fraction:
     """[k]_q = 1 + q + ... + q^(k-1); equals (1 - q^k)/(1 - q) for q != 1."""
     check_int(k, "k")
-    a, b = as_qparam(q).value.as_integer_ratio()
+    a, b = check_q(q).as_integer_ratio()
     if not k:
         return Fraction(0)
     return Fraction(*_q_number_pair(k, a, b))
@@ -75,8 +75,8 @@ class QFactorialTable:
 
     def __init__(self, q, max_order: int):
         check_int(max_order, "max_order")
-        self.q = as_qparam(q)
-        numbers = q_numbers(*self.q.value.as_integer_ratio())
+        self.q = check_q(q)
+        numbers = q_numbers(*self.q.as_integer_ratio())
         self.values = tuple(accumulate(islice(numbers, max_order), operator.mul,
                                        initial=Fraction(1)))
 
@@ -109,7 +109,7 @@ def q_binomial(k: int, j: int, q) -> Fraction:
     if check_int(j, "j", None, None) < 0 or j > k:
         return Fraction(0)
     j = min(j, k - j)
-    numbers = list(islice(q_numbers(*as_qparam(q).value.as_integer_ratio()), k))
+    numbers = list(islice(q_numbers(*check_q(q).as_integer_ratio()), k))
     return (math.prod(numbers[k - j:], start=Fraction(1))
             / math.prod(numbers[:j], start=Fraction(1)))
 
@@ -132,7 +132,7 @@ def q_binomial_pascal(k: int, j: int, q) -> Fraction:
                           "use q_binomial for larger k")
     if check_int(j, "j", None, None) < 0 or j > k:
         return Fraction(0)
-    a, b = as_qparam(q).value.as_integer_ratio()
+    a, b = check_q(q).as_integer_ratio()
     a_pow, b_pow = [1], [1]   # a^i, b^i
     row = [1]                 # G_{0,0}
     for r in range(1, k + 1):
@@ -150,7 +150,5 @@ def radius_of_convergence(q) -> "Fraction | float":
     (1 - q)^(-1) for 0 < q < 1; infinite for q >= 1, where the series
     converges for every finite argument.
     """
-    qp = as_qparam(q)
-    if qp.value < 1:
-        return 1 / (1 - qp.value)
-    return math.inf
+    q = check_q(q)
+    return 1 / (1 - q) if q < 1 else math.inf

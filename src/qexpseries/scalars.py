@@ -2,11 +2,12 @@
 
 Exact computation runs on ``fractions.Fraction``, which stores every value as
 a normalized num/den pair with gcd(|num|, den) = 1 and den > 0 and never
-rounds. :class:`QParam` validates the deformation parameter q > 0; each
-public entry validates q once and hands its kernels the coprime integer pair
-(a, b) of q = a/b, so 1/q is (b, a) and q^n is (a^n, b^n).
-:func:`check_int` and :func:`check_tol` are the package's one integer and
-one tolerance check. :func:`shown` prints a value in an error message.
+rounds. :func:`as_exact` reads every exact rational argument. Each public
+entry validates q once with :func:`check_q` and hands its kernels the
+coprime integer pair (a, b) of q = a/b, so 1/q is (b, a) and q^n is
+(a^n, b^n). :func:`check_int` and :func:`check_tol` are the package's one
+integer and one tolerance check. :func:`shown` prints a value in an error
+message.
 
 Everything here is immutable and safe to share between threads.
 """
@@ -15,43 +16,39 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational, Real
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class QParam:
-    """Deformation parameter q, stored exactly as a positive rational.
+def as_exact(value) -> "Fraction | None":
+    """``value`` as a Fraction of two Python ints if it is an int, a Fraction
+    or any other ``numbers.Rational`` but a bool, else None: a fixed-width
+    integer part, which would wrap in the kernels, is read by ``int()``."""
+    if type(value) is Fraction:
+        num, den = value.as_integer_ratio()
+        if type(num) is type(den) is int:
+            return value
+    elif type(value) is int:
+        return Fraction(value)
+    elif isinstance(value, bool) or not isinstance(value, Rational):
+        return None
+    return Fraction(int(value.numerator), int(value.denominator))
 
-    q is never a float: exact-mode identity checks demand bit-exact
-    arithmetic in q, so floats are rejected outright.
-    """
 
-    value: Fraction
-
-    def __post_init__(self) -> None:
-        value = self.value
-        if isinstance(value, float):
+def check_q(q) -> Fraction:
+    """The deformation parameter q > 0 as :func:`as_exact` reads it. q is
+    never a float: exact-mode identity checks demand bit-exact arithmetic in
+    q, so floats are rejected outright."""
+    value = as_exact(q)
+    if value is None:
+        if isinstance(q, float):
             raise DomainError("q must be exact; pass a Fraction or int, not a float")
-        if isinstance(value, bool) or not isinstance(value, Rational):
-            raise DomainError(f"q must be rational, got {type(value).__name__}")
-        value = Fraction(value)
-        if value <= 0:
-            raise DomainError(f"q must be positive, got {shown(value)}")
-        object.__setattr__(self, "value", value)
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-def as_qparam(q: "QParam | Rational") -> QParam:
-    """Coerce a rational value to a validated QParam."""
-    if isinstance(q, QParam):
-        return q
-    return QParam(q)
+        raise DomainError(f"q must be rational, got {type(q).__name__}")
+    if value.numerator <= 0:
+        raise DomainError(f"q must be positive, got {shown(value)}")
+    return value
 
 
 def parse_rational(text: str) -> Fraction:
@@ -66,9 +63,10 @@ def parse_rational(text: str) -> Fraction:
 
 def rational_str(value: Rational) -> str:
     """Serialize exactly as "num/den", or "num" when den = 1."""
-    if isinstance(value, bool) or not isinstance(value, Rational):
+    number = as_exact(value)
+    if number is None:
         raise DomainError(f"expected an exact rational, got {type(value).__name__}")
-    return str(Fraction(value))
+    return str(number)
 
 
 def check_int(value: int, name: str, minimum: "int | None" = 0,
@@ -86,23 +84,29 @@ def check_int(value: int, name: str, minimum: "int | None" = 0,
     return value
 
 
-def check_tol(value: float) -> float:
-    """``value`` itself if it is a finite positive real (bools excluded)."""
+def check_tol(value: float) -> "float | Fraction":
+    """A finite positive real (bools excluded) as the evaluators read it: a
+    float as it is, any other value as its exact Fraction of Python ints."""
+    if type(value) is float and 0.0 < value < math.inf:
+        return value
     if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
         raise DomainError(f"tol must be a finite positive number, got {shown(value)}")
-    return value
+    if isinstance(value, float):
+        return value
+    return as_exact(value) or Fraction(*map(int, value.as_integer_ratio()))
 
 
 def shown(value) -> str:
     """``value`` as error-message text: repr of a non-rational, str of a
     rational, and the sign and bit length of a rational whose digits pass
     CPython's cap on int -> str conversion, as str would raise ValueError."""
-    if isinstance(value, bool) or not isinstance(value, Rational):
+    number = as_exact(value)
+    if number is None:
         return repr(value)
     try:
-        return str(value)
+        return str(number)
     except ValueError:
-        num, den = Fraction(value).as_integer_ratio()
+        num, den = number.as_integer_ratio()
         if den == 1:
             return f"{'a negative' if num < 0 else 'an'} integer of {num.bit_length()} bits"
         return (f"a {'negative ' if num < 0 else ''}rational of {num.bit_length()} bits "

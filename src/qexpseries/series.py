@@ -43,7 +43,7 @@ from numbers import Rational
 from typing import Iterable
 
 from .errors import DomainError, OrderMismatchError
-from .scalars import check_int
+from .scalars import as_exact, check_int
 
 
 def _horner(terms: "Iterable[tuple[int, Rational]]", up: dict, w: Rational) -> "tuple[int, int]":
@@ -88,10 +88,11 @@ def _coerce(coeffs: Iterable) -> "tuple[Fraction, ...]":
     values = tuple(coeffs)
     if not values:
         raise DomainError("a series needs at least its constant coefficient")
-    for c in values:
-        if isinstance(c, bool) or not isinstance(c, Rational):
+    exact = tuple(map(as_exact, values))
+    for c, number in zip(values, exact):
+        if number is None:
             raise DomainError(f"coefficients must be exact rationals, got {type(c).__name__}")
-    return tuple(Fraction(c) for c in values)
+    return exact
 
 
 class TruncatedSeries:
@@ -147,14 +148,14 @@ class TruncatedSeries:
         positions beyond the order are dropped. ``factor`` must be rational.
         """
         check_int(stretch, "stretch", 1, None)
-        if isinstance(factor, bool) or not isinstance(factor, Rational):
+        exact = as_exact(factor)
+        if exact is None:
             raise DomainError(f"factor must be an exact rational, got {type(factor).__name__}")
-        factor = Fraction(factor)
         out = [Fraction(0)] * (self.order + 1)
         power = Fraction(1)
         for k in range(self.order // stretch + 1):
             out[k * stretch] = self.coeffs[k] * power
-            power *= factor
+            power *= exact
         return TruncatedSeries(out)
 
     def log(self) -> "TruncatedSeries":

@@ -4,7 +4,7 @@ The package's :class:`~qexpseries.TruncatedSeries` keeps construction,
 equality, the product, log and exp. The constants and the coefficientwise
 sum and difference that the test oracles build on live here, apart from
 the code under test, as does :func:`reference_arguments`, the evaluators'
-argument gate as it was before it read q, tol and z on plain integers.
+argument gate through the package's validators and Fraction arithmetic.
 """
 
 import cmath
@@ -12,7 +12,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from qexpseries import DomainError, TruncatedSeries, radius_of_convergence
-from qexpseries.scalars import as_qparam, check_int, check_tol, shown
+from qexpseries.scalars import check_int, check_q, check_tol, shown
 
 
 def one(order: int) -> TruncatedSeries:
@@ -41,8 +41,10 @@ def reference_arguments(q, z, tol, max_terms):
     """The evaluators' argument gate through the package's validators
     alone: checks q, tol, max_terms, z's type and finiteness, and the
     radius of convergence, in that order, and returns ``(q, z, is_exact)``,
-    q as a Fraction and an exact z as a Fraction."""
-    qp = as_qparam(q)
+    q as a Fraction and an exact z as a Fraction. At q < 1, where the
+    radius test reads |z|, a complex z whose modulus is beyond the binary64
+    range raises DomainError."""
+    q = check_q(q)
     check_tol(tol)
     check_int(max_terms, "max_terms", 1, None)
     if isinstance(z, Rational) and not isinstance(z, bool):
@@ -54,11 +56,16 @@ def reference_arguments(q, z, tol, max_terms):
         z, is_exact = (w.real if isinstance(z, float) else w), False
     else:
         raise DomainError(f"unsupported argument type {type(z).__name__}")
-    if qp.value < 1:
-        radius = radius_of_convergence(qp)
-        if abs(z) >= radius:
+    if q < 1:
+        radius = radius_of_convergence(q)
+        try:
+            modulus = abs(z)
+        except OverflowError:
+            raise DomainError(f"|z| exceeds the binary64 range at q = {shown(q)}, "
+                              f"z = {shown(z)}") from None
+        if modulus >= radius:
             raise DomainError(
-                f"|z| = {shown(abs(z))} is outside the radius of convergence "
-                f"(1-q)^(-1) = {shown(radius)} for q = {shown(qp.value)}"
+                f"|z| = {shown(modulus)} is outside the radius of convergence "
+                f"(1-q)^(-1) = {shown(radius)} for q = {shown(q)}"
             )
-    return qp.value, z, is_exact
+    return q, z, is_exact

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from qexpseries import (DEFAULT_MAX_TERMS, DEFAULT_TOL, SuiteConfig, VerificationReport,
-                        as_qparam, eval_log_qexp, eval_qexp)
+                        eval_log_qexp, eval_qexp)
 import qexpseries.cli as cli
 
 
@@ -223,7 +223,7 @@ class TestVerify:
 
     def test_failure_exits_one(self, capsys, monkeypatch):
         failing = VerificationReport(
-            identity="qbinomial_sum", q=as_qparam(Fraction(1, 2)),
+            identity="qbinomial_sum", q=Fraction(1, 2),
             params={"k_max": 4}, residuals=((3, Fraction(1, 7)),))
         monkeypatch.setattr(cli, "run_suite", lambda config: (failing,))
         code, out, _ = run_cli(capsys, "verify", "--suite", "qbinomial_sum")

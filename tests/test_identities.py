@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qexpseries import (DomainError, QFactorialTable,
-                        SuiteConfig, TruncatedSeries, as_qparam, check_coeff_double_order,
+                        SuiteConfig, TruncatedSeries, check_q, check_coeff_double_order,
                         check_coeff_multiple_order, check_coeff_power_scale,
                         check_coeff_sign_flip, check_qbinomial_sum,
                         check_reciprocal_product, check_reflection_product,
@@ -48,7 +48,7 @@ def _reference_qbinomial_sum(q, k_max):
     reduced Fraction per step, apart from the Leibniz product that the check
     takes."""
     table = QFactorialTable(q, k_max)
-    one_minus = 1 - as_qparam(q).value
+    one_minus = 1 - check_q(q)
     residuals = []
     for k in range(2, k_max + 1):
         acc = Fraction(0)
@@ -76,11 +76,10 @@ class TestQBinomialSum:
 
     def test_matches_factorial_quotient_loop(self):
         for q in DEFAULT_QS:
-            qp = as_qparam(q)
             for k_max in range(2, 41):
-                residuals = _reference_qbinomial_sum(qp, k_max)
+                residuals = _reference_qbinomial_sum(q, k_max)
                 assert residuals == [(k, 0) for k in range(2, k_max + 1)]
-                expected = _exact_report("qbinomial_sum", qp, {"k_min": 2, "k_max": k_max},
+                expected = _exact_report("qbinomial_sum", q, {"k_min": 2, "k_max": k_max},
                                          residuals)
                 assert check_qbinomial_sum(q, k_max) == expected
 
@@ -306,12 +305,12 @@ class TestProductChecksFail:
             return kernel(a, b, n, [x + (k == 3) for k, x in enumerate(f)], *m)
 
         monkeypatch.setattr(identities, "_leibniz", perturbed)
-        order, qp = self.ORDER, as_qparam(q)
+        order = self.ORDER
         delta = Fraction(1, q.denominator ** 3) / _factorials(q, 3)[3]
         second = add(qexp_series(1 / q, order).series.scale_substitute(-1),
                      TruncatedSeries([0, 0, 0, delta] + [0] * (order - 3)))
         lhs = qexp_series(q, order).series * second
-        expected = _exact_report(RECIPROCAL_PRODUCT, qp, {"order": order},
+        expected = _exact_report(RECIPROCAL_PRODUCT, q, {"order": order},
                                  enumerate(lhs.compare(one(order))))
         assert self.failed(check_reciprocal_product(q, order)) == expected.residuals
 
@@ -325,13 +324,13 @@ class TestProductChecksFail:
                 yield 7 * num + (j + 1) * den, 7 * den
 
         monkeypatch.setattr(identities, "_scaled_qexp", perturbed)
-        order, qp = self.ORDER, as_qparam(q)
+        order = self.ORDER
         square = qexp_series(q ** 2, order).series.scale_substitute((1 - q) / (1 + q))
         bent = TruncatedSeries(c + Fraction(j + 1, 7) for j, c in enumerate(square.coeffs))
         base = qexp_series(q, order).series
         lhs = base * base.scale_substitute(-1)
         rhs = bent.scale_substitute(1, 2)
-        expected = _exact_report(REFLECTION_PRODUCT, qp, {"order": order},
+        expected = _exact_report(REFLECTION_PRODUCT, q, {"order": order},
                                  enumerate(lhs.compare(rhs)))
         assert self.failed(check_reflection_product(q, order)) == expected.residuals
 
@@ -346,11 +345,11 @@ class TestProductChecksFail:
             return 7 * num + den, 7 * den
 
         monkeypatch.setattr(identities, "_q_number_pair", perturbed)
-        order, qp = self.ORDER, as_qparam(q)
+        order = self.ORDER
         lhs = qexp_series(q, order).series.scale_substitute(q_number(n, q) + Fraction(1, 7))
         base = qexp_series(q ** n, order).series
         rhs = math.prod((base.scale_substitute(q ** m) for m in range(1, n)), start=base)
-        expected = _exact_report(SCALING_PRODUCT, qp, {"n": n, "order": order},
+        expected = _exact_report(SCALING_PRODUCT, q, {"n": n, "order": order},
                                  enumerate(lhs.compare(rhs)))
         assert self.failed(check_scaling_product(q, n, order)) == expected.residuals
 
@@ -365,7 +364,7 @@ class TestProductChecksFail:
                 yield number + (k == 1)
 
         monkeypatch.setattr(identities, "q_number_numerators", perturbed)
-        qp, b = as_qparam(q), q.denominator
+        b = q.denominator
         numbers = [Fraction(s, b ** i)
                    for i, s in enumerate(islice(perturbed(*q.as_integer_ratio()), k_max))]
         residuals = []
@@ -373,7 +372,7 @@ class TestProductChecksFail:
             total = sum(q_binomial(k, j, q) * (1 - q) ** (j - 1)
                         * math.prod(numbers[:j - 1], start=Fraction(1)) for j in range(1, k + 1))
             residuals.append((k, total - k))
-        expected = _exact_report(QBINOMIAL_SUM, qp, {"k_min": 2, "k_max": k_max}, residuals)
+        expected = _exact_report(QBINOMIAL_SUM, q, {"k_min": 2, "k_max": k_max}, residuals)
         assert self.failed(check_qbinomial_sum(q, k_max)) == expected.residuals
 
 
@@ -592,7 +591,7 @@ class TestSuite:
 
     def test_sorted_by_identity_then_q(self):
         reports = run_suite(self.CONFIG)
-        keys = [(r.identity, r.q.value, r.params.get("n", 0)) for r in reports]
+        keys = [(r.identity, r.q, r.params.get("n", 0)) for r in reports]
         assert keys == sorted(keys)
 
     def test_unknown_check_rejected(self):

@@ -13,6 +13,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qexpseries.qexp as qexp_module
-from qexpseries import (ConvergenceError, DomainError, Evaluation, QParam, as_qparam,
+from qexpseries import (ConvergenceError, DomainError, Evaluation, check_q,
                         eval_log_qexp, eval_qexp, log_coeffs_closed, log_coeffs_recursive,
                         q_number, qexp_series)
 from qexpseries.qnumbers import q_numbers
@@ -57,7 +58,7 @@ def _reference_eval_qexp(q, z, tol, max_terms):
     z = Fraction(z)
     tol_cmp = Fraction(tol)
     term = total = Fraction(1)
-    numbers = q_numbers(*as_qparam(q).value.as_integer_ratio())
+    numbers = q_numbers(*check_q(q).as_integer_ratio())
     qn = next(numbers)
     k = 0
     while True:
@@ -80,13 +81,12 @@ def _reference_eval_qexp(q, z, tol, max_terms):
 def _reference_eval_log_qexp(q, z, tol, max_terms):
     """ln E_q(z) for rational z inside the log series' disk by Fraction
     partial sums, every step reduced (the replaced loop)."""
-    qp = as_qparam(q)
+    v = check_q(q)
     z = Fraction(z)
-    v = qp.value
     r_cap = abs(z) * (v - 1) / v if v > 1 else abs(z) * (1 - v)
     assert r_cap < 1
     total = Fraction(0)
-    numbers = q_numbers(*qp.value.as_integer_ratio())
+    numbers = q_numbers(*v.as_integer_ratio())
     qn = next(numbers)
     shift = Fraction(1)
     zpow = z
@@ -108,8 +108,8 @@ def _reference_eval_log_qexp(q, z, tol, max_terms):
 def _reference_float_eval_qexp(q, z, tol, max_terms):
     """E_q(z) for a float or complex z in binary64, each [k]_q a reduced
     Fraction converted by float(): the loop the integer sweep replaced."""
-    qp = as_qparam(q)
-    numbers = q_numbers(*qp.value.as_integer_ratio())
+    q = check_q(q)
+    numbers = q_numbers(*q.as_integer_ratio())
     try:
         term = total = 1.0
         scale = float(next(numbers))
@@ -126,7 +126,7 @@ def _reference_float_eval_qexp(q, z, tol, max_terms):
         if not cmath.isfinite(total):
             raise OverflowError
     except OverflowError:
-        raise DomainError(f"E_q(z) exceeds the binary64 range at q = {shown(qp.value)}, "
+        raise DomainError(f"E_q(z) exceeds the binary64 range at q = {shown(q)}, "
                           f"z = {shown(z)}") from None
     raise ConvergenceError(f"tail bound did not reach tol={tol} within {max_terms} terms")
 
@@ -135,11 +135,10 @@ def _reference_float_eval_log_qexp(q, z, tol, max_terms):
     """ln E_q(z) for a float or complex z inside the log series' disk in
     binary64, each c_k a reduced Fraction converted by float() (the
     replaced loop)."""
-    qp = as_qparam(q)
-    v = qp.value
+    v = check_q(q)
     r_cap = abs(z) * (v - 1) / v if v > 1 else abs(z) * (1 - v)
     assert r_cap < 1
-    numbers = q_numbers(*qp.value.as_integer_ratio())
+    numbers = q_numbers(*v.as_integer_ratio())
     shift = Fraction(1)       # (1-q)^(k-1)
     zpow = z
     c_k = float(shift / next(numbers))
@@ -166,7 +165,7 @@ def _outcome(evaluate, *args):
 
 class TestQExpSeries:
     def test_classical_exponential(self):
-        s = qexp_series(QParam(1), 5).series
+        s = qexp_series(1, 5).series
         assert s.coeffs == (1, 1, Fraction(1, 2), Fraction(1, 6),
                             Fraction(1, 24), Fraction(1, 120))
 
@@ -203,7 +202,7 @@ class TestLogCoeffClosed:
         assert log_coeffs_closed(1, q).coeff(1) == 1
 
     def test_vanishes_at_classical_point(self):
-        vec = log_coeffs_closed(9, QParam(1))
+        vec = log_coeffs_closed(9, 1)
         for k in range(2, 10):
             assert vec.coeff(k) == 0
 
@@ -284,7 +283,7 @@ class TestEvalQExp:
         assert out.tail_bound == 0.0
 
     def test_classical_e(self):
-        out = eval_qexp(QParam(1), 1, tol=1e-12)
+        out = eval_qexp(1, 1, tol=1e-12)
         assert abs(out.value - math.e) <= 1e-12
         assert out.tail_bound <= 1e-12
 
@@ -389,7 +388,7 @@ class TestEvalLogQExp:
         assert eval_log_qexp(Fraction(1, 2), 0).value == 0.0
 
     def test_classical_point_is_linear(self):
-        out = eval_log_qexp(QParam(1), Fraction(7, 10))
+        out = eval_log_qexp(1, Fraction(7, 10))
         assert out.value == 0.7
         assert out.order == 1
         assert out.method == "series"
@@ -441,6 +440,18 @@ class TestEvalLogQExp:
             with pytest.raises(DomainError, match=r"^ln E_q\(z\) exceeds the binary64 "
                                                   r"range at q = 1, z = -?1000"):
                 eval_log_qexp(1, z)
+
+    @pytest.mark.parametrize("q", [Fraction(1, 2), 1, 2])
+    def test_complex_modulus_overflow(self, q):
+        # finite parts, but a modulus beyond the binary64 range: DomainError
+        # from both evaluators, not a raw OverflowError; eval_qexp at q >= 1
+        # meets it in its own sum, as E_q(z) beyond the range
+        z = complex(1.5e308, 1.5e308)
+        modulus = "^" + re.escape(f"|z| exceeds the binary64 range at q = {q}, z = {z!r}")
+        with pytest.raises(DomainError, match=modulus):
+            eval_log_qexp(q, z)
+        with pytest.raises(DomainError, match=modulus if q < 1 else r"^E_q\(z\) exceeds"):
+            eval_qexp(q, z)
 
     @pytest.mark.parametrize("q, z", [(Fraction(9, 10), 9.5), (Fraction(9, 10), -9.5),
                                       (Fraction(8, 9), 8.9j), (1, 1e160)])
@@ -515,7 +526,7 @@ class TestExactPathMatchesReference:
         ``qexp_outcome`` stands in for the reference E_q outcome."""
         if qexp_outcome is None:
             qexp_outcome = _outcome(_reference_eval_qexp, q, z, tol, max_terms)
-        if as_qparam(q).value > 1 and abs(z) >= q / (q - 1):
+        if check_q(q) > 1 and abs(z) >= q / (q - 1):
             with monkeypatch.context() as patch:
                 patch.setattr(qexp_module, "eval_qexp", _reference_eval_qexp)
                 return qexp_outcome, _outcome(qexp_module._log_via_qexp, Fraction(q), z,
@@ -633,13 +644,13 @@ class TestFloatPathMatchesReference:
     def expected(q, z, tol, max_terms):
         """The reference outcomes of E_q(z) and ln E_q(z); a log outside its
         series disk is _log_via_qexp over the reference E_q."""
-        qp = as_qparam(q)
-        qexp_outcome = _outcome(_reference_float_eval_qexp, qp, z, tol, max_terms)
-        if qp.value > 1 and abs(z) * (qp.value - 1) / qp.value >= 1:
+        q = check_q(q)
+        qexp_outcome = _outcome(_reference_float_eval_qexp, q, z, tol, max_terms)
+        if q > 1 and abs(z) * (q - 1) / q >= 1:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(qexp_module, "eval_qexp", _reference_float_eval_qexp)
-                return qexp_outcome, _outcome(qexp_module._log_via_qexp, qp, z, tol, max_terms)
-        return qexp_outcome, _outcome(_reference_float_eval_log_qexp, qp, z, tol, max_terms)
+                return qexp_outcome, _outcome(qexp_module._log_via_qexp, q, z, tol, max_terms)
+        return qexp_outcome, _outcome(_reference_float_eval_log_qexp, q, z, tol, max_terms)
 
     @staticmethod
     def got(*args):
@@ -718,14 +729,13 @@ class _FloatSub(float):
 
 
 class TestArgumentGate:
-    """qexp._arguments reads a Fraction or int q and z, a float tol and an
-    int max_terms on plain integers; it returns what the gate that runs
-    every argument through the package's validators returns, or raises
-    the same error with the same message, in the same order of checks."""
+    """qexp._arguments decides the radius on plain integers; it returns what
+    the gate that runs every argument through the package's validators and
+    Fraction arithmetic returns, or raises the same error with the same
+    message, in the same order of checks."""
 
     QS = (Fraction(1, 4), Fraction(2, 3), Fraction(1), Fraction(3, 2), 1, 2, True, 0.5,
-          Decimal("0.5"), _FractionSub(1, 2), 0, Fraction(-1, 2), -2,
-          QParam(Fraction(1, 3)), "1/2")
+          Decimal("0.5"), _FractionSub(1, 2), 0, Fraction(-1, 2), -2, "1/2")
     ZS = (Fraction(1, 3), Fraction(-7, 5), Fraction(4, 3), Fraction(-4, 3), 3, -1, 0, True,
           Decimal("0.5"), _IntSub(1), _FloatSub(0.5), _FloatSub(math.inf), 0.0, -0.0,
           math.inf, -math.inf, math.nan, 1.3333333333333333, 1.3333333333333335,
@@ -742,11 +752,12 @@ class TestArgumentGate:
         repr so that -0.0 shows, or the error it raised."""
         try:
             out = gate(*args)
-        except Exception as err:    # any class: abs(complex(1.5e308, 1.5e308)) overflows
+        except Exception as err:    # any class, so that a raw error shows
             return type(err), str(err)
-        if len(out) == 5:
-            q, a, b, z, is_exact = out
+        if len(out) == 6:
+            q, a, b, z, tol, is_exact = out
             assert (a, b) == Fraction(q).as_integer_ratio()
+            assert type(tol) is float or tol == Fraction(args[2])
             out = q, z, is_exact
         q, z, is_exact = out
         return Fraction(q), is_exact, Fraction(z) if is_exact else (type(z), repr(z))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qexpseries import (DomainError, QFactorialTable, QParam, q_binomial,
+from qexpseries import (DomainError, QFactorialTable, q_binomial,
                         q_binomial_pascal, q_number, radius_of_convergence)
 from qexpseries.qnumbers import PASCAL_MAX_K
 
@@ -44,7 +44,7 @@ class TestQNumber:
 
     @given(st.integers(0, 50))
     def test_classical_limit(self, k):
-        assert q_number(k, QParam(1)) == k
+        assert q_number(k, 1) == k
 
     @given(st.integers(0, 40), qvalues.filter(lambda v: v != 1))
     def test_matches_quotient_form(self, k, q):
@@ -89,7 +89,7 @@ class TestQFactorial:
 
 class TestQFactorialTable:
     def test_invariants(self):
-        q = QParam(Fraction(2, 3))
+        q = Fraction(2, 3)
         table = QFactorialTable(q, 12)
         assert table.max_order == 12
         assert table.values[0] == 1

@@ -7,10 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qexpseries import DomainError, QParam, as_qparam, parse_rational, rational_str
+from qexpseries import DomainError, check_q, parse_rational, rational_str
 
 fractions_ = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 nonzero_fractions = fractions_.filter(lambda f: f != 0)
+
+
+class _FractionSub(Fraction):
+    pass
+
+
+class _IntSub(int):
+    pass
 
 
 class TestExactArithmetic:
@@ -46,34 +54,37 @@ class TestExactArithmetic:
 
 
 class TestQParam:
+    """The deformation parameter q, as check_q reads it."""
+
     @pytest.mark.parametrize("bad", [Fraction(0), Fraction(-1), -3, Fraction(-10 ** 5000)])
     def test_nonpositive_rejected(self, bad):
         with pytest.raises(DomainError):
-            QParam(Fraction(bad))
+            check_q(Fraction(bad))
 
     def test_float_rejected(self):
         with pytest.raises(DomainError):
-            QParam(0.5)
+            check_q(0.5)
         # a bool is an int to Python, but not a value of q
         for flag in (True, False):
             with pytest.raises(DomainError, match="q must be rational, got bool"):
-                QParam(flag)
+                check_q(flag)
 
     def test_int_coerced(self):
-        q = QParam(2)
-        assert q.value == Fraction(2)
-        assert type(q.value) is Fraction
+        q = check_q(2)
+        assert q == Fraction(2)
+        assert type(q) is Fraction
 
-    def test_as_qparam_coercions(self):
+    def test_check_q_coercions(self):
         # text is parsed where it enters, by parse_rational, not here
         with pytest.raises(DomainError, match="q must be rational, got str"):
-            as_qparam("1/2")
-        assert as_qparam(Fraction(3, 4)).value == Fraction(3, 4)
-        q = QParam(Fraction(7, 5))
-        assert as_qparam(q) is q
-
-    def test_str(self):
-        assert str(QParam(Fraction(1, 2))) == "1/2"
+            check_q("1/2")
+        q = Fraction(7, 5)
+        assert check_q(q) is q
+        # a Fraction subclass and an int subclass are read as plain values
+        for value in (_FractionSub(3, 4), _IntSub(3)):
+            q = check_q(value)
+            assert type(q) is Fraction and q == value
+            assert all(type(part) is int for part in q.as_integer_ratio())
 
 
 class TestSerialization:
