@@ -20,7 +20,8 @@ from .errors import ConvergenceError, DomainError
 from .identities import ALL_IDENTITIES, DEFAULT_NS, DEFAULT_QS, SuiteConfig, run_suite
 from .qexp import (DEFAULT_MAX_TERMS, DEFAULT_TOL, eval_log_qexp, eval_qexp, log_coeffs_closed,
                    qexp_series)
-from .scalars import check_int, check_q, check_tol, parse_rational
+from .scalars import (_raise_at_digit_cap, check_int, check_q, check_tol, parse_rational,
+                      rational_str)
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?$")
 
@@ -49,15 +50,15 @@ def _int_arg(name: str, minimum: int, maximum: "int | None" = sys.maxsize):
     return _arg(lambda text: check_int(int(text), name, minimum, maximum))
 
 
+@_arg
 def _scalar_arg(text: str):
     # integers and "p/q" stay exact; anything else becomes binary64
     t = text.strip()
     try:
-        if _RATIONAL_RE.match(t):
-            return Fraction(t)
-        return float(t)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        return Fraction(t) if _RATIONAL_RE.match(t) else float(t)
+    except (ValueError, ZeroDivisionError) as exc:
+        _raise_at_digit_cap(exc)
+        raise DomainError(f"not a number: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,15 +113,11 @@ def _write(fmt: str, columns, rows, payload, text=_table) -> None:
     """Print ``rows`` under ``columns`` in the one selected format.
 
     This is where exact values become text: each Fraction cell goes through
-    str() once, and only the selected format is rendered from the cells.
-    ``payload(cells)`` gives the JSON document, ``text(columns, cells)`` the
-    text lines.
+    :func:`rational_str` once, and only the selected format is rendered from
+    the cells. ``payload(cells)`` gives the JSON document,
+    ``text(columns, cells)`` the text lines.
     """
-    try:
-        cells = [[str(v) if isinstance(v, Fraction) else v for v in row] for row in rows]
-    except ValueError as exc:   # CPython's cap on the digits of int -> str
-        raise DomainError(f"{exc}; the PYTHONINTMAXSTRDIGITS environment "
-                          "variable raises the cap") from None
+    cells = [[rational_str(v) if isinstance(v, Fraction) else v for v in row] for row in rows]
     if fmt == "json":
         out = json.dumps(payload(cells), sort_keys=True, indent=2) + "\n"
     elif fmt == "csv":
@@ -130,10 +127,6 @@ def _write(fmt: str, columns, rows, payload, text=_table) -> None:
     else:
         out = "".join(line + "\n" for line in text(columns, cells))
     sys.stdout.write(out)
-
-
-def _fmt_decimal(value: Fraction, digits: int) -> str:
-    return f"{float(value):.{digits}g}"
 
 
 def cmd_coeffs(args) -> int:
@@ -148,7 +141,7 @@ def cmd_coeffs(args) -> int:
     for k, (coeff, lc, lr) in enumerate(zip(series.coeffs, closed, recursive)):
         row = [k, coeff, lc, lr, lc - lr]
         if args.decimals is not None:
-            row += [_fmt_decimal(coeff, args.decimals), _fmt_decimal(lc, args.decimals)]
+            row += [f"{float(value):.{args.decimals}g}" for value in (coeff, lc)]
         rows.append(row)
     _write(args.format, columns, rows, lambda cells: {
         "q": str(args.q), "order": order,

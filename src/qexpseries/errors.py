@@ -5,7 +5,7 @@ class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""
 
 
-class OrderMismatchError(ValueError):
+class OrderMismatchError(DomainError):
     """A binary operation received series of different truncation orders."""
 
 

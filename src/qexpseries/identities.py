@@ -12,7 +12,8 @@ Every check compares its two sides as streams of unreduced integer pairs
 gcd is taken, and only a failing k is reduced, to the same Fraction
 f_k - g_k that :meth:`~qexpseries.series.TruncatedSeries.compare` gives.
 The coefficient checks read c_k as the closed-form pairs
-((b-a)^(k-1), k S_k) for q = a/b, [k]_q = S_k / b^(k-1). qbinomial_sum and
+((b-a)^(k-1), k S_k) for q = a/b, [k]_q = S_k / b^(k-1), from the q-number
+sweep, so no check imports an evaluator. qbinomial_sum and
 the reciprocal, reflection and scaling products run in the divided-power
 basis z^k/[k]_Q!, Q = q or q^n, where one factor of every product is
 E_Q(q^m z), 0 <= m < n; reflection takes E_q(-z) E_q(z). As
@@ -50,8 +51,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, count, cycle, islice, repeat
 
 from .errors import DomainError
-from .qexp import _log_coeff_pairs
-from .qnumbers import _q_number_pair, q_number_numerators
+from .qnumbers import _log_coeff_pairs, _q_number_pair, q_number_numerators
 from .scalars import check_int, check_q, rational_str, shown
 from .series import TruncatedSeries
 
@@ -120,7 +120,7 @@ def check_qbinomial_sum(q, k_max: int = 40) -> VerificationReport:
     row is one integer over b^(k(k-1)/2).
     """
     q = check_q(q)
-    check_int(k_max, "k_max", 2)
+    k_max = check_int(k_max, "k_max", 2)
     a, b = q.as_integer_ratio()
     weights = accumulate(islice(q_number_numerators(a, b), k_max - 1),
                          lambda w, number: w * (b - a) * number, initial=1)
@@ -142,7 +142,7 @@ def check_reciprocal_product(q, order: int = 32) -> VerificationReport:
     1, 0, 0, and so on.
     """
     q = check_q(q)
-    check_int(order, "order", 1)
+    order = check_int(order, "order", 1)
     params = {"order": order}
     note = "degenerates to exp(z) exp(-z) = 1" if q == 1 else ""
     a, b = q.as_integer_ratio()
@@ -160,7 +160,7 @@ def check_reflection_product(q, order: int = 32) -> VerificationReport:
     s = (1-q)/(1+q) = (b-a)/(b+a) for q = a/b, and its odd ones are 0.
     """
     q = check_q(q)
-    check_int(order, "order", 2)
+    order = check_int(order, "order", 2)
     a, b = q.as_integer_ratio()
     lhs = _coefficients(a, b, 1, _leibniz(a, b, 1, _geometric(-1, b, order)))
     rhs = chain.from_iterable(zip(_scaled_qexp(a * a, b * b, (b - a, b + a), order // 2),
@@ -175,8 +175,8 @@ def check_scaling_product(q, n: int, order: int = 32) -> VerificationReport:
     q^n, times E_{q^n}(q^m z) for m = 1..n-1.
     """
     q = check_q(q)
-    check_int(n, "n", 2)
-    check_int(order, "order", 1)
+    n = check_int(n, "n", 2)
+    order = check_int(order, "order", 1)
     a, b = q.as_integer_ratio()
     lhs = _scaled_qexp(a, b, _q_number_pair(n, a, b), order)
     # x_k = 1 over b^(n k(k-1)/2 + (n-1) k), the kernel's denominators
@@ -261,8 +261,8 @@ def check_root_of_unity_product(q, n: int, order: int = 32) -> VerificationRepor
     which does not use the closed form; residuals are indexed by k = n j.
     """
     q = check_q(q)
-    check_int(n, "n", 2)
-    check_int(order, "order", 1)
+    n = check_int(n, "n", 2)
+    order = check_int(order, "order", 1)
     a, b = q.as_integer_ratio()
     c_nj = (Fraction(n * num, den) for num, den in _stepped(a, b, n, order // n))
     lhs = TruncatedSeries([0, *c_nj]).exp()
@@ -276,7 +276,7 @@ def check_root_of_unity_product(q, n: int, order: int = 32) -> VerificationRepor
 def check_coeff_sign_flip(q, k_max: int = 64) -> VerificationReport:
     """c_k(1/q) = (-1)^(k-1) c_k(q) for k = 1..k_max, exactly."""
     q = check_q(q)
-    check_int(k_max, "k_max", 1)
+    k_max = check_int(k_max, "k_max", 1)
     a, b = q.as_integer_ratio()
     flipped = map(_times, cycle(((1, 1), (-1, 1))), _log_coeff_pairs(a, b))
     residuals = _residuals(range(1, k_max + 1), _log_coeff_pairs(b, a), flipped)
@@ -290,7 +290,7 @@ def check_coeff_double_order(q, k_max: int = 64) -> VerificationReport:
     runs that check's comparison.
     """
     q = check_q(q)
-    check_int(k_max, "k_max", 1)
+    k_max = check_int(k_max, "k_max", 1)
     return _exact_report(COEFF_DOUBLE_ORDER, q, {"k_max": k_max},
                          _multiple_order_residuals(*q.as_integer_ratio(), 2, k_max))
 
@@ -298,8 +298,8 @@ def check_coeff_double_order(q, k_max: int = 64) -> VerificationReport:
 def check_coeff_power_scale(q, n: int, k_max: int = 64) -> VerificationReport:
     """[n]_{q^k} c_k(q^n) = ([n]_q)^k c_k(q) for k = 1..k_max, exactly."""
     q = check_q(q)
-    check_int(n, "n", 2)
-    check_int(k_max, "k_max", 1)
+    n = check_int(n, "n", 2)
+    k_max = check_int(k_max, "k_max", 1)
     a, b = q.as_integer_ratio()
     s_n, b_n = _q_number_pair(n, a, b)
     n_qk = (_q_number_pair(n, a ** k, b ** k) for k in count(1))    # [n]_{q^k}
@@ -312,8 +312,8 @@ def check_coeff_power_scale(q, n: int, k_max: int = 64) -> VerificationReport:
 def check_coeff_multiple_order(q, n: int, k_max: int = 64) -> VerificationReport:
     """n c_{nk}(q) = ((1-q)^(n-1)/[n]_q)^k c_k(q^n) for k = 1..k_max, exactly."""
     q = check_q(q)
-    check_int(n, "n", 2)
-    check_int(k_max, "k_max", 1)
+    n = check_int(n, "n", 2)
+    k_max = check_int(k_max, "k_max", 1)
     return _exact_report(COEFF_MULTIPLE_ORDER, q, {"n": n, "k_max": k_max},
                          _multiple_order_residuals(*q.as_integer_ratio(), n, k_max))
 
@@ -389,6 +389,8 @@ def run_suite(config: SuiteConfig = SuiteConfig()) -> "tuple[VerificationReport,
     string, and each is deduplicated; each q must pass :func:`check_q`
     (floats are rejected) and each n an integer >= 2.
     """
+    if not isinstance(config, SuiteConfig):
+        raise DomainError(f"config must be a SuiteConfig, got {type(config).__name__}")
     checks, qs, ns = (_grid(config, name) for name in ("checks", "qs", "ns"))
     unknown = sorted(set(checks) - set(ALL_IDENTITIES))
     if unknown:

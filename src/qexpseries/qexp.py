@@ -21,12 +21,12 @@ integer scaled by 2^p with an integer radius that covers every floor taken
 (a ball, in the style of Arb). The stopping test, the value and the tail
 bound are taken only when both ends of their ball agree, the doubles by
 correctly rounded int / int division (Ziv's test), so they are the floats
-of the exact partial sums; an undecided ball hands the call to one exact
-integer sum. A float argument selects plain binary64 arithmetic over the
-same integer sweep: each [k]_q and c_k is the correctly rounded int / int
-quotient of its integers, and the sum's own rounding is outside the
-certificate. On both paths a positive tail bound below the binary64 range
-is reported as the least subnormal, never as 0.0. A value beyond the
+of the exact partial sums; the kernel hands a call that a ball leaves open
+to one exact integer sum. A float argument selects plain binary64 arithmetic
+over the same integer sweep: each [k]_q and c_k is the correctly rounded
+int / int quotient of its integers, and the sum's own rounding is outside
+the certificate. On both paths a positive tail bound below the binary64
+range is reported as the least subnormal, never as 0.0. A value beyond the
 binary64 range, a complex z whose modulus is beyond it, or a float z^k
 beyond it in the log series, raises DomainError.
 """
@@ -38,11 +38,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, islice, pairwise, starmap
 from typing import Iterator, Literal
 
 from .errors import ConvergenceError, DomainError
-from .qnumbers import q_number_numerators, q_numbers
+from .qnumbers import _log_coeff_pairs, q_number_numerators, q_numbers
 from .scalars import as_exact, check_int, check_q, check_tol, shown
 from .series import TruncatedSeries
 
@@ -60,7 +61,7 @@ class QExpSeries:
 
 def qexp_series(q, order: int) -> QExpSeries:
     """Build the q-exponential series through z^order, exactly."""
-    check_int(order, "order")
+    order = check_int(order, "order")
     q = check_q(q)
     coeffs = accumulate(islice(q_numbers(*q.as_integer_ratio()), order),
                         operator.truediv, initial=Fraction(1))
@@ -90,19 +91,9 @@ class LogCoeffVector:
         return TruncatedSeries(self.values)
 
 
-def _log_coeff_pairs(a: int, b: int) -> Iterator["tuple[int, int]"]:
-    """The closed-form sweep c_1, c_2, ... over the integer q-number sweep,
-    as unreduced integer pairs: c_k = (1-q)^(k-1) / (k [k]_q) =
-    (b-a)^(k-1) / (k S_k) for q = a/b, as [k]_q = S_k / b^(k-1)."""
-    shift = 1                 # (b-a)^(k-1)
-    for k, number in enumerate(q_number_numerators(a, b), 1):
-        yield shift, k * number
-        shift *= b - a
-
-
 def log_coeffs_closed(order: int, q) -> LogCoeffVector:
     """Closed-form log coefficients c_1..c_order in one O(order) sweep."""
-    check_int(order, "order")
+    order = check_int(order, "order")
     q = check_q(q)
     coeffs = starmap(Fraction, islice(_log_coeff_pairs(*q.as_integer_ratio()), order))
     return LogCoeffVector(q, (Fraction(0), *coeffs))
@@ -145,22 +136,22 @@ class Evaluation:
 def _arguments(q, z, tol, max_terms):
     """The evaluators' one argument gate: checks q, tol, max_terms, z's type
     and finiteness, and the radius of convergence, in that order, and returns
-    ``(q, a, b, z, tol, is_exact)`` with q = a/b in lowest terms, tol as
-    :func:`check_tol` gives it, and an exact z, which keeps exact partial
-    sums, as a Fraction of Python ints."""
+    ``(q, a, b, z, tol, max_terms)``, q = a/b in lowest terms, with tol and
+    max_terms as the checks give them and an exact z, which keeps exact
+    partial sums, as a Fraction of Python ints, any other z being binary64."""
     q = check_q(q)
     a, b = q.as_integer_ratio()
     tol = check_tol(tol)
-    check_int(max_terms, "max_terms", 1, None)
+    max_terms = check_int(max_terms, "max_terms", 1, None)
     if isinstance(z, (float, complex)):
         w = complex(z)
         if not cmath.isfinite(w):
             raise DomainError(f"non-finite numeric value: {w!r}")
-        z, is_exact = (w.real if isinstance(z, float) else w), False
+        z = w.real if isinstance(z, float) else w
     elif (exact := as_exact(z)) is None:
         raise DomainError(f"unsupported argument type {type(z).__name__}")
     else:
-        z, is_exact = exact, True
+        z = exact
     if a < b:
         # |z| >= 1/(1-q) = b/(b-a) as |u| (b-a) >= w b for |z| = |u|/w, the
         # exact value of a float or of a complex z's rounded modulus
@@ -170,7 +161,7 @@ def _arguments(q, z, tol, max_terms):
                 f"|z| = {shown(abs(z))} is outside the radius of convergence "
                 f"(1-q)^(-1) = {shown(Fraction(b, b - a))} for q = {shown(q)}"
             )
-    return q, a, b, z, tol, is_exact
+    return q, a, b, z, tol, max_terms
 
 
 def _modulus(q: Fraction, z: "float | complex") -> float:
@@ -193,14 +184,13 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL
     range raises :class:`DomainError`, at once when z > 0 is itself beyond
     it, as E_q(z) > z there.
     """
-    q, a, b, z, tol, is_exact = _arguments(q, z, tol, max_terms)
+    q, a, b, z, tol, max_terms = _arguments(q, z, tol, max_terms)
 
     try:
-        if is_exact:
+        if type(z) is Fraction:
             if z > 0:
                 float(z)    # raises OverflowError past the binary64 range
-            return (_sum_fixed((1, 1), _qexp_steps(a, b, z), 0, tol, max_terms)
-                    or _sum_exact((1, 1), _qexp_steps(a, b, z), 0, tol, max_terms))
+            return _sum_fixed((1, 1), partial(_qexp_steps, a, b, z), 0, tol, max_terms)
         numbers = q_number_numerators(a, b)
         power = 1                 # b^(j-1) of the last [j]_q read
         term = total = 1.0
@@ -252,22 +242,18 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
     whose power z^k leaves the binary64 range before the bound reaches tol
     raises :class:`DomainError`; the same z as an exact rational does not.
     """
-    q, a, b, z, tol, is_exact = _arguments(q, z, tol, max_terms)
+    q, a, b, z, tol, max_terms = _arguments(q, z, tol, max_terms)
 
-    if is_exact:
-        # the cap as an integer pair in lowest terms; inside the radius of
-        # q < 1 it is below 1
+    if type(z) is Fraction:
+        # the cap |z| |1-q| / max(1, q) as an integer pair; inside the radius
+        # of q < 1 it is below 1
         u, w = z.as_integer_ratio()
-        cap = (abs(u) * (a - b), w * a) if a > b else (abs(u) * (b - a), w * b)
-        common = math.gcd(*cap)
-        cap_num, cap_den = cap[0] // common, cap[1] // common
+        cap_num, cap_den = abs(u) * abs(b - a), w * max(a, b)
         if cap_num >= cap_den:
             return _log_via_qexp(q, z, tol, max_terms)
         try:
-            return (_sum_fixed((u, w), _log_steps(a, b, u, w, cap_num, cap_den), 1, tol,
-                               max_terms)
-                    or _sum_exact((u, w), _log_steps(a, b, u, w, cap_num, cap_den), 1, tol,
-                                  max_terms))
+            return _sum_fixed((u, w), partial(_log_steps, a, b, u, w, cap_num, cap_den), 1,
+                              tol, max_terms)
         except OverflowError:
             raise DomainError(f"ln E_q(z) exceeds the binary64 range at q = {shown(q)}, "
                               f"z = {shown(z)}") from None
@@ -323,12 +309,12 @@ def _log_steps(a: int, b: int, u: int, w: int, cap_num: int,
 
 
 def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol,
-               max_terms: int) -> "Evaluation | None":
+               max_terms: int) -> Evaluation:
     """sum_k t_k from k = order until the tail bound is <= tol, in fixed
-    point; None when a ball leaves a decision open.
+    point; a ball that leaves a decision open hands the call to :func:`_sum_exact`.
 
-    t_order = first[0] / first[1]; a step (mul, div, lift, gap), div > 0,
-    gives t_{k+1} = t_k mul / div and, if gap > 0, the tail bound
+    t_order = first[0] / first[1]; a step (mul, div, lift, gap) of ``steps()``,
+    div > 0, gives t_{k+1} = t_k mul / div and, if gap > 0, the tail bound
     |t_{k+1}| lift / gap. An integer T_k within e_k of |t_k| 2^p carries
     each term, its sign apart. One floor per step, T_{k+1} = floor(T_k
     |mul| / div), keeps that with e_{k+1} = ceil(e_k |mul| / div) + [it
@@ -338,7 +324,8 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol,
     """
     num, den = first
     tol_num, tol_den = tol.as_integer_ratio()
-    p = _precision(tol_num, tol_den)
+    # fraction bits: 53, the guard bits and the binary exponent of 1/tol if positive
+    p = 53 + _GUARD_BITS + max(0, tol_den.bit_length() - tol_num.bit_length())
     limit = tol_num << p
     # while bit lengths alone show bound > tol the ball test is skipped
     far = limit.bit_length() - tol_den.bit_length() + 3
@@ -346,7 +333,7 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol,
     # positive: t_k != 0, read off the steps, as a ball cannot tell
     err, negative, positive = int(rem != 0), num < 0, num != 0
     total, total_err = -mag if negative else mag, err
-    for k, (mul, div, lift, gap) in zip(range(order, order + max_terms), steps):
+    for k, (mul, div, lift, gap) in zip(range(order, order + max_terms), steps()):
         if mul < 0:
             mul, negative = -mul, not negative
         elif not mul:
@@ -360,7 +347,7 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol,
             cap = limit * gap
             stop = _settled(low * tol_den <= cap, high * tol_den <= cap)
             if stop is None:
-                return None
+                break
             if stop:
                 scale = 1 << p
                 try:
@@ -369,19 +356,21 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol,
                     # when the end nearer zero overflows too, the whole ball and
                     # so the sum are past the binary64 range, and this raises
                     (abs(total) - total_err) / scale
-                    return None     # the ball straddles DBL_MAX: the exact sum decides
+                    break           # the ball straddles DBL_MAX: the exact sum decides
                 bound = _settled(_bound(low, gap << p, positive), _bound(high, gap << p, positive))
                 if value is None or bound is None:
-                    return None
+                    break
                 return Evaluation(value, k, bound, "series")
         total += -mag if negative else mag
         total_err += err
-    raise _not_converged(tol, max_terms)
+    else:
+        raise _not_converged(tol, max_terms)
+    return _sum_exact(first, steps(), order, tol, max_terms)
 
 
 def _sum_exact(first: "tuple[int, int]", steps, order: int, tol, max_terms: int) -> Evaluation:
     """The partial sum of :func:`_sum_fixed` by exact integers, for the
-    decisions it leaves open.
+    decisions its balls leave open.
 
     t_k = term/den and the partial sum total/den share one denominator that
     only grows by the short factor div of each step, so no step reduces a
@@ -411,12 +400,6 @@ def _sum_exact(first: "tuple[int, int]", steps, order: int, tol, max_terms: int)
 #: tol, so that a ball is almost always far narrower than the rounding
 #: interval it has to fall in.
 _GUARD_BITS = 64
-
-
-def _precision(tol_num: int, tol_den: int) -> int:
-    """The fraction bits p of a fixed-point sum: 53, the guard bits and the
-    binary exponent of 1/tol when that is positive."""
-    return 53 + _GUARD_BITS + max(0, tol_den.bit_length() - tol_num.bit_length())
 
 
 def _settled(low, high):
@@ -452,15 +435,16 @@ def _log_via_qexp(q: Fraction, z, tol: float, max_terms: int) -> Evaluation:
     inner = eval_qexp(q, z, tol, max_terms)
     for _ in range(2):
         magnitude = abs(inner.value)
-        if not isinstance(inner.value, complex) and inner.value <= 0:
-            raise DomainError(
-                f"ln E_q(z) undefined: E_q({shown(z)}) = {inner.value} <= 0 "
-                f"at q = {shown(q)}"
-            )
+        # the value shows the sign of E_q(z) only once it passes its tail bound
         if magnitude <= inner.tail_bound:
             raise DomainError(
                 f"cannot certify E_q(z) != 0 at q = {shown(q)}, z = {shown(z)}: "
                 f"|value| = {magnitude} within tail bound {inner.tail_bound}"
+            )
+        if not isinstance(inner.value, complex) and inner.value <= 0:
+            raise DomainError(
+                f"ln E_q(z) undefined: E_q({shown(z)}) = {inner.value} <= 0 "
+                f"at q = {shown(q)}"
             )
         propagated = inner.tail_bound / (magnitude - inner.tail_bound)
         if propagated <= tol:

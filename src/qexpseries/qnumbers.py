@@ -2,7 +2,8 @@
 
 Everything is built on the summation form [k]_q = 1 + q + ... + q^(k-1),
 which is exact for every rational q > 0 and needs no special case at q = 1,
-where it reduces to the ordinary integer k.
+where it reduces to the ordinary integer k. For q = a/b it is one integer
+sweep S_k, [k]_q = S_k / b^(k-1), that also gives c_k = (1-q)^(k-1) / (k [k]_q).
 """
 
 from __future__ import annotations
@@ -46,6 +47,16 @@ def _q_number_pair(n: int, a: int, b: int) -> "tuple[int, int]":
     return next(islice(q_number_numerators(a, b), n - 1, None)), b ** (n - 1)
 
 
+def _log_coeff_pairs(a: int, b: int) -> Iterator["tuple[int, int]"]:
+    """The closed-form sweep c_1, c_2, ... over the integer q-number sweep,
+    as unreduced integer pairs: c_k = (1-q)^(k-1) / (k [k]_q) =
+    (b-a)^(k-1) / (k S_k) for q = a/b, as [k]_q = S_k / b^(k-1)."""
+    shift = 1                 # (b-a)^(k-1)
+    for k, number in enumerate(q_number_numerators(a, b), 1):
+        yield shift, k * number
+        shift *= b - a
+
+
 def q_numbers(a: int, b: int) -> Iterator[Fraction]:
     """The sweep [1]_q, [2]_q, [3]_q, ... for q = a/b as Fractions
     S_k / b^(k-1), from :func:`q_number_numerators`."""
@@ -57,7 +68,7 @@ def q_numbers(a: int, b: int) -> Iterator[Fraction]:
 
 def q_number(k: int, q) -> Fraction:
     """[k]_q = 1 + q + ... + q^(k-1); equals (1 - q^k)/(1 - q) for q != 1."""
-    check_int(k, "k")
+    k = check_int(k, "k")
     a, b = check_q(q).as_integer_ratio()
     if not k:
         return Fraction(0)
@@ -74,7 +85,7 @@ class QFactorialTable:
     __slots__ = ("q", "values")
 
     def __init__(self, q, max_order: int):
-        check_int(max_order, "max_order")
+        max_order = check_int(max_order, "max_order")
         self.q = check_q(q)
         numbers = q_numbers(*self.q.as_integer_ratio())
         self.values = tuple(accumulate(islice(numbers, max_order), operator.mul,
@@ -92,8 +103,8 @@ class QFactorialTable:
 
     def binomial(self, k: int, j: int) -> Fraction:
         """Gaussian binomial [k choose j]_q; zero outside 0 <= j <= k."""
-        check_int(k, "k")
-        if check_int(j, "j", None, None) < 0 or j > k:
+        k = check_int(k, "k")
+        if (j := check_int(j, "j", None, None)) < 0 or j > k:
             return Fraction(0)
         return self.factorial(k) / (self.factorial(j) * self.factorial(k - j))
 
@@ -105,8 +116,8 @@ def q_binomial(k: int, j: int, q) -> Fraction:
     Computed as prod_{i=1..j} [k-j+i]_q / [i]_q with j replaced by
     min(j, k-j), from one q-number sweep.
     """
-    check_int(k, "k")
-    if check_int(j, "j", None, None) < 0 or j > k:
+    k = check_int(k, "k")
+    if (j := check_int(j, "j", None, None)) < 0 or j > k:
         return Fraction(0)
     j = min(j, k - j)
     numbers = list(islice(q_numbers(*check_q(q).as_integer_ratio()), k))
@@ -126,11 +137,11 @@ def q_binomial_pascal(k: int, j: int, q) -> Fraction:
     small one with no gcd, and divides once, by b^(j(k-j)); k is capped at
     :data:`PASCAL_MAX_K`.
     """
-    check_int(k, "k")
+    k = check_int(k, "k")
     if k > PASCAL_MAX_K:
         raise DomainError(f"the Pascal route takes k <= {PASCAL_MAX_K}, got {k}; "
                           "use q_binomial for larger k")
-    if check_int(j, "j", None, None) < 0 or j > k:
+    if (j := check_int(j, "j", None, None)) < 0 or j > k:
         return Fraction(0)
     a, b = check_q(q).as_integer_ratio()
     a_pow, b_pow = [1], [1]   # a^i, b^i

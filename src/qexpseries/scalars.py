@@ -15,9 +15,10 @@ Everything here is immutable and safe to share between threads.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
-from numbers import Rational, Real
+from numbers import Integral, Rational, Real
 
 from .errors import DomainError
 
@@ -58,6 +59,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
+        _raise_at_digit_cap(exc)
         raise DomainError(f"not a rational number: {text!r}") from exc
 
 
@@ -66,16 +68,29 @@ def rational_str(value: Rational) -> str:
     number = as_exact(value)
     if number is None:
         raise DomainError(f"expected an exact rational, got {type(value).__name__}")
-    return str(number)
+    try:
+        return str(number)
+    except ValueError as exc:
+        _raise_at_digit_cap(exc)
+        raise
+
+
+def _raise_at_digit_cap(exc: Exception) -> None:
+    """Raise ``exc`` as DomainError, naming the setting, if it is CPython's
+    error at its cap on the digits of an int <-> str conversion."""
+    if str(exc).startswith("Exceeds the limit"):
+        raise DomainError(f"{exc}; the PYTHONINTMAXSTRDIGITS environment variable "
+                          "raises the cap") from None
 
 
 def check_int(value: int, name: str, minimum: "int | None" = 0,
               maximum: "int | None" = sys.maxsize) -> int:
-    """``value`` itself if it is an int (bools excluded) in
-    ``minimum``..``maximum``; None lifts either limit. The default maximum
-    is the largest count that can index a sweep (``itertools.islice``)."""
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or minimum is not None and value < minimum):
+    """``value`` as an int, any ``numbers.Integral`` but a bool read by
+    ``operator.index``, in ``minimum``..``maximum``; None lifts either limit. The
+    default maximum is the largest count that can index a sweep (``itertools.islice``)."""
+    if type(value) is not int and isinstance(value, Integral) and not isinstance(value, bool):
+        value = operator.index(value)    # a fixed-width integer would wrap in the kernels
+    if type(value) is not int or minimum is not None and value < minimum:
         bound = "" if minimum is None else f" >= {minimum}"
         raise DomainError(f"{name} must be an integer{bound}, got {shown(value)}")
     if maximum is not None and value > maximum:

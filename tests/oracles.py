@@ -5,11 +5,16 @@ equality, the product, log and exp. The constants and the coefficientwise
 sum and difference that the test oracles build on live here, apart from
 the code under test, as does :func:`reference_arguments`, the evaluators'
 argument gate through the package's validators and Fraction arithmetic.
+:func:`int_digit_cap` sets CPython's default cap on int <-> str digits.
 """
 
 import cmath
+import contextlib
+import sys
 from fractions import Fraction
 from numbers import Rational
+
+import pytest
 
 from qexpseries import DomainError, TruncatedSeries, radius_of_convergence
 from qexpseries.scalars import check_int, check_q, check_tol, shown
@@ -69,3 +74,17 @@ def reference_arguments(q, z, tol, max_terms):
                 f"(1-q)^(-1) = {shown(radius)} for q = {shown(q)}"
             )
     return q, z, is_exact
+
+
+@contextlib.contextmanager
+def int_digit_cap():
+    """CPython's default cap of 4300 digits on int <-> str conversions,
+    whatever PYTHONINTMAXSTRDIGITS says; skips where there is no cap."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int <-> str digit cap in this Python")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -13,6 +13,7 @@ import pytest
 from qexpseries import (DEFAULT_MAX_TERMS, DEFAULT_TOL, SuiteConfig, VerificationReport,
                         eval_log_qexp, eval_qexp)
 import qexpseries.cli as cli
+from oracles import int_digit_cap
 
 
 def run_cli(capsys, *argv):
@@ -271,6 +272,26 @@ class TestErrors:
             sys.set_int_max_str_digits(limit)
         assert code == 1
         assert "PYTHONINTMAXSTRDIGITS" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--q", "1/1" + "0" * 4400],
+        ["eval", "--q", "2", "--z", "1/1" + "0" * 4400],
+        ["eval", "--q", "2", "--z", "-" + "1" * 4400],
+    ])
+    def test_digit_limit_on_input_names_the_setting(self, capsys, argv):
+        # text past the cap is a usage error that names the cap, not "not a
+        # (rational) number"
+        with int_digit_cap():
+            code, err = exit_code(capsys, *argv)
+        assert code == 2
+        assert "Exceeds the limit (4300 digits)" in err and "PYTHONINTMAXSTRDIGITS" in err
+        assert "not a" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["1/0", "3/00", "abc", "1/2/3"])
+    def test_z_that_is_not_a_number(self, capsys, text):
+        code, err = exit_code(capsys, "eval", "--q", "2", "--z", text)
+        assert code == 2
+        assert f"argument --z: not a number: {text!r}" in err
 
 
 #: stdout of each command, pinned byte for byte: column padding, csv quoting

@@ -2,10 +2,10 @@
 
 A bad q raises the same DomainError with the same message at every entry
 that takes q. A foreign exact rational -- a numpy fixed-width integer, or a
-Fraction built from two of them -- as q, z, tol or a series coefficient
-gives what the same value as Python ints gives: the kernels see Python ints,
-which never wrap. The numpy cases are skipped where numpy is absent; the
-package itself does not use it.
+Fraction built from two of them -- as q, z, tol or a series coefficient,
+and a numpy integer as a count, gives what the same value as Python ints
+gives: the kernels see Python ints, which never wrap. The numpy cases are
+skipped where numpy is absent; the package itself does not use it.
 """
 
 from fractions import Fraction
@@ -164,3 +164,56 @@ def test_foreign_coefficients_read_as_python_ints(np):
             == TruncatedSeries([0, 1, 2]).scale_substitute(3))
     assert rational_str(Fraction(np.int64(-6), np.int64(4))) == "-3/2"
     assert rational_str(np.int64(2) ** 40) == str(2 ** 40)
+
+
+#: Each public entry that takes a count, called with the count alone; at
+#: q = 1/2 a 64-bit power b^(k-1) of a count k = 70 would wrap.
+COUNTS = {
+    "qexp_series order": lambda k: qexp_series(Fraction(1, 2), k),
+    "log_coeffs_closed order": lambda k: log_coeffs_closed(k, Fraction(1, 2)),
+    "log_coeffs_recursive order": lambda k: log_coeffs_recursive(k, Fraction(1, 2)),
+    "LogCoeffVector.coeff k": lambda k: log_coeffs_closed(70, Fraction(1, 2)).coeff(k),
+    "q_number k": lambda k: q_number(k, Fraction(1, 2)),
+    "q_binomial k": lambda k: q_binomial(k, 3, Fraction(1, 2)),
+    "q_binomial j": lambda j: q_binomial(90, j, Fraction(1, 2)),
+    "q_binomial_pascal j": lambda j: q_binomial_pascal(90, j, Fraction(1, 2)),
+    "QFactorialTable max_order": lambda k: QFactorialTable(Fraction(1, 2), k),
+    "QFactorialTable.binomial j": lambda j: QFactorialTable(Fraction(1, 2), 90).binomial(90, j),
+    "scale_substitute stretch": lambda k: TruncatedSeries(range(90)).scale_substitute(2, k),
+    "eval_qexp max_terms": lambda k: eval_qexp(Fraction(1, 2), Fraction(1, 3), 1e-12, k),
+    "eval_log_qexp max_terms": lambda k: eval_log_qexp(Fraction(1, 2), Fraction(1, 3), 1e-12, k),
+    "check_qbinomial_sum k_max": lambda k: check_qbinomial_sum(Fraction(1, 2), k),
+    "check_reflection_product order": lambda k: check_reflection_product(Fraction(1, 2), k),
+    "check_scaling_product n": lambda n: check_scaling_product(Fraction(1, 2), n // 10, 24),
+    "check_root_of_unity_product n": lambda n: check_root_of_unity_product(2, n // 10, 24),
+    "check_coeff_power_scale n": lambda n: check_coeff_power_scale(Fraction(1, 2), n // 10, 12),
+    "check_coeff_multiple_order k_max":
+        lambda k: check_coeff_multiple_order(Fraction(1, 2), 2, k),
+}
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+def test_foreign_counts_read_as_python_ints(np, entry):
+    expected = COUNTS[entry](70)
+    for value in (np.int64(70), np.uint8(70)):
+        result = COUNTS[entry](value)
+        if hasattr(expected, "to_json"):    # a report: its params must reach the JSON
+            assert reports_to_json([result]) == reports_to_json([expected])
+        _same(result, expected)
+
+
+def test_foreign_count_repros(np):
+    assert qexp_series(Fraction(1, 2), np.int64(5)) == qexp_series(Fraction(1, 2), 5)
+    assert (eval_qexp(Fraction(1, 2), Fraction(1, 3), 1e-12, np.int64(1000))
+            == eval_qexp(Fraction(1, 2), Fraction(1, 3)))
+    report = check_scaling_product(2, np.int64(3))
+    assert report == check_scaling_product(2, 3) and type(report.params["n"]) is int
+    assert q_number(np.int64(5), 2) == 31
+    # the log series counts its terms from 1, so the int64 top would wrap
+    # in max_terms + 1
+    top = np.int64(np.iinfo(np.int64).max)
+    for z in (Fraction(1, 3), 0.3):
+        assert eval_log_qexp(Fraction(1, 2), z, 1e-12, top) == eval_log_qexp(Fraction(1, 2), z)
+    for bad in (np.int64(-1), np.bool_(True), np.float64(5.0)):
+        with pytest.raises(DomainError, match="^order must be an integer >= 0, got "):
+            qexp_series(Fraction(1, 2), bad)

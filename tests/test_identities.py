@@ -1,5 +1,6 @@
 """Tests for the identity checks and the verification suite."""
 
+import ast
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import accumulate, islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from qexpseries.identities import (DEFAULT_QS, QBINOMIAL_SUM, RECIPROCAL_PRODUCT
                                    REFLECTION_PRODUCT, SCALING_PRODUCT, _WORST,
                                    _exact_report)
 
-from oracles import add, one
+from oracles import add, int_digit_cap, one
 
 qvalues = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=8)
 
@@ -556,6 +558,17 @@ class TestReports:
     def test_exact_pass_has_no_residuals(self):
         assert check_coeff_sign_flip(Fraction(1, 2), 10).residuals == ()
 
+    def test_digit_cap(self):
+        # a q past CPython's cap on int -> str digits fails in the JSON as
+        # the DomainError that names the setting, as the CLI's tables do
+        config = SuiteConfig(qs=(Fraction(1, 10 ** 5000),), checks=("coeff_sign_flip",),
+                             k_max=2)
+        with int_digit_cap():
+            reports = run_suite(config)
+            with pytest.raises(DomainError, match="PYTHONINTMAXSTRDIGITS environment "
+                                                  "variable raises the cap$"):
+                reports_to_json(reports)
+
 
 class TestSuite:
     CONFIG = SuiteConfig(qs=(Fraction(1, 2), Fraction(2)), ns=(2, 3),
@@ -598,6 +611,11 @@ class TestSuite:
         with pytest.raises(DomainError):
             run_suite(SuiteConfig(checks=("no_such_identity",)))
 
+    @pytest.mark.parametrize("config", [None, {"qs": (2,)}])
+    def test_config_must_be_a_suite_config(self, config):
+        with pytest.raises(DomainError, match="^config must be a SuiteConfig, got "):
+            run_suite(config)
+
     def test_float_q_rejected(self):
         for config, match in (
                 # Fraction(0.1) would silently run q = 3602879701896397/36028797018963968
@@ -629,3 +647,16 @@ class TestSuite:
                                         k_max=10))
         assert len(reports) == 1
         assert reports[0].identity == "qbinomial_sum"
+
+
+def test_identities_rest_on_the_q_numbers():
+    """The nine checks import no evaluator: the package modules that
+    identities imports are errors, qnumbers, scalars and series alone."""
+    nodes = list(ast.walk(ast.parse(Path(identities.__file__).read_text())))
+    relative = {node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = [alias.name for node in nodes if isinstance(node, ast.Import)
+                for alias in node.names]
+    absolute += [node.module for node in nodes
+                 if isinstance(node, ast.ImportFrom) and not node.level]
+    assert relative == {"errors", "qnumbers", "scalars", "series"}
+    assert not [name for name in absolute if name.startswith("qexpseries")]

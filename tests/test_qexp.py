@@ -416,8 +416,36 @@ class TestEvalLogQExp:
 
     def test_fallback_rejects_nonpositive_values(self):
         # E_2(-3) is negative, so the logarithm does not exist
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^ln E_q\(z\) undefined: E_q\(-3\) = -"):
             eval_log_qexp(Fraction(2), -3)
+
+    @pytest.mark.parametrize("z", [Fraction(-7999999999999, 10 ** 12), Fraction(-2),
+                                   complex(-2, 0), -2.0])
+    def test_fallback_within_the_tail_bound_of_a_zero(self, z):
+        # E_2 vanishes at -2 and -8, and E_2(z) = +1.08e-13 at the first z;
+        # a value within its tail bound of 0 shows no sign, so the log is
+        # not certified, and not called undefined either
+        with pytest.raises(DomainError, match=r"^cannot certify E_q\(z\) != 0 at q = 2, "):
+            eval_log_qexp(2, z)
+
+    def test_fallback_undefined_only_where_the_sign_is_certified(self):
+        # near the zeros -q^(m+1)/(q-1) of E_q, q > 1, "undefined" is raised
+        # only where a far tighter sum certifies E_q(z) < 0. The first zero is
+        # on the rim of the log series' disk, where that series may need more
+        # than max_terms terms
+        undefined = 0
+        for q in (Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3), Fraction(4)):
+            for m in (0, 1):
+                root = -q ** (m + 1) / (q - 1)
+                for offset in (Fraction(s, 10 ** e) for e in range(9, 16) for s in (1, -1)):
+                    try:
+                        eval_log_qexp(q, root + offset)
+                    except (DomainError, ConvergenceError) as err:
+                        if "undefined" in str(err):
+                            tight = eval_qexp(q, root + offset, Fraction(1, 10 ** 40))
+                            assert -tight.value > tight.tail_bound, (q, root + offset)
+                            undefined += 1
+        assert undefined    # some points are certified negative
 
     def test_radius_guard(self):
         for z in (Fraction(5, 2), Fraction(10 ** 5000)):
@@ -755,10 +783,11 @@ class TestArgumentGate:
         except Exception as err:    # any class, so that a raw error shows
             return type(err), str(err)
         if len(out) == 6:
-            q, a, b, z, tol, is_exact = out
+            q, a, b, z, tol, max_terms = out
             assert (a, b) == Fraction(q).as_integer_ratio()
             assert type(tol) is float or tol == Fraction(args[2])
-            out = q, z, is_exact
+            assert type(max_terms) is int and max_terms == args[3]
+            out = q, z, type(z) is Fraction
         q, z, is_exact = out
         return Fraction(q), is_exact, Fraction(z) if is_exact else (type(z), repr(z))
 

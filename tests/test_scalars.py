@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qexpseries import DomainError, check_q, parse_rational, rational_str
+from qexpseries.scalars import check_int
+from oracles import int_digit_cap
 
 fractions_ = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 nonzero_fractions = fractions_.filter(lambda f: f != 0)
@@ -106,5 +108,45 @@ class TestSerialization:
 
     @pytest.mark.parametrize("text", ["", "abc", "1/0", "2/3/4"])
     def test_parse_rejects_garbage(self, text):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^not a rational number: "):
             parse_rational(text)
+
+    def test_digit_cap(self):
+        # past CPython's cap on int <-> str digits, both directions raise
+        # DomainError naming the setting, not "not a rational number"
+        cap = "; the PYTHONINTMAXSTRDIGITS environment variable raises the cap$"
+        with int_digit_cap():
+            with pytest.raises(DomainError, match=r"^Exceeds the limit \(4300 digits\).*" + cap):
+                rational_str(Fraction(1, 10 ** 5000))
+            with pytest.raises(DomainError, match=r"^Exceeds the limit \(4300 digits\).*"
+                                                  r"value has 4401 digits.*" + cap):
+                parse_rational("1/1" + "0" * 4400)
+            assert rational_str(Fraction(1, 10 ** 4000)) == "1/1" + "0" * 4000
+
+
+class TestCheckInt:
+    @pytest.mark.parametrize("value", [5, _IntSub(5)])
+    def test_returns_a_python_int(self, value):
+        out = check_int(value, "n")
+        assert out == 5 and type(out) is int
+
+    @pytest.mark.parametrize("value, shown", [(True, "True"), (5.0, "5.0"), (Fraction(5), "5"),
+                                              ("5", "'5'"), (None, "None"), (-1, "-1")])
+    def test_rejects(self, value, shown):
+        with pytest.raises(DomainError, match=f"^n must be an integer >= 0, got {shown}$"):
+            check_int(value, "n")
+
+    def test_numpy_integers(self):
+        # any numbers.Integral but a bool is read through operator.index, so
+        # a fixed-width count reaches the kernels as a Python int
+        np = pytest.importorskip("numpy")
+        for value in (np.int64(5), np.uint8(5), np.int32(5)):
+            out = check_int(value, "n", 1, 10)
+            assert out == 5 and type(out) is int
+        with pytest.raises(DomainError, match="^n must be an integer >= 0, got -1$"):
+            check_int(np.int64(-1), "n")
+        with pytest.raises(DomainError, match="^n must be at most 4, got an integer of 3 bits$"):
+            check_int(np.int64(5), "n", 0, 4)
+        for bad in (np.bool_(True), np.float64(5.0)):
+            with pytest.raises(DomainError, match="^n must be an integer >= 0"):
+                check_int(bad, "n")

@@ -13,6 +13,7 @@ code with the Horner kernel that walks the ratios of consecutive
 coefficients.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,34 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             s.coeffs = (Fraction(0),)
 
+    def test_frozen_dataclass(self):
+        # a value type like the package's others: equality and hash by its
+        # coefficients, as read, and a slot for them alone
+        assert dataclasses.is_dataclass(TruncatedSeries)
+        assert [f.name for f in dataclasses.fields(TruncatedSeries)] == ["coeffs"]
+        s = TruncatedSeries([1, 2])
+        assert s == TruncatedSeries((Fraction(1), Fraction(2)))
+        assert hash(s) == hash(TruncatedSeries(iter([1, 2])))
+        assert s != TruncatedSeries([1, 3]) and s != (Fraction(1), Fraction(2))
+        assert TruncatedSeries.__slots__ == ("coeffs",) and not hasattr(s, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.coeffs = (Fraction(1),)
+
+    @pytest.mark.parametrize("coeffs", [5, None, Fraction(1, 2)])
+    def test_non_iterable_rejected(self, coeffs):
+        with pytest.raises(DomainError, match="^coefficients must be an iterable of exact "
+                                              f"rationals, got {type(coeffs).__name__}$"):
+            TruncatedSeries(coeffs)
+
+    def test_error_inside_an_iterable_passes_through(self):
+        # only a value that cannot be iterated is a DomainError: an error
+        # raised while iterating it is the iterable's own
+        def coefficients():
+            yield 1
+            raise TypeError("from the generator")
+        with pytest.raises(TypeError, match="from the generator"):
+            TruncatedSeries(coefficients())
+
 
 class TestArithmetic:
     def test_difference_of_squares(self):
@@ -167,6 +196,9 @@ class TestArithmetic:
     def test_order_mismatch(self):
         with pytest.raises(OrderMismatchError):
             TruncatedSeries([1, 2]) * TruncatedSeries([1, 2, 3])
+        # every bad input is a DomainError, a mismatch of orders included
+        with pytest.raises(DomainError, match="truncation orders differ"):
+            TruncatedSeries([1, 2]).compare(TruncatedSeries([1]))
 
     def test_mixed_domains_rejected(self):
         for other in (2.0, (1, 2)):
