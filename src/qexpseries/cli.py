@@ -14,6 +14,7 @@ import json
 import re
 import sys
 from dataclasses import asdict
+from decimal import MIN_EMIN, Context, Decimal
 from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError
@@ -141,12 +142,21 @@ def cmd_coeffs(args) -> int:
     for k, (coeff, lc, lr) in enumerate(zip(series.coeffs, closed, recursive)):
         row = [k, coeff, lc, lr, lc - lr]
         if args.decimals is not None:
-            row += [f"{float(value):.{args.decimals}g}" for value in (coeff, lc)]
+            row += [_decimal(value, args.decimals) for value in (coeff, lc)]
         rows.append(row)
     _write(args.format, columns, rows, lambda cells: {
         "q": str(args.q), "order": order,
         "rows": [dict(zip(columns, row)) for row in cells]})
     return 0
+
+
+def _decimal(value: Fraction, digits: int) -> str:
+    """%g of value's double; where that is 0.0 or subnormal but value is not 0,
+    value's own leading digits, at most 767, the most %g shows of any double."""
+    if not value or abs(float(value)) >= sys.float_info.min:
+        return f"{float(value):.{digits}g}"
+    context = Context(prec=min(digits, 767), Emin=MIN_EMIN)
+    return f"{context.divide(*map(Decimal, value.as_integer_ratio())).normalize(context):g}"
 
 
 def cmd_eval(args) -> int:

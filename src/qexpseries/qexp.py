@@ -10,25 +10,19 @@ Three views of the same object:
   bounds (:func:`eval_qexp`, :func:`eval_log_qexp`).
 
 For 0 < q < 1 the series has radius of convergence (1-q)^(-1) and the
-evaluators reject arguments on or outside it; for q >= 1 it converges
-everywhere. Both evaluators pass one argument gate, which reads q as its
-coprime pair (a, b) and decides the radius by one integer
-cross-multiplication, |u| (b-a) >= w b for |z| = |u|/w, a float read
-exactly by ``as_integer_ratio``. With a rational argument both evaluators
-run one kernel: each term is the one before times a ratio of short
-integers from the integer q-number sweep, summed in fixed point as an
-integer scaled by 2^p with an integer radius that covers every floor taken
-(a ball, in the style of Arb). The stopping test, the value and the tail
-bound are taken only when both ends of their ball agree, the doubles by
-correctly rounded int / int division (Ziv's test), so they are the floats
-of the exact partial sums; the kernel hands a call that a ball leaves open
-to one exact integer sum. A float argument selects plain binary64 arithmetic
-over the same integer sweep: each [k]_q and c_k is the correctly rounded
-int / int quotient of its integers, and the sum's own rounding is outside
-the certificate. On both paths a positive tail bound below the binary64
-range is reported as the least subnormal, never as 0.0. A value beyond the
-binary64 range, a complex z whose modulus is beyond it, or a float z^k
-beyond it in the log series, raises DomainError.
+evaluators' one argument gate rejects z on or outside it; for q >= 1 it
+converges everywhere. With a rational argument both evaluators run one
+kernel (:func:`_sum_fixed`): term ratios of short integers from the q-number
+sweep, summed as a fixed-point ball in the style of Arb, whose stopping
+test, value and tail bound are the floats of the exact partial sums (Ziv's
+test); a call that a ball leaves open goes to one exact integer sum. A float
+argument selects plain binary64 arithmetic over the same sweep: each [k]_q
+and c_k is the correctly rounded int / int quotient of its integers, and the
+sum's own rounding is outside the certificate. Each evaluator decides once
+whether its later terms vanish, and on every path a tail bound that
+underflows while they do not is the least subnormal, never 0.0
+(:func:`_tail`). A value, a complex z's modulus or a float z^k of the log
+series beyond the binary64 range raises DomainError.
 """
 
 from __future__ import annotations
@@ -185,12 +179,12 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL
     it, as E_q(z) > z there.
     """
     q, a, b, z, tol, max_terms = _arguments(q, z, tol, max_terms)
-
+    live = z != 0     # every term of E_q(z) is nonzero iff z != 0
     try:
         if type(z) is Fraction:
             if z > 0:
                 float(z)    # raises OverflowError past the binary64 range
-            return _sum_fixed((1, 1), partial(_qexp_steps, a, b, z), 0, tol, max_terms)
+            return _sum_fixed((1, 1), partial(_qexp_steps, a, b, z), 0, tol, max_terms, live)
         numbers = q_number_numerators(a, b)
         power = 1                 # b^(j-1) of the last [j]_q read
         term = total = 1.0
@@ -204,7 +198,7 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL
             if r < 1:
                 bound = abs(nxt) / (1 - r)
                 if bound <= tol:
-                    return Evaluation(total, k, bound or (_TINIEST if z else 0.0), "series")
+                    return Evaluation(total, k, _tail(bound, live), "series")
             total = total + nxt
             term = nxt
         if not cmath.isfinite(total):    # the sum ran off to inf on the way
@@ -243,7 +237,8 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
     raises :class:`DomainError`; the same z as an exact rational does not.
     """
     q, a, b, z, tol, max_terms = _arguments(q, z, tol, max_terms)
-
+    # every term of ln E_q(z) after the first is nonzero iff z != 0 and q != 1
+    live = z != 0 and a != b
     if type(z) is Fraction:
         # the cap |z| |1-q| / max(1, q) as an integer pair; inside the radius
         # of q < 1 it is below 1
@@ -253,7 +248,7 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
             return _log_via_qexp(q, z, tol, max_terms)
         try:
             return _sum_fixed((u, w), partial(_log_steps, a, b, u, w, cap_num, cap_den), 1,
-                              tol, max_terms)
+                              tol, max_terms, live)
         except OverflowError:
             raise DomainError(f"ln E_q(z) exceeds the binary64 range at q = {shown(q)}, "
                               f"z = {shown(z)}") from None
@@ -284,8 +279,7 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
         c_k = next(coeffs)
         bound = abs(c_k * zpow) / (1 - r_cap)
         if bound <= tol:
-            # c_k z^k != 0 for every k unless z = 0, or q = 1 and k > 1
-            return Evaluation(total, k, bound or (_TINIEST if z and a != b else 0.0), "series")
+            return Evaluation(total, k, _tail(bound, live), "series")
         # the sum stops being finite only once z^k has run off to inf, and from
         # then on every bound is inf or nan: the float test keeps isfinite off
         # the hot path
@@ -308,17 +302,18 @@ def _log_steps(a: int, b: int, u: int, w: int, cap_num: int,
         yield (b - a) * u * k * number, (k + 1) * next_number * w, cap_den, gap
 
 
-def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol,
-               max_terms: int) -> Evaluation:
+def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
+               live: bool) -> Evaluation:
     """sum_k t_k from k = order until the tail bound is <= tol, in fixed
     point; a ball that leaves a decision open hands the call to :func:`_sum_exact`.
 
     t_order = first[0] / first[1]; a step (mul, div, lift, gap) of ``steps()``,
     div > 0, gives t_{k+1} = t_k mul / div and, if gap > 0, the tail bound
-    |t_{k+1}| lift / gap. An integer T_k within e_k of |t_k| 2^p carries
-    each term, its sign apart. One floor per step, T_{k+1} = floor(T_k
-    |mul| / div), keeps that with e_{k+1} = ceil(e_k |mul| / div) + [it
-    dropped a remainder], so the partial sum is within the sum of the e_k.
+    |t_{k+1}| lift / gap; ``live`` tells :func:`_tail` whether the terms
+    after t_order are nonzero. An integer T_k within e_k of |t_k| 2^p
+    carries each term, its sign apart. One floor per step, T_{k+1} =
+    floor(T_k |mul| / div), keeps that with e_{k+1} = ceil(e_k |mul| / div)
+    + [it dropped a remainder], so the partial sum is within the sum of the e_k.
     Each decision and rounding is taken only when both ends of its ball
     agree (:func:`_settled`), so it is the exact sum's.
     """
@@ -330,14 +325,11 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol,
     # while bit lengths alone show bound > tol the ball test is skipped
     far = limit.bit_length() - tol_den.bit_length() + 3
     mag, rem = divmod(abs(num) << p, den)     # T_k; err is e_k
-    # positive: t_k != 0, read off the steps, as a ball cannot tell
-    err, negative, positive = int(rem != 0), num < 0, num != 0
+    err, negative = int(rem != 0), num < 0
     total, total_err = -mag if negative else mag, err
     for k, (mul, div, lift, gap) in zip(range(order, order + max_terms), steps()):
         if mul < 0:
             mul, negative = -mul, not negative
-        elif not mul:
-            positive = False
         mag, rem = divmod(mag * mul, div)
         err = -(-err * mul // div) + (rem != 0)
         if gap > 0 and (mag <= err or (mag - err).bit_length() + lift.bit_length()
@@ -357,7 +349,7 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol,
                     # so the sum are past the binary64 range, and this raises
                     (abs(total) - total_err) / scale
                     break           # the ball straddles DBL_MAX: the exact sum decides
-                bound = _settled(_bound(low, gap << p, positive), _bound(high, gap << p, positive))
+                bound = _settled(_tail(low / (gap << p), live), _tail(high / (gap << p), live))
                 if value is None or bound is None:
                     break
                 return Evaluation(value, k, bound, "series")
@@ -365,10 +357,11 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol,
         total_err += err
     else:
         raise _not_converged(tol, max_terms)
-    return _sum_exact(first, steps(), order, tol, max_terms)
+    return _sum_exact(first, steps(), order, tol, max_terms, live)
 
 
-def _sum_exact(first: "tuple[int, int]", steps, order: int, tol, max_terms: int) -> Evaluation:
+def _sum_exact(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
+               live: bool) -> Evaluation:
     """The partial sum of :func:`_sum_fixed` by exact integers, for the
     decisions its balls leave open.
 
@@ -384,21 +377,18 @@ def _sum_exact(first: "tuple[int, int]", steps, order: int, tol, max_terms: int)
         next_den = den * div
         # while the term is large its bit length alone shows
         # bound > tol, as bl(a*b) >= bl(a) + bl(b) - 1 for a, b != 0
-        if gap > 0 and (not term or term.bit_length() + (lift * tol_den).bit_length()
+        if gap > 0 and (not live or term.bit_length() + (lift * tol_den).bit_length()
                         <= next_den.bit_length() + (gap * tol_num).bit_length() + 1):
-            bound_num = abs(term) * lift
-            bound_den = next_den * gap
+            bound_num, bound_den = abs(term) * lift, next_den * gap
             if bound_num * tol_den <= tol_num * bound_den:
-                return Evaluation(total / den, k, _bound(bound_num, bound_den, bool(term)),
-                                  "series")
+                return Evaluation(total / den, k, _tail(bound_num / bound_den, live), "series")
         total = total * div + term
         den = next_den
     raise _not_converged(tol, max_terms)
 
 
-#: Bits the fixed-point sums carry beyond a double's 53 and the scale of
-#: tol, so that a ball is almost always far narrower than the rounding
-#: interval it has to fall in.
+#: Bits the fixed-point sums carry beyond a double's 53 and the scale of tol, so
+#: that a ball is almost always far narrower than the interval it must round in.
 _GUARD_BITS = 64
 
 
@@ -407,19 +397,14 @@ def _settled(low, high):
     differ too). Every decision and rounding of a fixed-point sum goes
     through here: an equal rounding of both ends is the rounding of every
     number between them, as rounding is monotone."""
-    if low == high and math.copysign(1, low) == math.copysign(1, high):
-        return low
-    return None
+    return low if low == high and math.copysign(1, low) == math.copysign(1, high) else None
 
 
-_TINIEST = math.ulp(0.0)
-
-
-def _bound(num: int, den: int, positive: bool) -> float:
-    """The tail bound num / den, one correctly rounded int / int division
-    like ``float(Fraction)``; a positive bound that underflows is reported
-    as the least subnormal, never as an exact 0.0."""
-    return num / den or (_TINIEST if positive else 0.0)
+def _tail(bound: float, live: bool) -> float:
+    """The tail bound as reported, on every path: one that underflows to 0.0
+    while later terms are nonzero (``live``) is the least subnormal, never an
+    exact 0.0."""
+    return bound or (math.ulp(0.0) if live else 0.0)
 
 
 def _not_converged(tol, max_terms: int) -> ConvergenceError:

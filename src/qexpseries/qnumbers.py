@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from typing import Iterator
 
 from .errors import DomainError
@@ -60,10 +60,7 @@ def _log_coeff_pairs(a: int, b: int) -> Iterator["tuple[int, int]"]:
 def q_numbers(a: int, b: int) -> Iterator[Fraction]:
     """The sweep [1]_q, [2]_q, [3]_q, ... for q = a/b as Fractions
     S_k / b^(k-1), from :func:`q_number_numerators`."""
-    scale = 1                 # b^(k-1)
-    for number in q_number_numerators(a, b):
-        yield Fraction(number, scale)
-        scale *= b
+    return map(Fraction, q_number_numerators(a, b), accumulate(repeat(b), operator.mul, initial=1))
 
 
 def q_number(k: int, q) -> Fraction:
@@ -113,16 +110,19 @@ def q_binomial(k: int, j: int, q) -> Fraction:
     """Gaussian binomial [k choose j]_q = [k]_q! / ([j]_q! [k-j]_q!).
 
     Zero for j outside 0..k; symmetric under j <-> k-j; positive otherwise.
-    Computed as prod_{i=1..j} [k-j+i]_q / [i]_q with j replaced by
-    min(j, k-j), from one q-number sweep.
+    For q = a/b and j <= k-j it is G / b^(j(k-j)) with one reduction, where
+    G = prod_{i=1..j} S_(k-j+i) / S_i over the integer q-number sweep is an
+    exact integer quotient, as [k ch j]_q is an integer polynomial in q.
     """
     k = check_int(k, "k")
     if (j := check_int(j, "j", None, None)) < 0 or j > k:
         return Fraction(0)
     j = min(j, k - j)
-    numbers = list(islice(q_numbers(*check_q(q).as_integer_ratio()), k))
-    return (math.prod(numbers[k - j:], start=Fraction(1))
-            / math.prod(numbers[:j], start=Fraction(1)))
+    a, b = check_q(q).as_integer_ratio()
+    numbers = q_number_numerators(a, b)
+    low = math.prod(islice(numbers, j))                     # S_1 ... S_j
+    high = math.prod(islice(numbers, k - 2 * j, k - j))     # S_(k-j+1) ... S_k
+    return Fraction(high // low, b ** (j * (k - j)))
 
 
 def q_binomial_pascal(k: int, j: int, q) -> Fraction:

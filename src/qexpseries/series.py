@@ -85,10 +85,11 @@ def _link(a: list, nz: list, up: dict, ms: Iterable[int]) -> "tuple[list, dict]"
     return nz, up
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TruncatedSeries:
     """Power series truncated at a fixed order N (inclusive)."""
 
+    __slots__ = ("coeffs",)   # not slots=True: its rebuilt class broke the frozen __setattr__
     coeffs: "tuple[Fraction, ...]"
 
     #: Always true: every coefficient is an exact rational.
@@ -108,6 +109,9 @@ class TruncatedSeries:
             if number is None:
                 raise DomainError(f"coefficients must be exact rationals, got {type(c).__name__}")
         object.__setattr__(self, "coeffs", exact)
+
+    def __reduce__(self):       # copy and pickle rebuild through __init__, as slots are frozen
+        return type(self), (self.coeffs,)
 
     @property
     def order(self) -> int:

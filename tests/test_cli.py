@@ -102,6 +102,37 @@ class TestCoeffs:
         assert code == 0
         assert parse_csv(out)[2]["qexp_coeff_dec"] == f"{2 / 3:.60g}"
 
+    @pytest.mark.parametrize("q, order, first, shown", [("5", 40, 31, "1.24089e-328"),
+                                                        ("4", 34, 33, "1.41716e-322")])
+    def test_decimals_past_the_binary64_range(self, capsys, q, order, first, shown):
+        # 1/[k]_5! is 0.0 as a double from k = 31 on, and 1/[33]_4! is the
+        # subnormal 1.43e-322: from row ``first`` on the column shows the
+        # exact value's six leading digits, in the layout of %g
+        code, out, _ = run_cli(capsys, "coeffs", "--q", q, "--order", str(order),
+                               "--format", "csv", "--decimals", "6")
+        assert code == 0
+        for k, row in enumerate(parse_csv(out)):
+            exact, text = Fraction(row["qexp_coeff"]), row["qexp_coeff_dec"]
+            if k < first:
+                assert text == f"{float(exact):.6g}"
+                continue
+            mantissa, exponent = text.split("e-")
+            assert len(exponent) == 3 and len(mantissa.replace(".", "")) <= 6
+            unit = Fraction(1, 10 ** (int(exponent) + 5))
+            assert abs(Fraction(text) - exact) <= unit / 2, (k, text)
+        assert parse_csv(out)[first]["qexp_coeff_dec"] == shown
+
+    def test_decimals_digit_cap(self, capsys):
+        # past the binary64 range a value has no double to print, and its own
+        # expansion need not end: it stops at the 767 digits %g shows at most
+        code, out, _ = run_cli(capsys, "coeffs", "--q", "5", "--order", "31", "--format",
+                               "csv", "--decimals", str(2 ** 31 - 1))
+        assert code == 0
+        row = parse_csv(out)[31]
+        exact, text = Fraction(row["qexp_coeff"]), row["qexp_coeff_dec"]
+        assert text.startswith("1.24089") and len(text.split("e")[0].replace(".", "")) <= 767
+        assert abs(Fraction(text) / exact - 1) < Fraction(1, 10 ** 765)
+
 
 class TestEval:
     def test_outside_radius_exits_one_naming_radius(self, capsys):

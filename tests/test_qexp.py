@@ -588,7 +588,8 @@ class TestExactPathMatchesReference:
     @pytest.mark.parametrize("q", QS)
     def test_byte_identical(self, q, monkeypatch):
         raised = 0
-        for z in self.points(q):
+        # z = 0, where every term past the first vanishes, as in ln E_1(z)
+        for z in (*self.points(q), Fraction(0)):
             for tol in (1e-8, 1e-12):
                 for max_terms in (1000, 10):
                     args = (q, z, tol, max_terms)
@@ -620,11 +621,18 @@ class TestExactPathMatchesReference:
 
     def test_underflowing_bound(self, monkeypatch):
         # a positive bound below the least subnormal is reported as that
-        # subnormal, not as 0.0, which would claim an exact value
-        for which, args in ((1, (Fraction(1, 2), Fraction(1, 10 ** 170), 1e-12, 1000)),
-                            (0, (Fraction(1, 2), Fraction(1, 10 ** 200), 1e-300, 1000))):
+        # subnormal, not as 0.0, which would claim an exact value; where the
+        # later terms vanish, at z = 0 and in ln E_1(z), the bound is 0.0
+        tiniest = math.ulp(0.0)
+        for which, args, bound in (
+                (1, (Fraction(1, 2), Fraction(1, 10 ** 170), 1e-12, 1000), tiniest),
+                (0, (Fraction(1, 2), Fraction(1, 10 ** 200), 1e-300, 1000), tiniest),
+                (1, (Fraction(1), Fraction(1, 10 ** 170), 1e-12, 1000), 0.0),
+                (1, (Fraction(1), Fraction(-3), 1e-300, 1000), 0.0),
+                (0, (Fraction(1, 2), Fraction(0), 1e-300, 1000), 0.0),
+                (1, (Fraction(5, 2), Fraction(0), 1e-300, 1000), 0.0)):
             expected = self.expected(*args, monkeypatch)
-            assert expected[which][0].tail_bound == math.ulp(0.0)
+            assert expected[which][0].tail_bound == bound
             self.assert_routes(("as_is", "exact"), args, expected)
 
     #: Bits of the reference E_q's partial sums past which its gcd at every

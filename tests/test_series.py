@@ -13,7 +13,9 @@ code with the Horner kernel that walks the ratios of consecutive
 coefficients.
 """
 
+import copy
 import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -166,6 +168,25 @@ class TestConstruction:
         assert TruncatedSeries.__slots__ == ("coeffs",) and not hasattr(s, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             s.coeffs = (Fraction(1),)
+
+    @pytest.mark.parametrize("name", ["coeffs", "extra", "order", "exact"])
+    def test_every_attribute_frozen(self, name):
+        # a field, a new name, a property and a class attribute alike; a
+        # class rebuilt by slots=True raised a raw TypeError for new names
+        s = TruncatedSeries([1, 2])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(s, name)
+        assert s.coeffs == (1, 2)
+
+    def test_copy_and_pickle(self):
+        # frozen slots refuse the setattr that copy and pickle restore state
+        # with, so they rebuild the series through its constructor
+        s = TruncatedSeries([1, Fraction(-1, 3)])
+        for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert type(twin) is TruncatedSeries
+            assert twin == s and hash(twin) == hash(s) and twin.coeffs == s.coeffs
 
     @pytest.mark.parametrize("coeffs", [5, None, Fraction(1, 2)])
     def test_non_iterable_rejected(self, coeffs):
