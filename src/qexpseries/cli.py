@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import ConvergenceError, DomainError
 from .identities import ALL_IDENTITIES, DEFAULT_NS, DEFAULT_QS, SuiteConfig, run_suite
 from .qexp import (DEFAULT_MAX_TERMS, DEFAULT_TOL, eval_log_qexp, eval_qexp, log_coeffs_closed,
-                   qexp_series)
+                   log_coeffs_recursive, qexp_series)
 from .scalars import (_raise_at_digit_cap, check_int, check_q, check_tol, parse_rational,
                       rational_str)
 
@@ -134,7 +134,9 @@ def cmd_coeffs(args) -> int:
     order = args.order
     series = qexp_series(args.q, order).series
     closed = log_coeffs_closed(order, args.q).values
-    recursive = series.log().coeffs     # log_coeffs_recursive, on the series built here
+    # the recursion reads neither the series nor the closed form, so the
+    # difference column holds the two routes against each other
+    recursive = log_coeffs_recursive(order, args.q).values
     columns = list(COEFF_COLUMNS)
     if args.decimals is not None:
         columns += ["qexp_coeff_dec", "log_closed_dec"]

@@ -202,7 +202,10 @@ def _leibniz(a: int, b: int, n: int, f: "list[int]", m: int = 0) -> "list[int]":
         F_j <- F_(j+1) + a^(m+nj) b^(nk+n-1-m) F_j,
 
     a big integer times a short one: no binomial is formed and no gcd is
-    taken.
+    taken. f is known here and walked level by level; the log recursion
+    (:func:`qexpseries.qexp._log_recursion_pairs`) solves its f as it goes
+    and walks the same rule at n = 1, m = 0 by anti-diagonals,
+    D_k[i] = D_k[i-1] + a^(k-i) b^(i-1) D_(k-1)[i-1].
     """
     lifts = [a ** (m + n * j) for j in range(len(f) - 1)]
     shift, step = b ** (n - 1 - m), b ** n     # b^(nk+n-1-m) at k = 0, and its step in k

@@ -5,7 +5,9 @@ Three views of the same object:
 * the truncated series itself (:func:`qexp_series`);
 * the coefficients c_k of its logarithm ln E_q(z) = sum_k c_k z^k, either in
   closed form c_k = (1-q)^(k-1) / (k [k]_q) or through the recursion those
-  coefficients satisfy -- two independent routes that must agree exactly;
+  coefficients satisfy, run on the q-Leibniz rule in the divided-power basis
+  of q -- two independent routes over the q-number sweep, neither of which
+  reads the other or the E_q series, that must agree exactly;
 * guarded numeric evaluation of E_q and ln E_q with certified truncation
   bounds (:func:`eval_qexp`, :func:`eval_log_qexp`).
 
@@ -94,18 +96,54 @@ def log_coeffs_closed(order: int, q) -> LogCoeffVector:
 
 
 def log_coeffs_recursive(order: int, q) -> LogCoeffVector:
-    """Log coefficients as the formal logarithm of the E_q series,
-    :meth:`TruncatedSeries.log` of :func:`qexp_series`, which runs the
-    recursion they satisfy:
+    """Log coefficients by the recursion they satisfy, over the q-number
+    sweep alone (:func:`_log_recursion_pairs`): taking coefficient k of
+    z E_q' = E_q z L' for L = ln E_q and multiplying by [k]_q! gives
 
-        c_1 = 1;   c_k = 1/[k]_q! - (1/k) * sum_{j=1}^{k-1} (j / [k-j]_q!) c_j.
+        k = sum_{j=1}^{k} [k ch j]_q j [j]_q! c_j,
+
+    which fixes c_k once c_1 .. c_(k-1) are known.
 
     Computes the same values as :func:`log_coeffs_closed` by an independent
     O(order^2) route; exact agreement between the two is the library's
     central self-check.
     """
-    qexp = qexp_series(q, order)
-    return LogCoeffVector(qexp.q, qexp.series.log().coeffs)
+    order = check_int(order, "order")
+    q = check_q(q)
+    coeffs = starmap(Fraction, islice(_log_recursion_pairs(*q.as_integer_ratio()), order))
+    return LogCoeffVector(q, (Fraction(0), *coeffs))
+
+
+def _log_recursion_pairs(a: int, b: int) -> Iterator["tuple[int, int]"]:
+    """The recursion's sweep c_1, c_2, ... for q = a/b as unreduced integer
+    pairs (X_k, k F_k), F_k = S_1 .. S_k from the q-number sweep.
+
+    k = sum_j [k ch j]_q d_j, d_j = j [j]_q! c_j, is coefficient k of
+    E_q(z) times sum_j d_j z^j / [j]_q! in the divided-power basis of q:
+    the product that :func:`qexpseries.identities._leibniz` takes at n = 1,
+    m = 0 by F_j <- F_(j+1) + a^j b^i F_j from level i to i+1. Here d_k is
+    known only once coefficient k is solved, so the levels are walked by
+    anti-diagonals. Entry i of diagonal k, D_k[i] = F^(i)_(k-i), held over
+    b^(k(k-1)/2), steps by the integer rule
+
+        D_k[i] = D_k[i-1] + a^(k-i) b^(i-1) D_(k-1)[i-1],   D_k[0] = X_k,
+
+    a big integer times a short one and one add, and its last entry is
+    D_k[k] = k b^(k(k-1)/2). So X_k = k b^(k(k-1)/2) - sum_i a^(k-i) b^(i-1)
+    D_(k-1)[i-1]: the products are summed once for X_k and once more, from
+    X_k, for the diagonal. c_k = d_k / (k [k]_q!) = X_k / (k F_k).
+    """
+    diagonal, lifts = [0], []       # D_0 = [d_0]; a^(k-i) b^(i-1) for i = 1..k
+    power = scale = factorial = 1   # b^(k-1), b^(k(k-1)/2) and F_k
+    for k, number in enumerate(q_number_numerators(a, b), 1):
+        lifts = [a * lift for lift in lifts] + [power]
+        products = list(map(operator.mul, lifts, diagonal))
+        x = k * scale - sum(products)
+        diagonal = list(accumulate(products, initial=x))
+        factorial *= number
+        yield x, k * factorial
+        power *= b
+        scale *= power
 
 
 @dataclass(frozen=True)
@@ -231,10 +269,12 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
     r = |z|(q-1)/q for q > 1 (both follow from k/(k+1) < 1 and the
     monotonicity bound [k]_q/[k+1]_q <= 1/q for q >= 1), giving a geometric
     tail majorant whenever the cap is below 1. For q > 1 outside that disk
-    (|z| >= q/(q-1)) the value falls back to log(eval_qexp(z)); the
-    ``method`` field reports which path produced the result. A float z
-    whose power z^k leaves the binary64 range before the bound reaches tol
-    raises :class:`DomainError`; the same z as an exact rational does not.
+    (|z| >= q/(q-1)), and just inside it where the cap is so near 1 that the
+    log series does not settle within max_terms, the value falls back to
+    log(eval_qexp(z)); the ``method`` field reports which path produced the
+    result. A float z whose power z^k leaves the binary64 range before the
+    bound reaches tol raises :class:`DomainError`; the same z as an exact
+    rational does not.
     """
     q, a, b, z, tol, max_terms = _arguments(q, z, tol, max_terms)
     # every term of ln E_q(z) after the first is nonzero iff z != 0 and q != 1
@@ -252,6 +292,11 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
         except OverflowError:
             raise DomainError(f"ln E_q(z) exceeds the binary64 range at q = {shown(q)}, "
                               f"z = {shown(z)}") from None
+        except ConvergenceError:
+            if a <= b:
+                raise
+        # the rim of q > 1, out of the handler so that no error chains to it
+        return _log_via_qexp(q, z, tol, max_terms)
 
     # the doubles float * Fraction gives: |z| * float(q - 1) / float(q) and
     # |z| * float(1 - q), each quotient of coprime integers correctly
@@ -287,6 +332,8 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
             raise DomainError(f"z^k left the binary64 range in ln E_q(z) at "
                               f"q = {shown(q)}, z = {shown(z)}; "
                               "an exact rational z avoids this")
+    if a > b:
+        return _log_via_qexp(q, z, tol, max_terms)    # the rim of q > 1
     raise _not_converged(tol, max_terms)
 
 

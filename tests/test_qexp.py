@@ -11,6 +11,7 @@ the product formulas at 40 digits.
 
 import cmath
 import itertools
+import json
 import math
 import random
 import re
@@ -21,10 +22,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qexpseries.cli as cli
 import qexpseries.qexp as qexp_module
-from qexpseries import (ConvergenceError, DomainError, Evaluation, check_q,
-                        eval_log_qexp, eval_qexp, log_coeffs_closed, log_coeffs_recursive,
-                        q_number, qexp_series)
+import qexpseries.qnumbers as qnumbers_module
+from qexpseries import (DEFAULT_QS, DEFAULT_TOL, ConvergenceError, DomainError, Evaluation,
+                        TruncatedSeries, check_q, eval_log_qexp, eval_qexp, log_coeffs_closed,
+                        log_coeffs_recursive, q_number, qexp_series)
 from qexpseries.qnumbers import q_numbers
 from qexpseries.scalars import shown
 from oracles import reference_arguments
@@ -250,6 +253,50 @@ class TestLogCoeffsRecursive:
     def test_agrees_with_closed_form_random(self, q, order):
         assert log_coeffs_recursive(order, q).values == log_coeffs_closed(order, q).values
 
+    @pytest.mark.parametrize("q", DEFAULT_QS + (Fraction(1), Fraction(4, 5), Fraction(5, 7)))
+    def test_matches_the_log_of_the_series(self, q):
+        # the generic Horner log of E_q, the route the anti-diagonal kernel replaced
+        for order in (0, 1, 2, 40, 96):
+            assert (log_coeffs_recursive(order, q).values
+                    == qexp_series(q, order).series.log().coeffs), order
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 40))
+    def test_matches_the_log_of_the_series_random(self, a, b, order):
+        q = Fraction(a, b)
+        assert log_coeffs_recursive(order, q).values == qexp_series(q, order).series.log().coeffs
+
+    def test_reads_only_the_q_number_sweep(self, monkeypatch):
+        expected = log_coeffs_recursive(40, Fraction(2, 5)).values
+
+        def unreachable(*args):
+            raise AssertionError("the recursion read another route")
+
+        monkeypatch.setattr(qexp_module, "_log_coeff_pairs", unreachable)
+        monkeypatch.setattr(qexp_module, "qexp_series", unreachable)
+        monkeypatch.setattr(TruncatedSeries, "log", unreachable)
+        assert log_coeffs_recursive(40, Fraction(2, 5)).values == expected
+
+    def test_independent_of_the_closed_form(self, monkeypatch, capsys):
+        # a closed form with 1-q doubled keeps c_1 and is wrong from c_2 on;
+        # the recursion does not move, so `qexp coeffs` shows the difference
+        q = Fraction(2, 3)
+        expected = log_coeffs_recursive(12, q).values
+        pairs = qnumbers_module._log_coeff_pairs
+
+        def doubled(a, b):
+            for k, (shift, den) in enumerate(pairs(a, b)):
+                yield shift * 2 ** k, den
+
+        monkeypatch.setattr(qexp_module, "_log_coeff_pairs", doubled)
+        monkeypatch.setattr(qnumbers_module, "_log_coeff_pairs", doubled)
+        assert log_coeffs_closed(12, q).values != expected
+        assert log_coeffs_recursive(12, q).values == expected
+        assert cli.main(["coeffs", "--q", "2/3", "--order", "12", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["log_recursion"] for row in rows] == list(map(str, expected))
+        assert [row["difference"] != "0" for row in rows] == [False, False] + [True] * 11
+
 
 class TestLogCoeffVector:
     def test_closed_form_invariant(self):
@@ -447,6 +494,27 @@ class TestEvalLogQExp:
                             undefined += 1
         assert undefined    # some points are certified negative
 
+    @pytest.mark.parametrize("z, max_terms", [(Fraction(-3) + Fraction(1, 10 ** 9), 1000),
+                                              (Fraction(-29, 10), 20), (-2.9, 20)])
+    def test_rim_falls_back_to_the_log_of_qexp(self, z, max_terms):
+        # for q > 1 a log series that does not settle within max_terms hands
+        # the call to the log of E_q, on the exact and the binary64 path: its
+        # ratio cap |z|(q-1)/q is 1 - 10^-9/3 at the first z
+        out = eval_log_qexp(Fraction(3, 2), z, max_terms=max_terms)
+        assert out == qexp_module._log_via_qexp(Fraction(3, 2), z, DEFAULT_TOL, max_terms)
+        assert out.method == "log_of_qexp" and out.order < max_terms
+        # for q < 1 no other route exists inside the disk
+        with pytest.raises(ConvergenceError):
+            eval_log_qexp(Fraction(1, 2), z / -2, max_terms=20)
+
+    def test_rim_fallback_error_stands_alone(self):
+        # 1e-13 off the zero E_q's value is within its tail bound; the
+        # fallback's error is raised on its own, not chained to the log
+        # series' ConvergenceError
+        with pytest.raises(DomainError, match="^cannot certify") as err:
+            eval_log_qexp(Fraction(3, 2), Fraction(-3) + Fraction(1, 10 ** 13))
+        assert err.value.__context__ is None
+
     def test_radius_guard(self):
         for z in (Fraction(5, 2), Fraction(10 ** 5000)):
             with pytest.raises(DomainError) as err:
@@ -549,17 +617,20 @@ class TestExactPathMatchesReference:
 
     @staticmethod
     def expected(q, z, tol, max_terms, monkeypatch, qexp_outcome=None):
-        """The reference outcomes of E_q(z) and ln E_q(z); a log outside its
-        series disk is _log_via_qexp over the reference E_q. A given
+        """The reference outcomes of E_q(z) and ln E_q(z); for q > 1 a log
+        outside its series disk, or one whose series does not settle within
+        max_terms, is _log_via_qexp over the reference E_q. A given
         ``qexp_outcome`` stands in for the reference E_q outcome."""
         if qexp_outcome is None:
             qexp_outcome = _outcome(_reference_eval_qexp, q, z, tol, max_terms)
-        if check_q(q) > 1 and abs(z) >= q / (q - 1):
+        log_outcome = None
+        if check_q(q) <= 1 or abs(z) < q / (q - 1):
+            log_outcome = _outcome(_reference_eval_log_qexp, q, z, tol, max_terms)
+        if log_outcome is None or (q > 1 and log_outcome[0] is ConvergenceError):
             with monkeypatch.context() as patch:
                 patch.setattr(qexp_module, "eval_qexp", _reference_eval_qexp)
-                return qexp_outcome, _outcome(qexp_module._log_via_qexp, Fraction(q), z,
-                                              tol, max_terms)
-        return qexp_outcome, _outcome(_reference_eval_log_qexp, q, z, tol, max_terms)
+                log_outcome = _outcome(qexp_module._log_via_qexp, Fraction(q), z, tol, max_terms)
+        return qexp_outcome, log_outcome
 
     @staticmethod
     def route(patch, name):
@@ -678,15 +749,19 @@ class TestFloatPathMatchesReference:
 
     @staticmethod
     def expected(q, z, tol, max_terms):
-        """The reference outcomes of E_q(z) and ln E_q(z); a log outside its
-        series disk is _log_via_qexp over the reference E_q."""
+        """The reference outcomes of E_q(z) and ln E_q(z); for q > 1 a log
+        outside its series disk, or one whose series does not settle within
+        max_terms, is _log_via_qexp over the reference E_q."""
         q = check_q(q)
         qexp_outcome = _outcome(_reference_float_eval_qexp, q, z, tol, max_terms)
-        if q > 1 and abs(z) * (q - 1) / q >= 1:
+        log_outcome = None
+        if q <= 1 or abs(z) * (q - 1) / q < 1:
+            log_outcome = _outcome(_reference_float_eval_log_qexp, q, z, tol, max_terms)
+        if log_outcome is None or (q > 1 and log_outcome[0] is ConvergenceError):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(qexp_module, "eval_qexp", _reference_float_eval_qexp)
-                return qexp_outcome, _outcome(qexp_module._log_via_qexp, q, z, tol, max_terms)
-        return qexp_outcome, _outcome(_reference_float_eval_log_qexp, q, z, tol, max_terms)
+                log_outcome = _outcome(qexp_module._log_via_qexp, q, z, tol, max_terms)
+        return qexp_outcome, log_outcome
 
     @staticmethod
     def got(*args):
@@ -859,3 +934,15 @@ class TestMpmathOracle:
                 log_out = eval_log_qexp(q, z, tol=1e-10, max_terms=5000)
                 assert abs(log_out.value - mpmath.log(ref)) <= (log_out.tail_bound
                                                               + math.ulp(log_out.value))
+
+    def test_rim_of_the_log_series(self):
+        # 1e-9 inside the log series' disk at q = 3/2, and off E_q's first
+        # zero -3: ln E_q(z) is about -24.49, from the log of E_q
+        mpmath = pytest.importorskip("mpmath")
+        z = Fraction(-3) + Fraction(1, 10 ** 9)
+        out = eval_log_qexp(Fraction(3, 2), z)
+        with mpmath.workdps(40):
+            # E_q(z) = (-(1-1/q) z; 1/q)_inf for q > 1
+            ref = mpmath.log(mpmath.qp(mpmath.mpf(-z.numerator) / (3 * z.denominator),
+                                       mpmath.mpf(2) / 3))
+            assert abs(out.value - ref) <= out.tail_bound + math.ulp(out.value)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import qexpseries
+import qexpseries.cli as cli
 from qexpseries import QFactorialTable, SuiteConfig, TruncatedSeries, qexp_series
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -54,3 +55,20 @@ def test_spans_recorded_and_package_restored():
     assert {"series.mul_exact", "identities.run_suite",
             "identities.check_reflection_product"} <= names
     assert package_state(tracing.MODULES) == before
+
+
+def test_coeffs_records_the_recursion_span(capsys):
+    # `qexp coeffs` calls log_coeffs_recursive by name, so its span is live
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        code = tracer.op(lambda: cli.main(["coeffs", "--q", "2/3", "--order", "12"]))
+    finally:
+        tracer.uninstall()
+    assert code == 0 and "log_recursion" in capsys.readouterr().out
+    table = tracer.table()
+    assert table["qexp.log_coeffs_recursive"]["calls"] == 1
+    assert table["qexp.log_coeffs_recursive"]["max_bits"] > 0
+    assert {"cli.main", "qexp.qexp_series", "qexp.log_coeffs_closed"} <= set(table)
