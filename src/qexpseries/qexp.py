@@ -269,12 +269,14 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
     r = |z|(q-1)/q for q > 1 (both follow from k/(k+1) < 1 and the
     monotonicity bound [k]_q/[k+1]_q <= 1/q for q >= 1), giving a geometric
     tail majorant whenever the cap is below 1. For q > 1 outside that disk
-    (|z| >= q/(q-1)), and just inside it where the cap is so near 1 that the
-    log series does not settle within max_terms, the value falls back to
-    log(eval_qexp(z)); the ``method`` field reports which path produced the
-    result. A float z whose power z^k leaves the binary64 range before the
-    bound reaches tol raises :class:`DomainError`; the same z as an exact
-    rational does not.
+    (|z| >= q/(q-1)), and for a real z just inside it where the cap is so
+    near 1 that the log series does not settle within max_terms, the value
+    falls back to log(eval_qexp(z)); the ``method`` field reports which path
+    produced the result. A complex z on that rim raises
+    :class:`ConvergenceError`, as the principal log of E_q(z) can be off the
+    series' sum by a multiple of 2 pi i there. A float z whose power z^k
+    leaves the binary64 range before the bound reaches tol raises
+    :class:`DomainError`; the same z as an exact rational does not.
     """
     q, a, b, z, tol, max_terms = _arguments(q, z, tol, max_terms)
     # every term of ln E_q(z) after the first is nonzero iff z != 0 and q != 1
@@ -332,8 +334,11 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
             raise DomainError(f"z^k left the binary64 range in ln E_q(z) at "
                               f"q = {shown(q)}, z = {shown(z)}; "
                               "an exact rational z avoids this")
-    if a > b:
-        return _log_via_qexp(q, z, tol, max_terms)    # the rim of q > 1
+    if a > b and type(z) is not complex:
+        # the rim of q > 1. For a real z in the disk every factor of E_q(z) is
+        # positive and its real log is the series' sum; a complex z's sum of
+        # factor arguments can pass pi, off the principal log of E_q(z)
+        return _log_via_qexp(q, z, tol, max_terms)
     raise _not_converged(tol, max_terms)
 
 
