@@ -23,8 +23,8 @@ and c_k is the correctly rounded int / int quotient of its integers, and the
 sum's own rounding is outside the certificate. Each evaluator decides once
 whether its later terms vanish, and on every path a tail bound that
 underflows while they do not is the least subnormal, never 0.0
-(:func:`_tail`). A value, a complex z's modulus or a float z^k of the log
-series beyond the binary64 range raises DomainError.
+(:func:`_tail`). A value or a complex |z| beyond the binary64 range raises
+DomainError; so does a float z^k of the log series, but on the rim of q > 1.
 """
 
 from __future__ import annotations
@@ -268,78 +268,72 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
     Successive term ratios are capped by r = |z|(1-q) for q <= 1 and by
     r = |z|(q-1)/q for q > 1 (both follow from k/(k+1) < 1 and the
     monotonicity bound [k]_q/[k+1]_q <= 1/q for q >= 1), giving a geometric
-    tail majorant whenever the cap is below 1. For q > 1 outside that disk
-    (|z| >= q/(q-1)), and for a real z just inside it where the cap is so
-    near 1 that the log series does not settle within max_terms, the value
-    falls back to log(eval_qexp(z)); the ``method`` field reports which path
-    produced the result. A complex z on that rim raises
-    :class:`ConvergenceError`, as the principal log of E_q(z) can be off the
-    series' sum by a multiple of 2 pi i there. A float z whose power z^k
-    leaves the binary64 range before the bound reaches tol raises
-    :class:`DomainError`; the same z as an exact rational does not.
+    tail majorant whenever the cap is below 1. For q > 1 one rule hands the
+    call to log(eval_qexp(z)) (:func:`_log_via_qexp`, ``method``
+    "log_of_qexp"): outside that disk (|z| >= q/(q-1)), and on its rim for a
+    real z whose log series does not settle within max_terms or before a
+    float z^k leaves the binary64 range. A complex z gets the principal log
+    of E_q(z) there, not the series' continuation: it can be off the sum of
+    the factors' logs by a multiple of 2 pi i (4 pi i at q = 11/10, z = 11j),
+    so on the rim a complex z raises :class:`ConvergenceError`. Elsewhere a
+    float z^k beyond the binary64 range raises :class:`DomainError`; the
+    same z as an exact rational does not.
     """
     q, a, b, z, tol, max_terms = _arguments(q, z, tol, max_terms)
     # every term of ln E_q(z) after the first is nonzero iff z != 0 and q != 1
     live = z != 0 and a != b
-    if type(z) is Fraction:
-        # the cap |z| |1-q| / max(1, q) as an integer pair; inside the radius
-        # of q < 1 it is below 1
-        u, w = z.as_integer_ratio()
-        cap_num, cap_den = abs(u) * abs(b - a), w * max(a, b)
-        if cap_num >= cap_den:
-            return _log_via_qexp(q, z, tol, max_terms)
-        try:
-            return _sum_fixed((u, w), partial(_log_steps, a, b, u, w, cap_num, cap_den), 1,
-                              tol, max_terms, live)
-        except OverflowError:
-            raise DomainError(f"ln E_q(z) exceeds the binary64 range at q = {shown(q)}, "
-                              f"z = {shown(z)}") from None
-        except ConvergenceError:
-            if a <= b:
-                raise
-        # the rim of q > 1, out of the handler so that no error chains to it
-        return _log_via_qexp(q, z, tol, max_terms)
-
-    # the doubles float * Fraction gives: |z| * float(q - 1) / float(q) and
-    # |z| * float(1 - q), each quotient of coprime integers correctly
-    # rounded; |z| * float((q - 1) / q) rounds differently at some z
-    z_abs = _modulus(q, z)
-    if a > b:
-        r_cap = z_abs * ((a - b) / b) / (a / b)
-        if r_cap >= 1:
-            return _log_via_qexp(q, z, tol, max_terms)
-    else:
-        r_cap = z_abs * ((b - a) / b)
-        if r_cap >= 1:    # float rounding pushed |z|(1-q) onto 1 right at the radius
-            raise DomainError(
-                f"|z| = {z_abs} is too close to the radius of convergence for a "
-                f"certified log series at q = {shown(q)}; pass z as an exact rational"
-            )
-
-    coeffs = starmap(operator.truediv, _log_coeff_pairs(a, b))    # c_k, rounded once
-    zpow = z                  # z^k
-    c_k = next(coeffs)
-    total = 0.0
-    for k in range(1, max_terms + 1):
-        total = total + c_k * zpow
-        zpow = zpow * z
-        c_k = next(coeffs)
-        bound = abs(c_k * zpow) / (1 - r_cap)
-        if bound <= tol:
-            return Evaluation(total, k, _tail(bound, live), "series")
-        # the sum stops being finite only once z^k has run off to inf, and from
-        # then on every bound is inf or nan: the float test keeps isfinite off
-        # the hot path
-        if not bound < math.inf and not cmath.isfinite(total):
-            raise DomainError(f"z^k left the binary64 range in ln E_q(z) at "
-                              f"q = {shown(q)}, z = {shown(z)}; "
-                              "an exact rational z avoids this")
-    if a > b and type(z) is not complex:
-        # the rim of q > 1. For a real z in the disk every factor of E_q(z) is
-        # positive and its real log is the series' sum; a complex z's sum of
-        # factor arguments can pass pi, off the principal log of E_q(z)
-        return _log_via_qexp(q, z, tol, max_terms)
-    raise _not_converged(tol, max_terms)
+    # the rim of q > 1. For a real z in the disk every factor of E_q(z) is
+    # positive and its real log is the series' sum; a complex z's sum of
+    # factor arguments can pass pi, off the principal log of E_q(z)
+    rim = a > b and type(z) is not complex
+    try:
+        if type(z) is Fraction:
+            # the cap |z| |1-q| / max(1, q) as an integer pair; inside the radius
+            # of q < 1 it is below 1
+            u, w = z.as_integer_ratio()
+            cap_num, cap_den = abs(u) * abs(b - a), w * max(a, b)
+            if cap_num < cap_den:
+                try:
+                    return _sum_fixed((u, w), partial(_log_steps, a, b, u, w, cap_num, cap_den),
+                                      1, tol, max_terms, live)
+                except OverflowError:
+                    raise DomainError(f"ln E_q(z) exceeds the binary64 range at "
+                                      f"q = {shown(q)}, z = {shown(z)}") from None
+        else:
+            # the doubles float * Fraction gives: |z| * float(q - 1) / float(q) and
+            # |z| * float(1 - q), each quotient of coprime integers correctly
+            # rounded; |z| * float((q - 1) / q) rounds differently at some z
+            z_abs = _modulus(q, z)
+            r_cap = z_abs * ((a - b) / b) / (a / b) if a > b else z_abs * ((b - a) / b)
+            if r_cap >= 1 and a <= b:    # float rounding pushed |z|(1-q) onto 1 at the radius
+                raise DomainError(f"|z| = {z_abs} is too close to the radius of convergence "
+                                  f"for a certified log series at q = {shown(q)}; "
+                                  "pass z as an exact rational")
+            if r_cap < 1:
+                coeffs = starmap(operator.truediv, _log_coeff_pairs(a, b))    # c_k, rounded once
+                zpow, c_k, total = z, next(coeffs), 0.0    # z^k, c_k and the sum
+                for k in range(1, max_terms + 1):
+                    total = total + c_k * zpow
+                    zpow = zpow * z
+                    c_k = next(coeffs)
+                    bound = abs(c_k * zpow) / (1 - r_cap)
+                    if bound <= tol:
+                        return Evaluation(total, k, _tail(bound, live), "series")
+                    # the sum stops being finite only once z^k has run off to inf, and
+                    # from then on every bound is inf or nan: the float test keeps
+                    # isfinite off the hot path
+                    if not bound < math.inf and not cmath.isfinite(total):
+                        if rim:
+                            break     # a series that cannot settle, as at max_terms
+                        raise DomainError(f"z^k left the binary64 range in ln E_q(z) at "
+                                          f"q = {shown(q)}, z = {shown(z)}; "
+                                          "an exact rational z avoids this")
+                raise _not_converged(tol, max_terms)
+    except ConvergenceError:
+        if not rim:
+            raise
+    # outside the disk of q > 1 or on its rim, out of the handler: no error chains
+    return _log_via_qexp(q, z, tol, max_terms)
 
 
 def _log_steps(a: int, b: int, u: int, w: int, cap_num: int,
@@ -464,13 +458,16 @@ def _not_converged(tol, max_terms: int) -> ConvergenceError:
 
 
 def _log_via_qexp(q: Fraction, z, tol: float, max_terms: int) -> Evaluation:
-    """log(E_q(z)) with the log-propagation error kept under tol.
+    """log(E_q(z)) with the log-propagation error tail / (|E| - tail) <= tol.
 
-    Two passes: an absolute-tolerance evaluation of E_q(z), then a tightened
-    one when |E| is small. |delta log| <= tail / (|E| - tail) for tail < |E|.
+    E_q(z) is summed at tol, then at tol |E| / 2 for the last |E|, until the
+    bound holds; a tightened tol that underflows to 0.0 or does not fall
+    raises ConvergenceError. Near a zero of E_q a binary64 sum's own
+    rounding, divided by |E|, is outside the bound.
     """
-    inner = eval_qexp(q, z, tol, max_terms)
-    for _ in range(2):
+    inner_tol = tol
+    while True:
+        inner = eval_qexp(q, z, inner_tol, max_terms)
         magnitude = abs(inner.value)
         # the value shows the sign of E_q(z) only once it passes its tail bound
         if magnitude <= inner.tail_bound:
@@ -488,8 +485,10 @@ def _log_via_qexp(q: Fraction, z, tol: float, max_terms: int) -> Evaluation:
             log_value = (cmath.log(inner.value) if isinstance(inner.value, complex)
                          else math.log(inner.value))
             return Evaluation(log_value, inner.order, propagated, "log_of_qexp")
-        inner = eval_qexp(q, z, tol * magnitude / 2, max_terms)
-    raise ConvergenceError(
-        f"could not certify tol={shown(tol)} for ln E_q(z) at q = {shown(q)}, "
-        f"z = {shown(z)}"
-    )
+        tighter = tol * magnitude / 2
+        if not 0 < tighter < inner_tol:
+            raise ConvergenceError(
+                f"could not certify tol={shown(tol)} for ln E_q(z) at q = {shown(q)}, "
+                f"z = {shown(z)}"
+            )
+        inner_tol = tighter

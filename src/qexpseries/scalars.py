@@ -101,13 +101,13 @@ def check_int(value: int, name: str, minimum: "int | None" = 0,
 
 def check_tol(value: float) -> "float | Fraction":
     """A finite positive real (bools excluded) as the evaluators read it: a
-    float as it is, any other value as its exact Fraction of Python ints."""
+    float of any subclass as a Python float, else its exact Fraction of Python ints."""
     if type(value) is float and 0.0 < value < math.inf:
         return value
     if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
         raise DomainError(f"tol must be a finite positive number, got {shown(value)}")
     if isinstance(value, float):
-        return value
+        return float(value)
     return as_exact(value) or Fraction(*map(int, value.as_integer_ratio()))
 
 

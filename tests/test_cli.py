@@ -337,6 +337,16 @@ def test_golden_output(capsys, command):
     assert out == GOLDEN[command]
 
 
+def test_golden_checker_shows_the_first_difference():
+    # the out-of-process checker prints the first differing line of stdout,
+    # line ends included; a line that one side lacks is None
+    from check_golden import first_difference
+    assert first_difference("a\nb\r\n", "a\nb\n") == \
+        "line 2:\n  expected 'b\\r\\n'\n  got      'b\\n'\n"
+    assert first_difference("a\n", "a\nc\n") == "line 2:\n  expected None\n  got      'c\\n'\n"
+    assert first_difference("a\n", "a\n") == ""
+
+
 class TestParser:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from qexpseries import (DomainError, QFactorialTable, SuiteConfig, TruncatedSeries,
-                        check_coeff_double_order, check_coeff_multiple_order,
+from qexpseries import (ConvergenceError, DomainError, QFactorialTable, SuiteConfig,
+                        TruncatedSeries, check_coeff_double_order, check_coeff_multiple_order,
                         check_coeff_power_scale, check_coeff_sign_flip, check_q,
                         check_qbinomial_sum, check_reciprocal_product, check_reflection_product,
                         check_root_of_unity_product, check_scaling_product, cli, eval_log_qexp,
@@ -149,6 +149,11 @@ def test_foreign_tol_reads_exactly(np, evaluate, z):
     # a float32 tol is read at its exact value, not rounded to a double
     tol = np.float32(1e-6)
     assert evaluate(q, z, tol) == evaluate(q, z, Fraction(*tol.as_integer_ratio()))
+    # a float64 tol, a float subclass, is the Python float of its value, in
+    # the result and in error text alike
+    assert evaluate(q, z, np.float64(1e-6)) == evaluate(q, z, 1e-6)
+    with pytest.raises(ConvergenceError, match=r"^tail bound did not reach tol=1e-300 within 5 "):
+        evaluate(q, z, np.float64(1e-300), 5)
 
 
 def test_foreign_coefficients_read_as_python_ints(np):

@@ -9,14 +9,17 @@ binary64 branches to loops that convert each reduced Fraction with float()
 the product formulas at 40 digits.
 """
 
+import ast
 import cmath
 import itertools
 import json
 import math
 import random
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,9 +28,10 @@ from hypothesis import strategies as st
 import qexpseries.cli as cli
 import qexpseries.qexp as qexp_module
 import qexpseries.qnumbers as qnumbers_module
-from qexpseries import (DEFAULT_QS, DEFAULT_TOL, ConvergenceError, DomainError, Evaluation,
-                        TruncatedSeries, check_q, eval_log_qexp, eval_qexp, log_coeffs_closed,
-                        log_coeffs_recursive, q_number, qexp_series)
+from qexpseries import (DEFAULT_MAX_TERMS, DEFAULT_QS, DEFAULT_TOL, ConvergenceError,
+                        DomainError, Evaluation, TruncatedSeries, check_q, eval_log_qexp,
+                        eval_qexp, log_coeffs_closed, log_coeffs_recursive, q_number,
+                        qexp_series)
 from qexpseries.qnumbers import q_numbers
 from qexpseries.scalars import shown
 from oracles import reference_arguments
@@ -428,6 +432,28 @@ class TestEvalQExp:
         out = eval_qexp(Fraction(999, 1000), Fraction(540), 1e-12, 10 ** 5)
         assert (out.order, out.value) == (2582, 2.6158504929813798e+277)
 
+    def test_ball_straddling_dbl_max_goes_to_the_exact_sum(self, monkeypatch):
+        # th = 2^1024 - 2^970 is the midpoint between DBL_MAX and 2^1024: a
+        # term 1/(3 2^p) below it, at the kernel's precision p for tol 1e-12,
+        # is held by a ball whose upper end is th itself, which rounds to
+        # 2^1024 and overflows while its lower end rounds to DBL_MAX; the
+        # exact sum decides, and the value rounds down to DBL_MAX
+        th, tol = 2 ** 1024 - 2 ** 970, 1e-12
+        tol_num, tol_den = tol.as_integer_ratio()
+        p = 53 + qexp_module._GUARD_BITS + tol_den.bit_length() - tol_num.bit_length()
+        first = Fraction(3 * 2 ** p * th - 1, 3 * 2 ** p).as_integer_ratio()
+        exact = qexp_module._sum_exact
+        calls = []
+
+        def spied(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(qexp_module, "_sum_exact", spied)
+        out = qexp_module._sum_fixed(first, lambda: iter([(0, 1, 1, 1)]), 0, tol, 1, False)
+        assert len(calls) == 1
+        assert out == Evaluation(sys.float_info.max, 0, 0.0, "series")
+
 
 class TestEvalLogQExp:
     def test_argument_zero(self):
@@ -494,11 +520,14 @@ class TestEvalLogQExp:
         assert undefined    # some points are certified negative
 
     @pytest.mark.parametrize("z, max_terms", [(Fraction(-3) + Fraction(1, 10 ** 9), 1000),
-                                              (Fraction(-29, 10), 20), (-2.9, 20)])
+                                              (Fraction(-29, 10), 20), (-2.9, 20),
+                                              (-2.999999999, 1000), (2.999999999, 1000)])
     def test_rim_falls_back_to_the_log_of_qexp(self, z, max_terms):
         # for q > 1 a log series that does not settle within max_terms hands
         # the call to the log of E_q, on the exact and the binary64 path: its
-        # ratio cap |z|(q-1)/q is 1 - 10^-9/3 at the first z
+        # ratio cap |z|(q-1)/q is 1 - 10^-9/3 at the first z. A float z^k
+        # that leaves the binary64 range first, 3^647 at the last two z, is
+        # one more way not to settle
         out = eval_log_qexp(Fraction(3, 2), z, max_terms=max_terms)
         assert out == qexp_module._log_via_qexp(Fraction(3, 2), z, DEFAULT_TOL, max_terms)
         assert out.method == "log_of_qexp" and out.order < max_terms
@@ -517,6 +546,81 @@ class TestEvalLogQExp:
         principal = qexp_module._log_via_qexp(q, z, DEFAULT_TOL, 100).value
         factors = sum(cmath.log(1 + z / (11 * 1.1 ** n)) for n in range(600))
         assert abs(factors - principal - 4j * math.pi) < 1e-9
+
+    def test_rim_of_a_float_z_near_a_zero_is_not_certified_to_its_rounding(self):
+        # 1e-9 off the zero -3 of E_q at q = 3/2 the binary64 sum of E_q(z)
+        # is 2.3e-11, and its own rounding, outside the certificate, is
+        # divided by that |E| in the log: the float z's value is 3.2e-6 off
+        # the exact z's, far beyond both reported bounds
+        q, z = Fraction(3, 2), -2.999999999
+        binary64, exact = eval_log_qexp(q, z), eval_log_qexp(q, Fraction(z))
+        assert binary64.method == exact.method == "log_of_qexp"
+        assert 3e-6 < abs(binary64.value - exact.value) < 4e-6
+        assert max(binary64.tail_bound, exact.tail_bound) < 1e-15
+
+    def test_complex_z_outside_the_disk_gets_the_principal_log(self):
+        # at q = 11/10, z = 11j is outside the log series' disk: the value is
+        # the principal log of E_q(z), imaginary part in (-pi, pi], while the
+        # sum of the factors' logs log(1 + z / (11 q^n)), the series'
+        # continuation, is 4 pi i above it
+        q, z = Fraction(11, 10), 11j
+        out = eval_log_qexp(q, z)
+        assert out.method == "log_of_qexp"
+        assert -math.pi < out.value.imag <= math.pi
+        factors = sum(cmath.log(1 + z / (11 * 1.1 ** n)) for n in range(600))
+        assert abs(factors - out.value - 4j * math.pi) < 1e-9
+
+    def test_fallback_tightens_until_it_certifies(self, monkeypatch):
+        # E_q(z) = 5.2e-16 at q = 4, 1e-15 off the zero -4/3: the sum at tol
+        # and the one at tol |E| / 2 leave the log's bound above tol, a third
+        # pass at the last |E| certifies it
+        q, z = Fraction(4), Fraction(-4, 3) + Fraction(1, 10 ** 15)
+        inner, tols = qexp_module.eval_qexp, []
+
+        def spied(q, z, tol, max_terms):
+            tols.append(tol)
+            return inner(q, z, tol, max_terms)
+
+        monkeypatch.setattr(qexp_module, "eval_qexp", spied)
+        out = eval_log_qexp(q, z)
+        assert (out.method, len(tols)) == ("log_of_qexp", 3)
+        assert out.tail_bound <= DEFAULT_TOL
+        for tol, tighter in itertools.pairwise(tols):
+            assert tighter == DEFAULT_TOL * abs(inner(q, z, tol, DEFAULT_MAX_TERMS).value) / 2
+        monkeypatch.undo()
+        tight = eval_qexp(q, z, 1e-30)
+        assert abs(out.value - math.log(tight.value)) < 1e-12
+
+    def test_fallback_stops_where_tol_cannot_fall(self, monkeypatch):
+        # E_2(z) is about 1.4e-316 at 1e-315 off the zero -2: tol |E| / 2
+        # underflows to 0.0, and the fallback says it could not certify tol
+        # rather than handing 0.0 on as a tol
+        with pytest.raises(ConvergenceError, match=r"^could not certify tol=1e-318 for "):
+            eval_log_qexp(2, Fraction(-2) + Fraction(1, 10 ** 315), 1e-318)
+        # a tightened tol that is not below the last one stops it too: |E| = 4.5
+        # with tail bound 4 gives a log bound of 8 > tol = 4, and 4 * 4.5 / 2 = 9
+        calls = []
+
+        def stuck(q, z, tol, max_terms):
+            calls.append(tol)
+            return Evaluation(4.5, 3, 4.0)
+
+        monkeypatch.setattr(qexp_module, "eval_qexp", stuck)
+        with pytest.raises(ConvergenceError, match=r"^could not certify tol=4 for "):
+            eval_log_qexp(2, 5, 4)
+        assert calls == [4]
+
+    def test_one_hand_over_site(self):
+        # eval_log_qexp hands a call to the log of E_q from one place, and
+        # the fallback's passes are not counted
+        tree = ast.parse(Path(qexp_module.__file__).read_text(encoding="utf-8"))
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        calls = [node for node in ast.walk(functions["eval_log_qexp"])
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "_log_via_qexp"]
+        assert len(calls) == 1
+        assert not [node for node in ast.walk(functions["_log_via_qexp"])
+                    if isinstance(node, ast.For)]
 
     def test_rim_fallback_error_stands_alone(self):
         # 1e-13 off the zero E_q's value is within its tail bound; the
@@ -561,11 +665,13 @@ class TestEvalLogQExp:
             eval_qexp(q, z)
 
     @pytest.mark.parametrize("q, z", [(Fraction(9, 10), 9.5), (Fraction(9, 10), -9.5),
-                                      (Fraction(8, 9), 8.9j), (1, 1e160)])
+                                      (Fraction(8, 9), 8.9j), (1, 1e160),
+                                      (Fraction(3, 2), 2.999999999j)])
     def test_float_power_overflow(self, q, z):
         # the binary64 loop keeps z^k as a double: 9.5^k is inf from k ~ 316
         # on, before the bound reaches tol, and at q = 1 c_2 z^2 is 0.0 * inf;
-        # every later term is inf or nan, so the sum says so at max_terms
+        # every later term is inf or nan, so the sum says so at max_terms. A
+        # complex z on the rim of q > 1 is not handed over, so it says so too
         with pytest.raises(DomainError, match=r"^z\^k left the binary64 range in ln E_q\(z\) "
                                               r"at q = .*; an exact rational z avoids this$"):
             eval_log_qexp(q, z)
