@@ -20,8 +20,9 @@ test, value and tail bound are the floats of the exact partial sums (Ziv's
 test); a call that a ball leaves open goes to one exact integer sum. A float
 argument selects plain binary64 arithmetic over the same sweep: each [k]_q
 and c_k is the correctly rounded int / int quotient of its integers, and the
-sum's own rounding is outside the certificate. Each evaluator decides once
-whether its later terms vanish, and on every path a tail bound that
+sum's own rounding is outside the certificate; a finite real sum that meets
+a [k]_q past DBL_MAX goes to the exact value of z. Each evaluator decides
+once whether its later terms vanish, and on every path a tail bound that
 underflows while they do not is the least subnormal, never 0.0
 (:func:`_tail`). A value or a complex |z| beyond the binary64 range raises
 DomainError; so does a float z^k of the log series, but on the rim of q > 1.
@@ -35,7 +36,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, islice, pairwise, starmap
+from itertools import accumulate, islice, starmap
 from typing import Iterator, Literal
 
 from .errors import ConvergenceError, DomainError
@@ -231,7 +232,12 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL
         for k in range(max_terms):
             nxt = term * z / scale
             power *= b
-            scale = next(numbers) / power    # [k+2]_q = S_{k+2} / b^(k+1)
+            try:
+                scale = next(numbers) / power    # [k+2]_q = S_{k+2} / b^(k+1)
+            except OverflowError:    # [k+2]_q past DBL_MAX
+                if type(z) is complex or not math.isfinite(total + nxt):
+                    raise
+                return eval_qexp(q, Fraction(z), tol, max_terms)    # the float's exact value
             r = z_abs / scale
             if r < 1:
                 bound = abs(nxt) / (1 - r)
@@ -251,14 +257,13 @@ def _qexp_steps(a: int, b: int, z: Fraction) -> Iterator["tuple[int, int, int, i
     """E_q's kernel steps for z = u/w from t_0 = 1: t_{k+1} = t_k u b^k /
     (w S_{k+1}) for q = a/b, as [k]_q = S_k / b^(k-1), and lift / gap =
     1 / (1 - r) for r = |z| / [k+2]_q, with lift = w S_{k+2}."""
-    mul, w = z.as_integer_ratio()     # u b^k, from u
+    u, w = z.as_integer_ratio()
     numbers = q_number_numerators(a, b)
-    div = w * next(numbers)           # w S_{k+1}
+    div, power = w * next(numbers), abs(u)    # w S_{k+1} and |u| b^k
     for number in numbers:
-        lift = w * number
-        yield mul, div, lift, lift - abs(mul) * b
-        mul *= b
-        div = lift
+        lift, ahead = w * number, power * b
+        yield -power if u < 0 else power, div, lift, lift - ahead
+        div, power = lift, ahead
 
 
 def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL,
@@ -304,7 +309,10 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
             # |z| * float(1 - q), each quotient of coprime integers correctly
             # rounded; |z| * float((q - 1) / q) rounds differently at some z
             z_abs = _modulus(q, z)
-            r_cap = z_abs * ((a - b) / b) / (a / b) if a > b else z_abs * ((b - a) / b)
+            try:
+                r_cap = z_abs * ((a - b) / b) / (a / b) if a > b else z_abs * ((b - a) / b)
+            except OverflowError:    # q past DBL_MAX, where (q - 1) / q rounds to 1
+                r_cap = z_abs
             if r_cap >= 1 and a <= b:    # float rounding pushed |z|(1-q) onto 1 at the radius
                 raise DomainError(f"|z| = {z_abs} is too close to the radius of convergence "
                                   f"for a certified log series at q = {shown(q)}; "
@@ -343,9 +351,11 @@ def _log_steps(a: int, b: int, u: int, w: int, cap_num: int,
     taken as it is: c_{k+1} / c_k is 0/0 at q = 1. lift / gap is
     1 / (1 - r_cap) for r_cap = cap_num / cap_den, as r_cap caps every term
     ratio."""
-    gap = cap_den - cap_num
-    for k, (number, next_number) in enumerate(pairwise(q_number_numerators(a, b)), 1):
-        yield (b - a) * u * k * number, (k + 1) * next_number * w, cap_den, gap
+    numbers = q_number_numerators(a, b)
+    k, number, scale, gap = 1, next(numbers), (b - a) * u, cap_den - cap_num
+    for next_number in numbers:
+        yield scale * k * number, (k + 1) * w * next_number, cap_den, gap
+        k, number = k + 1, next_number
 
 
 def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
@@ -360,6 +370,11 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
     carries each term, its sign apart. One floor per step, T_{k+1} =
     floor(T_k |mul| / div), keeps that with e_{k+1} = ceil(e_k |mul| / div)
     + [it dropped a remainder], so the partial sum is within the sum of the e_k.
+    Where |mul| <= div, e_k + [it dropped a remainder] is sound too, as
+    ceil(e_k |mul| / div) <= e_k, and takes no product or division of tall
+    integers; an exact ball stays exact. It is taken while e_k < 2^(G/2), G =
+    _GUARD_BITS, so a radius grown with large terms shrinks with them, and a
+    term adds at most 2^(G/2) units of 2^-p, far inside the guard bits' 2^G.
     Each decision and rounding is taken only when both ends of its ball
     agree (:func:`_settled`), so it is the exact sum's.
     """
@@ -370,6 +385,7 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
     limit = tol_num << p
     # while bit lengths alone show bound > tol the ball test is skipped
     far = limit.bit_length() - tol_den.bit_length() + 3
+    small = 1 << _GUARD_BITS // 2     # radii below it take the rule with no division
     mag, rem = divmod(abs(num) << p, den)     # T_k; err is e_k
     err, negative = int(rem != 0), num < 0
     total, total_err = -mag if negative else mag, err
@@ -377,7 +393,7 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
         if mul < 0:
             mul, negative = -mul, not negative
         mag, rem = divmod(mag * mul, div)
-        err = -(-err * mul // div) + (rem != 0)
+        err = (err if err < small and mul <= div else -(-err * mul // div)) + (rem != 0)
         if gap > 0 and (mag <= err or (mag - err).bit_length() + lift.bit_length()
                         - gap.bit_length() < far):
             # bound = |t_{k+1}| lift / gap <= tol, at both ends of the ball
@@ -484,7 +500,8 @@ def _log_via_qexp(q: Fraction, z, tol: float, max_terms: int) -> Evaluation:
         if propagated <= tol:
             log_value = (cmath.log(inner.value) if isinstance(inner.value, complex)
                          else math.log(inner.value))
-            return Evaluation(log_value, inner.order, propagated, "log_of_qexp")
+            return Evaluation(log_value, inner.order, _tail(propagated, inner.tail_bound > 0),
+                              "log_of_qexp")
         tighter = tol * magnitude / 2
         if not 0 < tighter < inner_tol:
             raise ConvergenceError(

@@ -32,7 +32,7 @@ from qexpseries import (DEFAULT_MAX_TERMS, DEFAULT_QS, DEFAULT_TOL, ConvergenceE
                         DomainError, Evaluation, TruncatedSeries, check_q, eval_log_qexp,
                         eval_qexp, log_coeffs_closed, log_coeffs_recursive, q_number,
                         qexp_series)
-from qexpseries.qnumbers import q_numbers
+from qexpseries.qnumbers import q_number_numerators, q_numbers
 from qexpseries.scalars import shown
 from oracles import reference_arguments
 
@@ -432,6 +432,15 @@ class TestEvalQExp:
         out = eval_qexp(Fraction(999, 1000), Fraction(540), 1e-12, 10 ** 5)
         assert (out.order, out.value) == (2582, 2.6158504929813798e+277)
 
+    def test_long_sum_settles_in_fixed_point(self, monkeypatch):
+        # 6817 terms whose step integers grow to some 6800 bits: every ball
+        # of the sum decides, with no exact fallback
+        def unreachable(*args):
+            raise AssertionError("the exact fallback ran")
+        monkeypatch.setattr(qexp_module, "_sum_exact", unreachable)
+        assert (eval_qexp(Fraction(1, 2), Fraction(199, 100), 1e-12, 10 ** 4)
+                == Evaluation(687.017770805638, 6817, 9.958988571144086e-13, "series"))
+
     def test_ball_straddling_dbl_max_goes_to_the_exact_sum(self, monkeypatch):
         # th = 2^1024 - 2^970 is the midpoint between DBL_MAX and 2^1024: a
         # term 1/(3 2^p) below it, at the kernel's precision p for tol 1e-12,
@@ -453,6 +462,42 @@ class TestEvalQExp:
         out = qexp_module._sum_fixed(first, lambda: iter([(0, 1, 1, 1)]), 0, tol, 1, False)
         assert len(calls) == 1
         assert out == Evaluation(sys.float_info.max, 0, 0.0, "series")
+
+
+class TestStepStreams:
+    """The kernel's step streams give, tuple for tuple, the steps built
+    plainly from the q-number sweep."""
+
+    @staticmethod
+    def qexp_reference(a, b, z):
+        mul, w = z.as_integer_ratio()
+        numbers = q_number_numerators(a, b)
+        div = w * next(numbers)
+        for number in numbers:
+            lift = w * number
+            yield mul, div, lift, lift - abs(mul) * b
+            mul *= b
+            div = lift
+
+    @staticmethod
+    def log_reference(a, b, u, w, cap_num, cap_den):
+        gap = cap_den - cap_num
+        pairs = itertools.pairwise(q_number_numerators(a, b))
+        for k, (number, next_number) in enumerate(pairs, 1):
+            yield (b - a) * u * k * number, (k + 1) * next_number * w, cap_den, gap
+
+    @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(1), Fraction(5, 2),
+                                   Fraction(2 ** 70, 3)])
+    @pytest.mark.parametrize("z", [Fraction(0), Fraction(7, 3), Fraction(-7, 3)])
+    def test_first_steps(self, q, z):
+        a, b = q.as_integer_ratio()
+        u, w = z.as_integer_ratio()
+        log_args = (a, b, u, w, abs(u) * abs(b - a), w * max(a, b))
+        pairs = ((qexp_module._qexp_steps(a, b, z), self.qexp_reference(a, b, z)),
+                 (qexp_module._log_steps(*log_args), self.log_reference(*log_args)))
+        for stream, reference in pairs:
+            assert (list(itertools.islice(stream, 200))
+                    == list(itertools.islice(reference, 200)))
 
 
 class TestEvalLogQExp:
@@ -534,6 +579,33 @@ class TestEvalLogQExp:
         # for q < 1 no other route exists inside the disk
         with pytest.raises(ConvergenceError):
             eval_log_qexp(Fraction(1, 2), z / -2, max_terms=20)
+
+    @pytest.mark.parametrize("z", [1e-5, 0.5, 1.0, -1.0])
+    def test_float_at_a_q_past_the_binary64_range(self, z):
+        # at q = 2^2000 every [k]_q from [2]_q on is past DBL_MAX, which at
+        # these z only makes the term ratio underflow, and (q - 1) / q rounds to 1:
+        # a float z gets its exact value's outcome. At z = +-1 the exact log
+        # series, whose ratio cap is 1 - 2^-2000, runs to max_terms over
+        # integers 2000 bits taller each term: 50 terms keep that short
+        q = 2 ** 2000
+        for evaluate in (eval_qexp, eval_log_qexp):
+            evaluate_both = [_outcome(evaluate, q, x, DEFAULT_TOL, 50) for x in (z, Fraction(z))]
+            got, expected = evaluate_both
+            if isinstance(expected[0], type):
+                assert got[0] is expected[0] is DomainError, evaluate_both
+            else:
+                assert (abs(got[0].value - expected[0].value)
+                        <= got[0].tail_bound + math.ulp(expected[0].value)), evaluate_both
+
+    def test_log_of_qexp_bound_is_never_zero(self):
+        # ln E_q(1) at q = 2^2000 is the log of E_q(1) = 2 + 2^-2000 or so,
+        # whose bound 5e-324 halves to 0.0 in the log: it is reported as
+        # the least subnormal, as on every other path. The log series runs
+        # to max_terms first, as above
+        out = eval_log_qexp(2 ** 2000, 1, max_terms=50)
+        assert out == Evaluation(math.log(2), 1, math.ulp(0.0), "log_of_qexp")
+        # only the report is raised to it: a tol below it still accepts the bound
+        assert eval_log_qexp(2 ** 2000, 1, Fraction(1, 10 ** 400), 50) == out
 
     def test_rim_of_a_complex_z_does_not_fall_back(self):
         # at q = 11/10, z = 10.5j the factors 1 + z / (11 q^n) of E_q(z) have
