@@ -218,12 +218,17 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL
     it, as E_q(z) > z there.
     """
     q, a, b, z, tol, max_terms = _arguments(q, z, tol, max_terms)
-    live = z != 0     # every term of E_q(z) is nonzero iff z != 0
     try:
         if type(z) is Fraction:
-            if z > 0:
-                float(z)    # raises OverflowError past the binary64 range
-            return _sum_fixed((1, 1), partial(_qexp_steps, a, b, z), 0, tol, max_terms, live)
+            u, w = z.as_integer_ratio()
+            # z < 2^(bl(u) - bl(w) + 1) <= 2^1023 needs no float(z), which
+            # raises OverflowError past the binary64 range
+            if u > 0 and u.bit_length() - w.bit_length() > 1022:
+                float(z)
+            # every term of E_q(z) is nonzero iff z != 0, and t_{k+1} / t_k has the sign of z
+            return _sum_fixed((1, 1), partial(_qexp_steps, a, b, abs(u), w), 0, tol,
+                              max_terms, u != 0, u < 0)
+        live = z != 0
         numbers = q_number_numerators(a, b)
         power = 1                 # b^(j-1) of the last [j]_q read
         term = total = 1.0
@@ -253,16 +258,15 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL
     raise _not_converged(tol, max_terms)
 
 
-def _qexp_steps(a: int, b: int, z: Fraction) -> Iterator["tuple[int, int, int, int]"]:
-    """E_q's kernel steps for z = u/w from t_0 = 1: t_{k+1} = t_k u b^k /
-    (w S_{k+1}) for q = a/b, as [k]_q = S_k / b^(k-1), and lift / gap =
+def _qexp_steps(a: int, b: int, u: int, w: int) -> Iterator["tuple[int, int, int, int]"]:
+    """E_q's kernel steps for |z| = u/w from t_0 = 1: |t_{k+1}| = |t_k| u b^k
+    / (w S_{k+1}) for q = a/b, as [k]_q = S_k / b^(k-1), and lift / gap =
     1 / (1 - r) for r = |z| / [k+2]_q, with lift = w S_{k+2}."""
-    u, w = z.as_integer_ratio()
     numbers = q_number_numerators(a, b)
-    div, power = w * next(numbers), abs(u)    # w S_{k+1} and |u| b^k
+    div, power = w * next(numbers), u    # w S_{k+1} and u b^k
     for number in numbers:
         lift, ahead = w * number, power * b
-        yield -power if u < 0 else power, div, lift, lift - ahead
+        yield power, div, lift, lift - ahead
         div, power = lift, ahead
 
 
@@ -277,10 +281,12 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
     call to log(eval_qexp(z)) (:func:`_log_via_qexp`, ``method``
     "log_of_qexp"): outside that disk (|z| >= q/(q-1)), and on its rim for a
     real z whose log series does not settle within max_terms or before a
-    float z^k leaves the binary64 range. A complex z gets the principal log
-    of E_q(z) there, not the series' continuation: it can be off the sum of
-    the factors' logs by a multiple of 2 pi i (4 pi i at q = 11/10, z = 11j),
-    so on the rim a complex z raises :class:`ConvergenceError`. Elsewhere a
+    float z^k leaves the binary64 range; for an exact z, where a lower bound
+    on the terms shows that no bound within max_terms reaches tol, before
+    the first term. A complex z gets the principal log of E_q(z) there, not
+    the series' continuation: it can be off the sum of the factors' logs by
+    a multiple of 2 pi i (4 pi i at q = 11/10, z = 11j), so on the rim a
+    complex z raises :class:`ConvergenceError`. Elsewhere a
     float z^k beyond the binary64 range raises :class:`DomainError`; the
     same z as an exact rational does not.
     """
@@ -296,11 +302,25 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
             # the cap |z| |1-q| / max(1, q) as an integer pair; inside the radius
             # of q < 1 it is below 1
             u, w = z.as_integer_ratio()
-            cap_num, cap_den = abs(u) * abs(b - a), w * max(a, b)
-            if cap_num < cap_den:
+            scale = (b - a) * u    # t_{k+1} / t_k has its sign
+            cap_num, cap_den = abs(scale), w * max(a, b)
+            gap = cap_den - cap_num
+            if gap > 0:
+                # a series that cannot settle gives up before its first step:
+                # S_{k+1} <= (a+b) S_k gives |t_{k+1}| >= |z| rho^k / (k+1) for
+                # rho = cap_num / ((a+b) w), and rho^k >= 2^(-3/2 k (1-rho) / rho)
+                # as ln rho >= 1 - 1/rho and log2(e) < 3/2; bits is below the binary
+                # log of |z| cap_den / ((max_terms+1) gap tol). Where the test holds,
+                # every bound |t_{k+1}| cap_den / gap, k <= max_terms, is above tol
+                tol_num, tol_den = tol.as_integer_ratio()
+                bits = (u.bit_length() + cap_den.bit_length() + tol_den.bit_length() - 3
+                        - w.bit_length() - (max_terms + 1).bit_length() - gap.bit_length()
+                        - tol_num.bit_length())
+                if 3 * max_terms * ((a + b) * w - cap_num) <= 2 * cap_num * bits:
+                    raise _not_converged(tol, max_terms)
                 try:
-                    return _sum_fixed((u, w), partial(_log_steps, a, b, u, w, cap_num, cap_den),
-                                      1, tol, max_terms, live)
+                    return _sum_fixed((u, w), partial(_log_steps, a, b, w, cap_num, cap_den),
+                                      1, tol, max_terms, live, scale < 0)
                 except OverflowError:
                     raise DomainError(f"ln E_q(z) exceeds the binary64 range at "
                                       f"q = {shown(q)}, z = {shown(z)}") from None
@@ -344,58 +364,65 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
     return _log_via_qexp(q, z, tol, max_terms)
 
 
-def _log_steps(a: int, b: int, u: int, w: int, cap_num: int,
+def _log_steps(a: int, b: int, w: int, cap_num: int,
                cap_den: int) -> Iterator["tuple[int, int, int, int]"]:
-    """ln E_q's kernel steps for z = u/w from t_1 = z: t_{k+1} = t_k (b-a) k
-    S_k u / ((k+1) S_{k+1} w), as c_k = (b-a)^(k-1) / (k S_k), with b - a
-    taken as it is: c_{k+1} / c_k is 0/0 at q = 1. lift / gap is
-    1 / (1 - r_cap) for r_cap = cap_num / cap_den, as r_cap caps every term
-    ratio."""
+    """ln E_q's kernel steps for z = u/w from t_1 = z: |t_{k+1}| = |t_k| k S_k
+    cap_num / ((k+1) S_{k+1} w), as c_k = (b-a)^(k-1) / (k S_k) and cap_num =
+    |(b-a) u|, b - a taken as it is: c_{k+1} / c_k is 0/0 at q = 1. lift /
+    gap is 1 / (1 - r_cap) for r_cap = cap_num / cap_den, as r_cap caps every
+    term ratio."""
     numbers = q_number_numerators(a, b)
-    k, number, scale, gap = 1, next(numbers), (b - a) * u, cap_den - cap_num
+    k, number, gap = 1, next(numbers), cap_den - cap_num
     for next_number in numbers:
-        yield scale * k * number, (k + 1) * w * next_number, cap_den, gap
+        yield cap_num * k * number, (k + 1) * w * next_number, cap_den, gap
         k, number = k + 1, next_number
 
 
 def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
-               live: bool) -> Evaluation:
+               live: bool, flip: bool = False) -> Evaluation:
     """sum_k t_k from k = order until the tail bound is <= tol, in fixed
     point; a ball that leaves a decision open hands the call to :func:`_sum_exact`.
 
     t_order = first[0] / first[1]; a step (mul, div, lift, gap) of ``steps()``,
-    div > 0, gives t_{k+1} = t_k mul / div and, if gap > 0, the tail bound
-    |t_{k+1}| lift / gap; ``live`` tells :func:`_tail` whether the terms
+    mul >= 0 and div > 0, gives |t_{k+1}| = |t_k| mul / div, the sign turning
+    at every step if ``flip``, and, if gap > 0, the tail bound |t_{k+1}| lift
+    / gap, where gap <= lift; ``live`` tells :func:`_tail` whether the terms
     after t_order are nonzero. An integer T_k within e_k of |t_k| 2^p
-    carries each term, its sign apart. One floor per step, T_{k+1} =
-    floor(T_k |mul| / div), keeps that with e_{k+1} = ceil(e_k |mul| / div)
-    + [it dropped a remainder], so the partial sum is within the sum of the e_k.
-    Where |mul| <= div, e_k + [it dropped a remainder] is sound too, as
-    ceil(e_k |mul| / div) <= e_k, and takes no product or division of tall
+    carries each term, its sign apart, and the partial sum is carried times
+    the sign of its last term, so no step reads a sign. One floor per step,
+    T_{k+1} = floor(T_k mul / div), keeps that with e_{k+1} = ceil(e_k mul /
+    div) + [it dropped a remainder], so the partial sum is within the sum of
+    the e_k. Where mul <= div, e_k + [it dropped a remainder] is sound too,
+    as ceil(e_k mul / div) <= e_k, and takes no product or division of tall
     integers; an exact ball stays exact. It is taken while e_k < 2^(G/2), G =
     _GUARD_BITS, so a radius grown with large terms shrinks with them, and a
     term adds at most 2^(G/2) units of 2^-p, far inside the guard bits' 2^G.
-    Each decision and rounding is taken only when both ends of its ball
-    agree (:func:`_settled`), so it is the exact sum's.
+    While T_{k+1} - e_{k+1} is above the high-water mark floor(tol 2^p), both
+    ends of the ball hold |t_{k+1}| > tol, and so bound > tol as lift / gap
+    >= 1: one comparison skips the stop test. Each decision and rounding is
+    taken only when both ends of its ball agree (:func:`_settled`), so it is
+    the exact sum's.
     """
     num, den = first
     tol_num, tol_den = tol.as_integer_ratio()
     # fraction bits: 53, the guard bits and the binary exponent of 1/tol if positive
     p = 53 + _GUARD_BITS + max(0, tol_den.bit_length() - tol_num.bit_length())
     limit = tol_num << p
+    mark = limit // tol_den     # the high-water mark
     # while bit lengths alone show bound > tol the ball test is skipped
     far = limit.bit_length() - tol_den.bit_length() + 3
     small = 1 << _GUARD_BITS // 2     # radii below it take the rule with no division
     mag, rem = divmod(abs(num) << p, den)     # T_k; err is e_k
-    err, negative = int(rem != 0), num < 0
-    total, total_err = -mag if negative else mag, err
+    err = int(rem != 0)
+    # the partial sum through t_k times the sign of t_k: a step that turns the
+    # sign takes the sum from T_{k+1}, one that keeps it adds T_{k+1}
+    total, total_err = mag, err
     for k, (mul, div, lift, gap) in zip(range(order, order + max_terms), steps()):
-        if mul < 0:
-            mul, negative = -mul, not negative
         mag, rem = divmod(mag * mul, div)
         err = (err if err < small and mul <= div else -(-err * mul // div)) + (rem != 0)
-        if gap > 0 and (mag <= err or (mag - err).bit_length() + lift.bit_length()
-                        - gap.bit_length() < far):
+        if mag - err <= mark and gap > 0 and (
+                mag <= err or (mag - err).bit_length() + lift.bit_length()
+                - gap.bit_length() < far):
             # bound = |t_{k+1}| lift / gap <= tol, at both ends of the ball
             low, high = max(mag - err, 0) * lift, (mag + err) * lift
             cap = limit * gap
@@ -403,6 +430,8 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
             if stop is None:
                 break
             if stop:
+                if (num < 0) != (flip and (k - order) % 2 == 1):    # t_k < 0
+                    total = -total
                 scale = 1 << p
                 try:
                     value = _settled((total - total_err) / scale, (total + total_err) / scale)
@@ -415,15 +444,15 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
                 if value is None or bound is None:
                     break
                 return Evaluation(value, k, bound, "series")
-        total += -mag if negative else mag
+        total = mag - total if flip else total + mag
         total_err += err
     else:
         raise _not_converged(tol, max_terms)
-    return _sum_exact(first, steps(), order, tol, max_terms, live)
+    return _sum_exact(first, steps(), order, tol, max_terms, live, flip)
 
 
 def _sum_exact(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
-               live: bool) -> Evaluation:
+               live: bool, flip: bool) -> Evaluation:
     """The partial sum of :func:`_sum_fixed` by exact integers, for the
     decisions its balls leave open.
 
@@ -435,7 +464,7 @@ def _sum_exact(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
     term, den = first
     total = term
     for k, (mul, div, lift, gap) in zip(range(order, order + max_terms), steps):
-        term *= mul
+        term = -term * mul if flip else term * mul
         next_den = den * div
         # while the term is large its bit length alone shows
         # bound > tol, as bl(a*b) >= bl(a) + bl(b) - 1 for a, b != 0

@@ -466,7 +466,8 @@ class TestEvalQExp:
 
 class TestStepStreams:
     """The kernel's step streams give, tuple for tuple, the steps built
-    plainly from the q-number sweep."""
+    plainly from the q-number sweep, each mul as |mul| with one sign per
+    call: sign(u) for E_q and sign((b-a)u) for ln E_q at z = u/w."""
 
     @staticmethod
     def qexp_reference(a, b, z):
@@ -492,12 +493,51 @@ class TestStepStreams:
     def test_first_steps(self, q, z):
         a, b = q.as_integer_ratio()
         u, w = z.as_integer_ratio()
-        log_args = (a, b, u, w, abs(u) * abs(b - a), w * max(a, b))
-        pairs = ((qexp_module._qexp_steps(a, b, z), self.qexp_reference(a, b, z)),
-                 (qexp_module._log_steps(*log_args), self.log_reference(*log_args)))
-        for stream, reference in pairs:
-            assert (list(itertools.islice(stream, 200))
+        cap_num, cap_den = abs(u) * abs(b - a), w * max(a, b)
+        streams = ((qexp_module._qexp_steps(a, b, abs(u), w), self.qexp_reference(a, b, z),
+                    u < 0),
+                   (qexp_module._log_steps(a, b, w, cap_num, cap_den),
+                    self.log_reference(a, b, u, w, cap_num, cap_den), (b - a) * u < 0))
+        for stream, reference, flip in streams:
+            steps = list(itertools.islice(stream, 200))
+            assert ([(-mul if flip else mul, *rest) for mul, *rest in steps]
                     == list(itertools.islice(reference, 200)))
+            # the premise of the kernel's high-water mark: a bound
+            # |t_{k+1}| lift / gap is never below |t_{k+1}|
+            for mul, div, lift, gap in steps:
+                assert mul >= 0 and div > 0
+                assert gap <= 0 or gap <= lift
+
+    @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(5, 2)])
+    @pytest.mark.parametrize("z", [Fraction(1, 2), Fraction(-1, 2)])
+    def test_evaluators_pass_the_sign(self, q, z, monkeypatch):
+        # each evaluator hands the kernel the flag of the contract above
+        fixed, flags = qexp_module._sum_fixed, []
+
+        def spied(*args):
+            flags.append(args[6])
+            return fixed(*args)
+
+        monkeypatch.setattr(qexp_module, "_sum_fixed", spied)
+        eval_qexp(q, z)
+        eval_log_qexp(q, z)
+        assert flags == [z < 0, (1 - q) * z < 0]
+
+    def test_stop_test_only_at_the_end(self, monkeypatch):
+        # 531 terms reach the ball's stop test only on the last few: above
+        # the high-water mark one comparison, and below it the bit lengths,
+        # show the bound is past tol
+        settled, decisions = qexp_module._settled, []
+
+        def spied(low, high):
+            if isinstance(low, bool):
+                decisions.append(low)
+            return settled(low, high)
+
+        monkeypatch.setattr(qexp_module, "_settled", spied)
+        out = eval_qexp(Fraction(1, 2), Fraction(19, 10), 1e-10)
+        assert out.order == 531
+        assert decisions[-1] and not any(decisions[:-1]) and len(decisions) <= 10
 
 
 class TestEvalLogQExp:
@@ -584,12 +624,11 @@ class TestEvalLogQExp:
     def test_float_at_a_q_past_the_binary64_range(self, z):
         # at q = 2^2000 every [k]_q from [2]_q on is past DBL_MAX, which at
         # these z only makes the term ratio underflow, and (q - 1) / q rounds to 1:
-        # a float z gets its exact value's outcome. At z = +-1 the exact log
-        # series, whose ratio cap is 1 - 2^-2000, runs to max_terms over
-        # integers 2000 bits taller each term: 50 terms keep that short
+        # a float z gets its exact value's outcome
         q = 2 ** 2000
         for evaluate in (eval_qexp, eval_log_qexp):
-            evaluate_both = [_outcome(evaluate, q, x, DEFAULT_TOL, 50) for x in (z, Fraction(z))]
+            evaluate_both = [_outcome(evaluate, q, x, DEFAULT_TOL, DEFAULT_MAX_TERMS)
+                             for x in (z, Fraction(z))]
             got, expected = evaluate_both
             if isinstance(expected[0], type):
                 assert got[0] is expected[0] is DomainError, evaluate_both
@@ -600,12 +639,37 @@ class TestEvalLogQExp:
     def test_log_of_qexp_bound_is_never_zero(self):
         # ln E_q(1) at q = 2^2000 is the log of E_q(1) = 2 + 2^-2000 or so,
         # whose bound 5e-324 halves to 0.0 in the log: it is reported as
-        # the least subnormal, as on every other path. The log series runs
-        # to max_terms first, as above
-        out = eval_log_qexp(2 ** 2000, 1, max_terms=50)
+        # the least subnormal, as on every other path
+        out = eval_log_qexp(2 ** 2000, 1)
         assert out == Evaluation(math.log(2), 1, math.ulp(0.0), "log_of_qexp")
         # only the report is raised to it: a tol below it still accepts the bound
-        assert eval_log_qexp(2 ** 2000, 1, Fraction(1, 10 ** 400), 50) == out
+        assert eval_log_qexp(2 ** 2000, 1, Fraction(1, 10 ** 400)) == out
+
+    def test_hand_over_where_the_series_cannot_settle(self, monkeypatch):
+        # the log series' ratio cap at q = 2^2000, z = 1 is 1 - 2^-2000, so
+        # no bound within max_terms reaches tol: the call goes to the log of
+        # E_q before the log series draws a step
+        steps, drawn = qexp_module._log_steps, []
+
+        def spied(*args):
+            for step in steps(*args):
+                drawn.append(step)
+                yield step
+
+        monkeypatch.setattr(qexp_module, "_log_steps", spied)
+        out = eval_log_qexp(2 ** 2000, 1)
+        assert out == Evaluation(0.6931471805599453, 1, 5e-324, "log_of_qexp")
+        assert not drawn
+        # for q < 1 the same test raises at once what max_terms would
+        with pytest.raises(ConvergenceError, match="within 1000 terms"):
+            eval_log_qexp(Fraction(1, 2 ** 2000), 1 - Fraction(1, 2 ** 1000))
+        assert not drawn
+        # a series that settles still draws its steps, also where it needs
+        # every term allowed: at q = 2^16, z = 31/32 the test is some 6 bits
+        # short of giving up on the series that settles at 769 terms
+        out = eval_log_qexp(2 ** 16, Fraction(31, 32), DEFAULT_TOL, 769)
+        assert (out.method, out.order) == ("series", 769) and drawn
+        assert eval_log_qexp(2 ** 16, Fraction(31, 32), DEFAULT_TOL, 768).method == "log_of_qexp"
 
     def test_rim_of_a_complex_z_does_not_fall_back(self):
         # at q = 11/10, z = 10.5j the factors 1 + z / (11 q^n) of E_q(z) have
