@@ -165,6 +165,8 @@ def cmd_eval(args) -> int:
     z_text = str(args.z)
     e = eval_qexp(args.q, args.z, args.tol, args.max_terms)
     l = eval_log_qexp(args.q, args.z, args.tol, args.max_terms)
+    e_steps = (f"product of {e.order} factors" if e.method == "product"
+               else f"through z^{e.order}")
     rows = [["qexp", repr(e.value), e.order, e.tail_bound, e.method],
             ["log_qexp", repr(l.value), l.order, l.tail_bound, l.method]]
     _write(args.format, ["function", "value", "order", "tail_bound", "method"], rows,
@@ -172,7 +174,7 @@ def cmd_eval(args) -> int:
                           "qexp": asdict(e), "log_qexp": asdict(l)},
            lambda columns, cells: [
                f"E_q(z)    = {e.value!r}   [q={args.q}, z={z_text}, "
-               f"through z^{e.order}, tail <= {e.tail_bound:.3e}]",
+               f"{e_steps}, tail <= {e.tail_bound:.3e}]",
                f"ln E_q(z) = {l.value!r}   [{l.method}, "
                f"through z^{l.order}, tail <= {l.tail_bound:.3e}]"])
     return 0

@@ -17,7 +17,14 @@ converges everywhere. With a rational argument both evaluators run one
 kernel (:func:`_sum_fixed`): term ratios of short integers from the q-number
 sweep, summed as a fixed-point ball in the style of Arb, whose stopping
 test, value and tail bound are the floats of the exact partial sums (Ziv's
-test); a call that a ball leaves open goes to one exact integer sum. A float
+test); a call that a ball leaves open goes to one exact integer sum. For
+0 < q < 1 and a rational z with |z|(1-q) > q, one integer test, E_q takes
+the paper's product instead: c_k = sum_m ((1-q) q^m)^k / k makes E_q(z) =
+prod_{m>=0} 1 / (1 - x_m), x_m = (1-q) q^m z, whose omitted logs fall by q a
+factor where the series' terms fall by about |z|(1-q). A fixed-point ball of
+the partial product P_M (:func:`_product_fixed`) stops where |E_q(z) - P_M|
+<= P_M L / (1-L) is within tol, L bounding the omitted factors' log, and a
+ball it leaves open hands the call to the series. A float
 argument selects plain binary64 arithmetic over the same sweep: each [k]_q
 and c_k is the correctly rounded int / int quotient of its integers, and the
 sum's own rounding is outside the certificate; a finite real sum that meets
@@ -151,19 +158,24 @@ def _log_recursion_pairs(a: int, b: int) -> Iterator["tuple[int, int]"]:
 class Evaluation:
     """A certified partial-sum evaluation.
 
-    ``order`` is the highest power included in the sum; ``tail_bound`` is a
-    certified upper bound on the truncation error of ``value``, and a
-    positive bound below the binary64 range is the least subnormal,
-    ``math.ulp(0.0)``. On the rational-argument path both are the correctly
-    rounded doubles of the exact partial sum and bound, the floats
-    ``float(Fraction)`` gives, whether a fixed-point ball or the exact sum
-    settled them.
+    ``method`` names the route. On "series" and "log_of_qexp" ``order`` is
+    the highest power included in the sum (of E_q's series for
+    "log_of_qexp"); on "product", E_q(z) for 0 < q < 1 and a rational z with
+    |z|(1-q) > q, it is the number M of factors 1 / (1 - (1-q) q^m z), m < M,
+    in the partial product P_M, and the bound is P_M L / (1-L), L =
+    |x_M| / ((1 - |x_M|)(1-q)) bounding the log of the omitted factors.
+    ``tail_bound`` is a certified upper bound on the truncation error of
+    ``value``, and a positive bound below the binary64 range is the least
+    subnormal, ``math.ulp(0.0)``. On the rational-argument path both are the
+    correctly rounded doubles of the exact partial sum or product and of its
+    bound, the floats ``float(Fraction)`` gives, whether a fixed-point ball
+    or the exact sum settled them.
     """
 
     value: "float | complex"
     order: int
     tail_bound: float
-    method: Literal["series", "log_of_qexp"] = "series"
+    method: Literal["series", "log_of_qexp", "product"] = "series"
 
 
 def _arguments(q, z, tol, max_terms):
@@ -213,9 +225,12 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL
     Stops at the first K where r = |z| / [K+2]_q < 1 and
     |t_{K+1}| / (1 - r) <= tol, where t_k = z^k/[k]_q! is the first omitted
     term. The geometric majorant is sound because [k]_q increases with k,
-    so every later term ratio is at most r. A value beyond the binary64
-    range raises :class:`DomainError`, at once when z > 0 is itself beyond
-    it, as E_q(z) > z there.
+    so every later term ratio is at most r. For 0 < q < 1 and a rational z
+    with |z|(1-q) > q, where that ratio stays above q, the call takes the
+    product route (:func:`_product_fixed`, ``method`` "product"), on which
+    max_terms caps the factors. A value beyond the binary64 range raises
+    :class:`DomainError`, at once when z > 0 is itself beyond it, as
+    E_q(z) > z there.
     """
     q, a, b, z, tol, max_terms = _arguments(q, z, tol, max_terms)
     try:
@@ -225,6 +240,10 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL
             # raises OverflowError past the binary64 range
             if u > 0 and u.bit_length() - w.bit_length() > 1022:
                 float(z)
+            if _product_route(a, b, u, w):
+                out = _product_fixed(a, b, u, w, tol, max_terms)
+                if out is not None:
+                    return out
             # every term of E_q(z) is nonzero iff z != 0, and t_{k+1} / t_k has the sign of z
             return _sum_fixed((1, 1), partial(_qexp_steps, a, b, abs(u), w), 0, tol,
                               max_terms, u != 0, u < 0)
@@ -405,8 +424,7 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
     """
     num, den = first
     tol_num, tol_den = tol.as_integer_ratio()
-    # fraction bits: 53, the guard bits and the binary exponent of 1/tol if positive
-    p = 53 + _GUARD_BITS + max(0, tol_den.bit_length() - tol_num.bit_length())
+    p = _precision(tol_num, tol_den)
     limit = tol_num << p
     mark = limit // tol_den     # the high-water mark
     # while bit lengths alone show bound > tol the ball test is skipped
@@ -432,18 +450,10 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
             if stop:
                 if (num < 0) != (flip and (k - order) % 2 == 1):    # t_k < 0
                     total = -total
-                scale = 1 << p
-                try:
-                    value = _settled((total - total_err) / scale, (total + total_err) / scale)
-                except OverflowError:
-                    # when the end nearer zero overflows too, the whole ball and
-                    # so the sum are past the binary64 range, and this raises
-                    (abs(total) - total_err) / scale
-                    break           # the ball straddles DBL_MAX: the exact sum decides
-                bound = _settled(_tail(low / (gap << p), live), _tail(high / (gap << p), live))
-                if value is None or bound is None:
+                out = _rounded(total, total_err, low, high, gap, p, live)
+                if out is None:
                     break
-                return Evaluation(value, k, bound, "series")
+                return Evaluation(out[0], k, out[1], "series")
         total = mag - total if flip else total + mag
         total_err += err
     else:
@@ -478,9 +488,84 @@ def _sum_exact(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
     raise _not_converged(tol, max_terms)
 
 
+def _product_route(a: int, b: int, u: int, w: int) -> bool:
+    """Whether E_q(z) at q = a/b and z = u/w takes the product: |z| (1-q) > q,
+    as |u| (b-a) > a w. The series' tail ratio |z| / [k+2]_q falls to
+    |z| (1-q), and the product's omitted logs fall by q a factor. Never at
+    z = 0 or q >= 1."""
+    return abs(u) * (b - a) > a * w
+
+
+def _product_fixed(a: int, b: int, u: int, w: int, tol, max_terms: int) -> "Evaluation | None":
+    """E_q(z) = prod_{m>=0} 1 / (1 - x_m), x_m = (1-q) q^m z, for q = a/b < 1
+    and z = u/w inside the radius, as a fixed-point ball; None where a ball
+    leaves a decision open, which hands the call back to the series.
+
+    The factor 1 / (1 - x_m) is Y_m / (Y_m - X_m), X_m = (b-a) a^m u and Y_m =
+    b^(m+1) w, and the ball (T_M, e_M) of P_M = prod_{m<M} steps as in
+    :func:`_sum_fixed`. The omitted factors' log is at most sum_{m>=M} |x_m| /
+    (1 - |x_m|) <= L = |x_M| / ((1 - |x_M|)(1-q)), as |ln(1-x)| <= |x| / (1-|x|)
+    and |x_m| <= |x_M| q^(m-M). So while L < 1, |E_q(z) - P_M| <= P_M (e^L - 1)
+    <= P_M L / (1-L) = P_M lift / gap, lift = |X_M| b and gap = (Y_M - |X_M|)
+    (b-a) - |X_M| b. The call stops at the first M <= max_terms where both
+    ends of the ball put that bound within tol; ``order`` is M, the factors
+    taken. For z < 0 every factor is below 1 and P_M >= E_q(z) >= e^(-|z|),
+    as ln(1+y) <= y, so p takes 3|z|/2 bits more for the value's rounding.
+    A value ball wholly past DBL_MAX raises OverflowError (:func:`_rounded`).
+    """
+    tol_num, tol_den = tol.as_integer_ratio()
+    p = _precision(tol_num, tol_den, -3 * u // (2 * w) + 1 if u < 0 else 0)
+    limit = tol_num << p
+    far = limit.bit_length() - tol_den.bit_length() + 3
+    small = 1 << _GUARD_BITS // 2
+    mag, err = 1 << p, 0            # T_0 = 2^p holds P_0 = 1 exactly
+    x, y = (b - a) * u, b * w       # X_m and Y_m
+    for m in range(max_terms + 1):
+        lift = abs(x) * b
+        gap = (y - abs(x)) * (b - a) - lift
+        # while bit lengths alone show bound > tol the ball test is skipped
+        if gap > 0 and (mag <= err or (mag - err).bit_length() + lift.bit_length()
+                        - gap.bit_length() < far):
+            low, high = max(mag - err, 0) * lift, (mag + err) * lift
+            cap = limit * gap
+            stop = _settled(low * tol_den <= cap, high * tol_den <= cap)
+            if stop is None:
+                return None
+            if stop:
+                out = _rounded(mag, err, low, high, gap, p, True)
+                return None if out is None else Evaluation(out[0], m, out[1], "product")
+        div = y - x
+        mag, rem = divmod(mag * y, div)
+        err = (err if err < small and y <= div else -(-err * y // div)) + (rem != 0)
+        x, y = x * a, y * b
+    raise _not_converged(tol, max_terms)
+
+
 #: Bits the fixed-point sums carry beyond a double's 53 and the scale of tol, so
 #: that a ball is almost always far narrower than the interval it must round in.
 _GUARD_BITS = 64
+
+
+def _precision(tol_num: int, tol_den: int, depth: int = 0) -> int:
+    """The fraction bits p of a fixed-point ball at tol = tol_num / tol_den:
+    53, the guard bits, the binary exponent of 1/tol if positive, and
+    ``depth``, where the value is known to be at least 2^-depth."""
+    return 53 + _GUARD_BITS + max(0, tol_den.bit_length() - tol_num.bit_length()) + depth
+
+
+def _rounded(total: int, err: int, low: int, high: int, gap: int, p: int, live: bool):
+    """A stopped ball's value total / 2^p and tail bound (low .. high) / (gap
+    2^p), each rounded where both ends of its ball agree, or None where one
+    does not or the value's ball straddles DBL_MAX; a value ball wholly past
+    DBL_MAX, its end nearer zero overflowing too, raises OverflowError."""
+    scale = 1 << p
+    try:
+        value = _settled((total - err) / scale, (total + err) / scale)
+    except OverflowError:
+        (abs(total) - err) / scale    # raises where the end nearer zero overflows too
+        return None
+    bound = _settled(_tail(low / (gap << p), live), _tail(high / (gap << p), live))
+    return None if value is None or bound is None else (value, bound)
 
 
 def _settled(low, high):

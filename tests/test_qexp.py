@@ -170,6 +170,17 @@ def _outcome(evaluate, *args):
     return out, repr(out.value), repr(out.tail_bound)
 
 
+def _series_only(patch):
+    """E_q(z) on its series for every z: the product's route rule never
+    fires, so a test can hold the series kernel to its reference."""
+    patch.setattr(qexp_module, "_product_route", lambda a, b, u, w: False)
+
+
+@pytest.fixture
+def series_route(monkeypatch):
+    _series_only(monkeypatch)
+
+
 class TestQExpSeries:
     def test_classical_exponential(self):
         s = qexp_series(1, 5).series
@@ -432,7 +443,7 @@ class TestEvalQExp:
         out = eval_qexp(Fraction(999, 1000), Fraction(540), 1e-12, 10 ** 5)
         assert (out.order, out.value) == (2582, 2.6158504929813798e+277)
 
-    def test_long_sum_settles_in_fixed_point(self, monkeypatch):
+    def test_long_sum_settles_in_fixed_point(self, monkeypatch, series_route):
         # 6817 terms whose step integers grow to some 6800 bits: every ball
         # of the sum decides, with no exact fallback
         def unreachable(*args):
@@ -440,6 +451,23 @@ class TestEvalQExp:
         monkeypatch.setattr(qexp_module, "_sum_exact", unreachable)
         assert (eval_qexp(Fraction(1, 2), Fraction(199, 100), 1e-12, 10 ** 4)
                 == Evaluation(687.017770805638, 6817, 9.958988571144086e-13, "series"))
+
+    def test_product_past_the_binary64_range(self, monkeypatch):
+        # E_q(1) is about 1/q = 2^2000 at q = 2^-2000: the product's second
+        # factor settles a ball wholly past DBL_MAX, and no series runs
+        def unreachable(*args):
+            raise AssertionError("the series ran")
+        monkeypatch.setattr(qexp_module, "_sum_fixed", unreachable)
+        with pytest.raises(DomainError, match="E_q\\(z\\) exceeds the binary64 range"):
+            eval_qexp(Fraction(1, 2 ** 2000), 1)
+
+    def test_max_terms_caps_the_factors(self):
+        # 54 factors at 0.9995 of the radius, where the series needs more than 1000 terms
+        out = eval_qexp(Fraction(1, 2), Fraction(1999, 1000))
+        assert (out.order, out.method) == (54, "product")
+        assert eval_qexp(Fraction(1, 2), Fraction(1999, 1000), max_terms=54) == out
+        with pytest.raises(ConvergenceError, match="within 53 terms"):
+            eval_qexp(Fraction(1, 2), Fraction(1999, 1000), max_terms=53)
 
     def test_ball_straddling_dbl_max_goes_to_the_exact_sum(self, monkeypatch):
         # th = 2^1024 - 2^970 is the midpoint between DBL_MAX and 2^1024: a
@@ -523,7 +551,7 @@ class TestStepStreams:
         eval_log_qexp(q, z)
         assert flags == [z < 0, (1 - q) * z < 0]
 
-    def test_stop_test_only_at_the_end(self, monkeypatch):
+    def test_stop_test_only_at_the_end(self, monkeypatch, series_route):
         # 531 terms reach the ball's stop test only on the last few: above
         # the high-water mark one comparison, and below it the bit lengths,
         # show the bound is past tol
@@ -910,7 +938,7 @@ class TestExactPathMatchesReference:
             assert cls.outcomes(route, args) == expected, (route, args)
 
     @pytest.mark.parametrize("q", QS)
-    def test_byte_identical(self, q, monkeypatch):
+    def test_byte_identical(self, q, monkeypatch, series_route):
         raised = 0
         # z = 0, where every term past the first vanishes, as in ln E_1(z)
         for z in (*self.points(q), Fraction(0)):
@@ -926,7 +954,7 @@ class TestExactPathMatchesReference:
     @pytest.mark.parametrize("q, z, k", [(Fraction(1), Fraction(1), 5),
                                          (Fraction(1, 2), Fraction(3, 2), 7),
                                          (Fraction(5, 2), Fraction(-1), 3)])
-    def test_exact_ties(self, q, z, k, monkeypatch):
+    def test_exact_ties(self, q, z, k, monkeypatch, series_route):
         # tol a Fraction equal to the bound at k: each evaluator stops at k.
         # A tol 2^-200 below it, far inside any ball's radius, goes on.
         factorial = math.prod((q_number(i, q) for i in range(1, k + 2)), start=Fraction(1))
@@ -984,7 +1012,9 @@ class TestExactPathMatchesReference:
         # z within 0.95 of the radius for q < 1, and |z| < 10 otherwise
         z = fraction / (1 - q) if q < 1 else 10 * fraction
         args = (q, z, tol, max_terms)
-        got = [self.outcomes(route, args) for route in ("as_is", "exact")]
+        with pytest.MonkeyPatch.context() as patch:
+            _series_only(patch)
+            got = [self.outcomes(route, args) for route in ("as_is", "exact")]
         first = got[0][0][0]
         terms = first.order if isinstance(first, Evaluation) else max_terms
         # past the budget E_q's expected outcome is the exact route's, which
@@ -993,6 +1023,107 @@ class TestExactPathMatchesReference:
         with pytest.MonkeyPatch.context() as patch:
             expected = self.expected(*args, patch, stand_in)
         assert got == [expected, expected], args
+
+
+class TestProductPathMatchesReference:
+    """Where |z|(1-q) > q, E_q(z) is the product prod_m 1 / (1 - x_m), x_m =
+    (1-q) q^m z: each Evaluation holds the floats of the exact partial
+    product P_M and of its bound P_M L / (1-L), L = |x_M| / ((1 - |x_M|)(1-q)),
+    at the first M where that bound is within tol."""
+
+    QS = (Fraction(1, 3), Fraction(1, 2), Fraction(4, 5))
+
+    @staticmethod
+    def points(q):
+        radius = 1 / (1 - q)
+        return [s * f * radius for f in (Fraction(1, 2), Fraction(9, 10), Fraction(99, 100))
+                for s in (1, -1)]
+
+    @staticmethod
+    def reference(q, z, tol, max_terms):
+        """The product route in Fractions."""
+        x, product, tol = (1 - q) * z, Fraction(1), Fraction(tol)
+        for m in range(max_terms + 1):
+            omitted = abs(x) / ((1 - abs(x)) * (1 - q))    # L
+            if omitted < 1 and product * omitted / (1 - omitted) <= tol:
+                bound = product * omitted / (1 - omitted)
+                return Evaluation(float(product), m, qexp_module._tail(float(bound), True),
+                                  "product")
+            product /= 1 - x
+            x *= q
+        raise ConvergenceError(f"tail bound did not reach tol={tol} within {max_terms} terms")
+
+    @staticmethod
+    def series(args):
+        with pytest.MonkeyPatch.context() as patch:
+            _series_only(patch)
+            return _outcome(eval_qexp, *args)
+
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_floats_of_the_exact_product(self, q, tol):
+        products = 0
+        for z in self.points(q):
+            args = (q, z, tol, DEFAULT_MAX_TERMS)
+            if abs(z) * (1 - q) > q:
+                expected = _outcome(self.reference, *args)
+                products += 1
+            else:    # at 1/2 of the radius of q = 1/2 and 4/5
+                expected = self.series(args)
+            assert _outcome(eval_qexp, *args) == expected, args
+            # with every ball left open, the product hands the call to the series
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(qexp_module, "_settled", lambda low, high: None)
+                undecided = _outcome(eval_qexp, *args)
+            assert undecided == self.series(args), args
+        assert products == (6 if q < Fraction(1, 2) else 4)
+
+    def test_small_product_keeps_its_bits(self, monkeypatch):
+        # E_q(z) is about 5.8e-36 at q = 99/100, z = -99.9, where the series
+        # does not settle within max_terms: the ball carries 3|z|/2 more bits,
+        # enough to round the value with no hand-over
+        def unreachable(*args):
+            raise AssertionError("the series ran")
+        args = (Fraction(99, 100), Fraction(-999, 10), 1e-8, DEFAULT_MAX_TERMS)
+        expected = _outcome(self.reference, *args)
+        monkeypatch.setattr(qexp_module, "_sum_fixed", unreachable)
+        assert _outcome(eval_qexp, *args) == expected
+        assert expected[0].order == 460
+
+    @pytest.mark.parametrize("q, z", [(Fraction(1, 2), Fraction(1)),
+                                      (Fraction(1, 3), Fraction(-1, 2)),
+                                      (Fraction(4, 5), Fraction(4))])
+    def test_boundary_goes_to_the_series(self, q, z):
+        # |z|(1-q) = q exactly keeps the series; one step past it takes the product
+        args = (q, z, DEFAULT_TOL, DEFAULT_MAX_TERMS)
+        out = eval_qexp(*args)
+        assert out.method == "series"
+        assert _outcome(eval_qexp, *args) == self.series(args)
+        past = z + Fraction(1, 10 ** 30) * (1 if z > 0 else -1)
+        assert eval_qexp(q, past).method == "product"
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.fractions(min_value=Fraction(1, 12), max_value=Fraction(11, 12),
+                        max_denominator=12),
+           st.fractions(min_value=Fraction(1, 100), max_value=Fraction(97, 100),
+                        max_denominator=100),
+           st.sampled_from((1, -1)),
+           st.sampled_from((1e-6, 1e-10, 1e-15)))
+    def test_agrees_with_the_series(self, q, fraction, sign, tol):
+        # no oracle: the two routes' values are within the sum of their
+        # bounds and half an ulp of each, in Fractions
+        z = sign * (q + fraction * (1 - q)) / (1 - q)    # |z|(1-q) in (q, 1)
+        product = eval_qexp(q, z, tol)
+        assert product.method == "product"
+        with pytest.MonkeyPatch.context() as patch:
+            _series_only(patch)
+            try:
+                series = eval_qexp(q, z, tol)
+            except ConvergenceError:    # near the radius the series needs more terms
+                return
+        allowance = (Fraction(series.tail_bound) + Fraction(product.tail_bound)
+                     + Fraction(math.ulp(series.value)) / 2 + Fraction(math.ulp(product.value)) / 2)
+        assert abs(Fraction(series.value) - Fraction(product.value)) <= allowance
 
 
 class TestFloatPathMatchesReference:
@@ -1170,24 +1301,41 @@ class TestMpmathOracle:
 
     POINTS = ((Fraction(1, 2), Fraction(19, 10)), (Fraction(4, 5), Fraction(-9, 2)),
               (Fraction(2), Fraction(3)), (Fraction(3, 2), Fraction(-7, 4)),
-              # long chains: 4098 terms of E_q and 1993 of the log
-              (Fraction(9, 10), Fraction(99, 10)), (Fraction(9, 10), Fraction(-99, 10)))
+              # long chains: 1993 terms of the log; E_q takes 411 and 164 factors
+              (Fraction(9, 10), Fraction(99, 10)), (Fraction(9, 10), Fraction(-99, 10)),
+              (Fraction(3, 4), Fraction(-3573, 1000)), (Fraction(4, 5), Fraction(4479, 1000)))
+
+    #: Points on E_q's product route, 1999/1000 at 0.9995 of the radius
+    PRODUCT_POINTS = ((Fraction(1, 2), Fraction(1999, 1000)),
+                      (Fraction(3, 4), Fraction(-3573, 1000)), (Fraction(4, 5), Fraction(4479, 1000)))
+
+    @staticmethod
+    def reference(mpmath, q, z):
+        mq, mz = mpmath.mpf(q.numerator) / q.denominator, mpmath.mpf(z.numerator) / z.denominator
+        if q < 1:
+            return 1 / mpmath.qp((1 - mq) * mz, mq)
+        return mpmath.qp(-(1 - 1 / mq) * mz, 1 / mq)
 
     @pytest.mark.parametrize("q, z", POINTS)
     def test_against_product_formula(self, q, z):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
-            mq, mz = mpmath.mpf(q.numerator) / q.denominator, mpmath.mpf(z.numerator) / z.denominator
-            if q < 1:
-                ref = 1 / mpmath.qp((1 - mq) * mz, mq)
-            else:
-                ref = mpmath.qp(-(1 - 1 / mq) * mz, 1 / mq)
+            ref = self.reference(mpmath, q, z)
             out = eval_qexp(q, z, tol=1e-10, max_terms=5000)
             assert abs(out.value - ref) <= out.tail_bound + math.ulp(out.value)
             if ref > 0:
                 log_out = eval_log_qexp(q, z, tol=1e-10, max_terms=5000)
                 assert abs(log_out.value - mpmath.log(ref)) <= (log_out.tail_bound
                                                               + math.ulp(log_out.value))
+
+    @pytest.mark.parametrize("q, z", PRODUCT_POINTS)
+    def test_product_at_the_default_max_terms(self, q, z):
+        mpmath = pytest.importorskip("mpmath")
+        out = eval_qexp(q, z)
+        assert out.method == "product"
+        with mpmath.workdps(40):
+            ref = self.reference(mpmath, q, z)
+            assert abs(out.value - ref) <= out.tail_bound + math.ulp(out.value) / 2
 
     def test_rim_of_the_log_series(self):
         # 1e-9 inside the log series' disk at q = 3/2, and off E_q's first
