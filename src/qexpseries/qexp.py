@@ -21,14 +21,16 @@ test); a call that a ball leaves open goes to one exact integer sum. For
 0 < q < 1 and a rational z with |z|(1-q) > q, one integer test, E_q takes
 the paper's product instead: c_k = sum_m ((1-q) q^m)^k / k makes E_q(z) =
 prod_{m>=0} 1 / (1 - x_m), x_m = (1-q) q^m z, whose omitted logs fall by q a
-factor where the series' terms fall by about |z|(1-q). A fixed-point ball of
-the partial product P_M (:func:`_product_fixed`) stops where |E_q(z) - P_M|
-<= P_M L / (1-L) is within tol, L bounding the omitted factors' log, and a
-ball it leaves open hands the call to the series. A float
-argument selects plain binary64 arithmetic over the same sweep: each [k]_q
-and c_k is the correctly rounded int / int quotient of its integers, and the
-sum's own rounding is outside the certificate; a finite real sum that meets
-a [k]_q past DBL_MAX goes to the exact value of z. Each evaluator decides
+factor where the series' terms fall by about |z|(1-q). The partial product
+P_M telescopes into the series 1 + sum_{m<M} t_m, t_m = P_{m+1} x_m, which
+the same kernel sums (:func:`_product_steps`): it stops where |E_q(z) - P_M|
+<= P_M L / (1-L) is within tol, L bounding the omitted factors' log, or for
+z < 0, where every later term ratio is at most q, |t_M| / (1-q); a ball it
+leaves open goes to the exact sum over the same steps. A float argument
+selects plain binary64 arithmetic over the same sweep: each [k]_q and c_k is
+the correctly rounded int / int quotient of its integers, and the sum's own
+rounding is outside the certificate; a finite real sum that meets a [k]_q
+past DBL_MAX goes to the exact value of z. Each evaluator decides
 once whether its later terms vanish, and on every path a tail bound that
 underflows while they do not is the least subnormal, never 0.0
 (:func:`_tail`). A value or a complex |z| beyond the binary64 range raises
@@ -162,8 +164,9 @@ class Evaluation:
     the highest power included in the sum (of E_q's series for
     "log_of_qexp"); on "product", E_q(z) for 0 < q < 1 and a rational z with
     |z|(1-q) > q, it is the number M of factors 1 / (1 - (1-q) q^m z), m < M,
-    in the partial product P_M, and the bound is P_M L / (1-L), L =
-    |x_M| / ((1 - |x_M|)(1-q)) bounding the log of the omitted factors.
+    in the partial product P_M, M >= 1, and the bound is P_M L / (1-L), L =
+    |x_M| / ((1 - |x_M|)(1-q)) bounding the log of the omitted factors, or
+    for z < 0 |P_(M+1) - P_M| / (1-q).
     ``tail_bound`` is a certified upper bound on the truncation error of
     ``value``, and a positive bound below the binary64 range is the least
     subnormal, ``math.ulp(0.0)``. On the rational-argument path both are the
@@ -227,7 +230,7 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL
     term. The geometric majorant is sound because [k]_q increases with k,
     so every later term ratio is at most r. For 0 < q < 1 and a rational z
     with |z|(1-q) > q, where that ratio stays above q, the call takes the
-    product route (:func:`_product_fixed`, ``method`` "product"), on which
+    product route (:func:`_product_steps`, ``method`` "product"), on which
     max_terms caps the factors. A value beyond the binary64 range raises
     :class:`DomainError`, at once when z > 0 is itself beyond it, as
     E_q(z) > z there.
@@ -241,9 +244,9 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL
             if u > 0 and u.bit_length() - w.bit_length() > 1022:
                 float(z)
             if _product_route(a, b, u, w):
-                out = _product_fixed(a, b, u, w, tol, max_terms)
-                if out is not None:
-                    return out
+                x, y = (b - a) * u, b * w    # t_0 = x_0 / (1 - x_0), x_0 = x / y
+                return _sum_fixed((x, y - x), partial(_product_steps, a, b, u, w), 1, tol,
+                                  max_terms, True, base=1, method="product")
             # every term of E_q(z) is nonzero iff z != 0, and t_{k+1} / t_k has the sign of z
             return _sum_fixed((1, 1), partial(_qexp_steps, a, b, abs(u), w), 0, tol,
                               max_terms, u != 0, u < 0)
@@ -398,9 +401,11 @@ def _log_steps(a: int, b: int, w: int, cap_num: int,
 
 
 def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
-               live: bool, flip: bool = False) -> Evaluation:
-    """sum_k t_k from k = order until the tail bound is <= tol, in fixed
-    point; a ball that leaves a decision open hands the call to :func:`_sum_exact`.
+               live: bool, flip: bool = False, base: int = 0,
+               method: str = "series") -> Evaluation:
+    """base + sum_k t_k from k = order until the tail bound is <= tol, in
+    fixed point; a ball that leaves a decision open hands the call to
+    :func:`_sum_exact`. The result is labelled ``method``.
 
     t_order = first[0] / first[1]; a step (mul, div, lift, gap) of ``steps()``,
     mul >= 0 and div > 0, gives |t_{k+1}| = |t_k| mul / div, the sign turning
@@ -408,7 +413,8 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
     / gap, where gap <= lift; ``live`` tells :func:`_tail` whether the terms
     after t_order are nonzero. An integer T_k within e_k of |t_k| 2^p
     carries each term, its sign apart, and the partial sum is carried times
-    the sign of its last term, so no step reads a sign. One floor per step,
+    the sign of its last term, so no step reads a sign; the constant term
+    ``base``, an integer, is exact in its start value. One floor per step,
     T_{k+1} = floor(T_k mul / div), keeps that with e_{k+1} = ceil(e_k mul /
     div) + [it dropped a remainder], so the partial sum is within the sum of
     the e_k. Where mul <= div, e_k + [it dropped a remainder] is sound too,
@@ -424,7 +430,8 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
     """
     num, den = first
     tol_num, tol_den = tol.as_integer_ratio()
-    p = _precision(tol_num, tol_den)
+    # fraction bits: 53, the guard bits and the binary exponent of 1/tol if positive
+    p = 53 + _GUARD_BITS + max(0, tol_den.bit_length() - tol_num.bit_length())
     limit = tol_num << p
     mark = limit // tol_den     # the high-water mark
     # while bit lengths alone show bound > tol the ball test is skipped
@@ -434,7 +441,7 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
     err = int(rem != 0)
     # the partial sum through t_k times the sign of t_k: a step that turns the
     # sign takes the sum from T_{k+1}, one that keeps it adds T_{k+1}
-    total, total_err = mag, err
+    total, total_err = mag + ((-base if num < 0 else base) << p), err
     for k, (mul, div, lift, gap) in zip(range(order, order + max_terms), steps()):
         mag, rem = divmod(mag * mul, div)
         err = (err if err < small and mul <= div else -(-err * mul // div)) + (rem != 0)
@@ -450,19 +457,27 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
             if stop:
                 if (num < 0) != (flip and (k - order) % 2 == 1):    # t_k < 0
                     total = -total
-                out = _rounded(total, total_err, low, high, gap, p, live)
-                if out is None:
+                scale = 1 << p
+                try:
+                    value = _settled((total - total_err) / scale, (total + total_err) / scale)
+                except OverflowError:
+                    # when the end nearer zero overflows too, the whole ball and
+                    # so the sum are past the binary64 range, and this raises
+                    (abs(total) - total_err) / scale
+                    break           # the ball straddles DBL_MAX: the exact sum decides
+                bound = _settled(_tail(low / (gap << p), live), _tail(high / (gap << p), live))
+                if value is None or bound is None:
                     break
-                return Evaluation(out[0], k, out[1], "series")
+                return Evaluation(value, k, bound, method)
         total = mag - total if flip else total + mag
         total_err += err
     else:
         raise _not_converged(tol, max_terms)
-    return _sum_exact(first, steps(), order, tol, max_terms, live, flip)
+    return _sum_exact(first, steps(), order, tol, max_terms, live, flip, base, method)
 
 
 def _sum_exact(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
-               live: bool, flip: bool) -> Evaluation:
+               live: bool, flip: bool, base: int, method: str) -> Evaluation:
     """The partial sum of :func:`_sum_fixed` by exact integers, for the
     decisions its balls leave open.
 
@@ -472,7 +487,7 @@ def _sum_exact(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
     """
     tol_num, tol_den = tol.as_integer_ratio()
     term, den = first
-    total = term
+    total = term + base * den
     for k, (mul, div, lift, gap) in zip(range(order, order + max_terms), steps):
         term = -term * mul if flip else term * mul
         next_den = den * div
@@ -482,7 +497,7 @@ def _sum_exact(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
                         <= next_den.bit_length() + (gap * tol_num).bit_length() + 1):
             bound_num, bound_den = abs(term) * lift, next_den * gap
             if bound_num * tol_den <= tol_num * bound_den:
-                return Evaluation(total / den, k, _tail(bound_num / bound_den, live), "series")
+                return Evaluation(total / den, k, _tail(bound_num / bound_den, live), method)
         total = total * div + term
         den = next_den
     raise _not_converged(tol, max_terms)
@@ -496,76 +511,32 @@ def _product_route(a: int, b: int, u: int, w: int) -> bool:
     return abs(u) * (b - a) > a * w
 
 
-def _product_fixed(a: int, b: int, u: int, w: int, tol, max_terms: int) -> "Evaluation | None":
-    """E_q(z) = prod_{m>=0} 1 / (1 - x_m), x_m = (1-q) q^m z, for q = a/b < 1
-    and z = u/w inside the radius, as a fixed-point ball; None where a ball
-    leaves a decision open, which hands the call back to the series.
+def _product_steps(a: int, b: int, u: int, w: int) -> Iterator["tuple[int, int, int, int]"]:
+    """E_q's kernel steps on its product prod_{m>=0} 1 / (1 - x_m), x_m =
+    (1-q) q^m z = X_m / Y_m, X_m = (b-a) a^m u and Y_m = b^(m+1) w, for q = a/b
+    < 1 and z = u/w inside the radius.
 
-    The factor 1 / (1 - x_m) is Y_m / (Y_m - X_m), X_m = (b-a) a^m u and Y_m =
-    b^(m+1) w, and the ball (T_M, e_M) of P_M = prod_{m<M} steps as in
-    :func:`_sum_fixed`. The omitted factors' log is at most sum_{m>=M} |x_m| /
-    (1 - |x_m|) <= L = |x_M| / ((1 - |x_M|)(1-q)), as |ln(1-x)| <= |x| / (1-|x|)
-    and |x_m| <= |x_M| q^(m-M). So while L < 1, |E_q(z) - P_M| <= P_M (e^L - 1)
-    <= P_M L / (1-L) = P_M lift / gap, lift = |X_M| b and gap = (Y_M - |X_M|)
-    (b-a) - |X_M| b. The call stops at the first M <= max_terms where both
-    ends of the ball put that bound within tol; ``order`` is M, the factors
-    taken. For z < 0 every factor is below 1 and P_M >= E_q(z) >= e^(-|z|),
-    as ln(1+y) <= y, so p takes 3|z|/2 bits more for the value's rounding.
-    A value ball wholly past DBL_MAX raises OverflowError (:func:`_rounded`).
+    The partial product P_M telescopes into 1 + sum_{m<M} t_m, t_m = P_{m+1}
+    - P_m = P_{m+1} x_m, each of the sign of z, from t_0 = X_0 / (Y_0 - X_0) at
+    order 1, so a sum stopped at order M is P_M. |t_m| = |t_(m-1)| q / (1 - x_m)
+    = |t_(m-1)| a Y_(m-1) / (Y_m - X_m). The omitted factors' log is at most
+    L = |x_M| / ((1 - |x_M|)(1-q)), as |ln(1-x)| <= |x| / (1-|x|) and |x_m| <=
+    |x_M| q^(m-M); while L < 1, |E_q(z) - P_M| <= P_M (e^L - 1) <= P_M L / (1-L)
+    = |t_M| lift / gap, lift = b (Y_M - X_M) and gap = (Y_M - |X_M|)(b-a) -
+    |X_M| b. For z < 0 every later ratio q / (1 - x_m) is at most q, so
+    |E_q(z) - P_M| <= |t_M| / (1-q): lift / gap = b / (b-a), with no L < 1.
     """
-    tol_num, tol_den = tol.as_integer_ratio()
-    p = _precision(tol_num, tol_den, -3 * u // (2 * w) + 1 if u < 0 else 0)
-    limit = tol_num << p
-    far = limit.bit_length() - tol_den.bit_length() + 3
-    small = 1 << _GUARD_BITS // 2
-    mag, err = 1 << p, 0            # T_0 = 2^p holds P_0 = 1 exactly
-    x, y = (b - a) * u, b * w       # X_m and Y_m
-    for m in range(max_terms + 1):
-        lift = abs(x) * b
-        gap = (y - abs(x)) * (b - a) - lift
-        # while bit lengths alone show bound > tol the ball test is skipped
-        if gap > 0 and (mag <= err or (mag - err).bit_length() + lift.bit_length()
-                        - gap.bit_length() < far):
-            low, high = max(mag - err, 0) * lift, (mag + err) * lift
-            cap = limit * gap
-            stop = _settled(low * tol_den <= cap, high * tol_den <= cap)
-            if stop is None:
-                return None
-            if stop:
-                out = _rounded(mag, err, low, high, gap, p, True)
-                return None if out is None else Evaluation(out[0], m, out[1], "product")
-        div = y - x
-        mag, rem = divmod(mag * y, div)
-        err = (err if err < small and y <= div else -(-err * y // div)) + (rem != 0)
+    x, y = (b - a) * u, b * w    # X_m and Y_m
+    while True:
+        mul = a * y
         x, y = x * a, y * b
-    raise _not_converged(tol, max_terms)
+        div = y - x
+        yield (mul, div, b, b - a) if u < 0 else (mul, div, b * div, div * (b - a) - x * b)
 
 
 #: Bits the fixed-point sums carry beyond a double's 53 and the scale of tol, so
 #: that a ball is almost always far narrower than the interval it must round in.
 _GUARD_BITS = 64
-
-
-def _precision(tol_num: int, tol_den: int, depth: int = 0) -> int:
-    """The fraction bits p of a fixed-point ball at tol = tol_num / tol_den:
-    53, the guard bits, the binary exponent of 1/tol if positive, and
-    ``depth``, where the value is known to be at least 2^-depth."""
-    return 53 + _GUARD_BITS + max(0, tol_den.bit_length() - tol_num.bit_length()) + depth
-
-
-def _rounded(total: int, err: int, low: int, high: int, gap: int, p: int, live: bool):
-    """A stopped ball's value total / 2^p and tail bound (low .. high) / (gap
-    2^p), each rounded where both ends of its ball agree, or None where one
-    does not or the value's ball straddles DBL_MAX; a value ball wholly past
-    DBL_MAX, its end nearer zero overflowing too, raises OverflowError."""
-    scale = 1 << p
-    try:
-        value = _settled((total - err) / scale, (total + err) / scale)
-    except OverflowError:
-        (abs(total) - err) / scale    # raises where the end nearer zero overflows too
-        return None
-    bound = _settled(_tail(low / (gap << p), live), _tail(high / (gap << p), live))
-    return None if value is None or bound is None else (value, bound)
 
 
 def _settled(low, high):

@@ -4,19 +4,22 @@ The package's :class:`~qexpseries.TruncatedSeries` keeps construction,
 equality, the product, log and exp. The constants and the coefficientwise
 sum and difference that the test oracles build on live here, apart from
 the code under test, as does :func:`reference_arguments`, the evaluators'
-argument gate through the package's validators and Fraction arithmetic.
+argument gate through the package's validators and Fraction arithmetic, and
+:func:`reference_product`, E_q's product route in Fractions.
 :func:`int_digit_cap` sets CPython's default cap on int <-> str digits.
 """
 
 import cmath
 import contextlib
+import math
 import sys
 from fractions import Fraction
 from numbers import Rational
 
 import pytest
 
-from qexpseries import DomainError, TruncatedSeries, radius_of_convergence
+from qexpseries import (ConvergenceError, DomainError, Evaluation, TruncatedSeries,
+                        radius_of_convergence)
 from qexpseries.scalars import check_int, check_q, check_tol, shown
 
 
@@ -74,6 +77,29 @@ def reference_arguments(q, z, tol, max_terms):
                 f"(1-q)^(-1) = {shown(radius)} for q = {shown(q)}"
             )
     return q, z, is_exact
+
+
+def reference_product(q, z, tol, max_terms):
+    """E_q(z) on the product route in Fractions, for 0 < q < 1 and a rational
+    z inside the radius: the partial product P_M of the factors 1 / (1 - x_m),
+    x_m = (1-q) q^m z, m < M, at the first M from 1 to max_terms whose bound
+    on |E_q(z) - P_M| is within tol. That bound is P_M L / (1-L) where L =
+    |x_M| / ((1 - |x_M|)(1-q)) < 1 bounds the omitted factors' log, and for
+    z < 0, where each omitted factor is below 1, |t_M| / (1-q) for the next
+    term t_M = P_(M+1) - P_M = P_M x_M / (1 - x_M)."""
+    q, z, tol_cmp = Fraction(q), Fraction(z), Fraction(tol)
+    x, product = (1 - q) * z, Fraction(1)
+    for m in range(1, max_terms + 1):
+        product /= 1 - x    # P_m
+        x *= q              # x_m
+        if z < 0:
+            bound = product * -x / ((1 - x) * (1 - q))
+        else:
+            omitted = x / ((1 - x) * (1 - q))
+            bound = product * omitted / (1 - omitted) if omitted < 1 else None
+        if bound is not None and bound <= tol_cmp:
+            return Evaluation(float(product), m, float(bound) or math.ulp(0.0), "product")
+    raise ConvergenceError(f"tail bound did not reach tol={shown(tol)} within {max_terms} terms")
 
 
 @contextlib.contextmanager

@@ -34,7 +34,7 @@ from qexpseries import (DEFAULT_MAX_TERMS, DEFAULT_QS, DEFAULT_TOL, ConvergenceE
                         qexp_series)
 from qexpseries.qnumbers import q_number_numerators, q_numbers
 from qexpseries.scalars import shown
-from oracles import reference_arguments
+from oracles import reference_arguments, reference_product
 
 qvalues = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=8)
 
@@ -453,11 +453,12 @@ class TestEvalQExp:
                 == Evaluation(687.017770805638, 6817, 9.958988571144086e-13, "series"))
 
     def test_product_past_the_binary64_range(self, monkeypatch):
-        # E_q(1) is about 1/q = 2^2000 at q = 2^-2000: the product's second
-        # factor settles a ball wholly past DBL_MAX, and no series runs
+        # E_q(1) is about 1/q = 2^2000 at q = 2^-2000: the product's first
+        # stop test settles a ball wholly past DBL_MAX, and the series draws
+        # no step
         def unreachable(*args):
             raise AssertionError("the series ran")
-        monkeypatch.setattr(qexp_module, "_sum_fixed", unreachable)
+        monkeypatch.setattr(qexp_module, "_qexp_steps", unreachable)
         with pytest.raises(DomainError, match="E_q\\(z\\) exceeds the binary64 range"):
             eval_qexp(Fraction(1, 2 ** 2000), 1)
 
@@ -495,7 +496,8 @@ class TestEvalQExp:
 class TestStepStreams:
     """The kernel's step streams give, tuple for tuple, the steps built
     plainly from the q-number sweep, each mul as |mul| with one sign per
-    call: sign(u) for E_q and sign((b-a)u) for ln E_q at z = u/w."""
+    call: sign(u) for E_q and sign((b-a)u) for ln E_q at z = u/w; E_q's
+    product steps give the ratios built in Fractions from x_m."""
 
     @staticmethod
     def qexp_reference(a, b, z):
@@ -535,6 +537,50 @@ class TestStepStreams:
             for mul, div, lift, gap in steps:
                 assert mul >= 0 and div > 0
                 assert gap <= 0 or gap <= lift
+
+    @staticmethod
+    def product_reference(q, z):
+        """Per step m = 1, 2, ... of the product in Fractions, x_m = (1-q) q^m
+        z: the term ratio t_m / t_(m-1) = q / (1 - x_m), and |E_q(z) - P_m| /
+        |t_m| as the bound has it, (1 - x_m) L / (x_m (1-L)) for L = x_m /
+        ((1 - x_m)(1-q)) < 1 (None where L >= 1), and 1 / (1-q) for z < 0."""
+        x = (1 - q) * z
+        while True:
+            x *= q
+            if z < 0:
+                factor = 1 / (1 - q)
+            else:
+                omitted = x / ((1 - x) * (1 - q))
+                factor = (1 - x) * omitted / (x * (1 - omitted)) if omitted < 1 else None
+            yield q / (1 - x), factor
+
+    @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(1, 2), Fraction(4, 5),
+                                   Fraction(1, 2 ** 70)])
+    @pytest.mark.parametrize("f", [Fraction(1, 2), Fraction(99, 100)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_product_steps(self, q, f, sign):
+        # z at a fraction f of the radius, on the product route where it is
+        # past q / (1-q); every term has the sign of z, so no step flips
+        z = sign * f / (1 - q)
+        a, b = q.as_integer_ratio()
+        u, w = z.as_integer_ratio()
+        steps = list(itertools.islice(qexp_module._product_steps(a, b, u, w), 200))
+        assert ([(Fraction(mul, div), Fraction(lift, gap) if gap > 0 else None)
+                 for mul, div, lift, gap in steps]
+                == list(itertools.islice(self.product_reference(q, z), 200)))
+        for mul, div, lift, gap in steps:
+            assert mul >= 0 and div > 0
+            assert gap <= 0 or gap <= lift
+        # 1 + sum_{m<M} t_m is P_M exactly, from t_0 = x_0 / (1 - x_0)
+        x = (1 - q) * z
+        term = x / (1 - x)
+        total = product = Fraction(1)
+        for mul, div, _, _ in steps[:60]:
+            total += term
+            product /= 1 - x
+            assert total == product
+            term *= Fraction(mul, div)
+            x *= q
 
     @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(5, 2)])
     @pytest.mark.parametrize("z", [Fraction(1, 2), Fraction(-1, 2)])
@@ -1028,8 +1074,9 @@ class TestExactPathMatchesReference:
 class TestProductPathMatchesReference:
     """Where |z|(1-q) > q, E_q(z) is the product prod_m 1 / (1 - x_m), x_m =
     (1-q) q^m z: each Evaluation holds the floats of the exact partial
-    product P_M and of its bound P_M L / (1-L), L = |x_M| / ((1 - |x_M|)(1-q)),
-    at the first M where that bound is within tol."""
+    product P_M and of its bound, P_M L / (1-L) with L = |x_M| / ((1 -
+    |x_M|)(1-q)), or |P_(M+1) - P_M| / (1-q) for z < 0, at the first M >= 1
+    where that bound is within tol (:func:`oracles.reference_product`)."""
 
     QS = (Fraction(1, 3), Fraction(1, 2), Fraction(4, 5))
 
@@ -1038,20 +1085,6 @@ class TestProductPathMatchesReference:
         radius = 1 / (1 - q)
         return [s * f * radius for f in (Fraction(1, 2), Fraction(9, 10), Fraction(99, 100))
                 for s in (1, -1)]
-
-    @staticmethod
-    def reference(q, z, tol, max_terms):
-        """The product route in Fractions."""
-        x, product, tol = (1 - q) * z, Fraction(1), Fraction(tol)
-        for m in range(max_terms + 1):
-            omitted = abs(x) / ((1 - abs(x)) * (1 - q))    # L
-            if omitted < 1 and product * omitted / (1 - omitted) <= tol:
-                bound = product * omitted / (1 - omitted)
-                return Evaluation(float(product), m, qexp_module._tail(float(bound), True),
-                                  "product")
-            product /= 1 - x
-            x *= q
-        raise ConvergenceError(f"tail bound did not reach tol={tol} within {max_terms} terms")
 
     @staticmethod
     def series(args):
@@ -1066,29 +1099,51 @@ class TestProductPathMatchesReference:
         for z in self.points(q):
             args = (q, z, tol, DEFAULT_MAX_TERMS)
             if abs(z) * (1 - q) > q:
-                expected = _outcome(self.reference, *args)
+                expected = _outcome(reference_product, *args)
                 products += 1
             else:    # at 1/2 of the radius of q = 1/2 and 4/5
                 expected = self.series(args)
             assert _outcome(eval_qexp, *args) == expected, args
-            # with every ball left open, the product hands the call to the series
+            # with every ball left open, the exact sum over the same steps decides
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(qexp_module, "_settled", lambda low, high: None)
                 undecided = _outcome(eval_qexp, *args)
-            assert undecided == self.series(args), args
+            assert undecided == expected, args
         assert products == (6 if q < Fraction(1, 2) else 4)
 
     def test_small_product_keeps_its_bits(self, monkeypatch):
-        # E_q(z) is about 5.8e-36 at q = 99/100, z = -99.9, where the series
-        # does not settle within max_terms: the ball carries 3|z|/2 more bits,
-        # enough to round the value with no hand-over
+        # E_q(z) is about 1.7e-10 at q = 99/100, z = -99.9 after 37 factors,
+        # below tol = 1e-8, where the series does not settle within
+        # max_terms: the fraction bits of tol round the value, with neither
+        # the series nor the exact sum
         def unreachable(*args):
-            raise AssertionError("the series ran")
+            raise AssertionError("the series or the exact sum ran")
         args = (Fraction(99, 100), Fraction(-999, 10), 1e-8, DEFAULT_MAX_TERMS)
-        expected = _outcome(self.reference, *args)
-        monkeypatch.setattr(qexp_module, "_sum_fixed", unreachable)
+        expected = _outcome(reference_product, *args)
+        monkeypatch.setattr(qexp_module, "_qexp_steps", unreachable)
+        monkeypatch.setattr(qexp_module, "_sum_exact", unreachable)
         assert _outcome(eval_qexp, *args) == expected
-        assert expected[0].order == 460
+        assert expected[0].value < 1e-8
+
+    @pytest.mark.parametrize("q, z, factors", [(Fraction(49, 50), Fraction(-4999, 100), 41),
+                                               (Fraction(99, 100), Fraction(-999, 10), 37)])
+    def test_negative_z_stops_on_its_own_bound(self, q, z, factors):
+        # for z < 0 each later term ratio is at most q, so |t_M| / (1-q)
+        # bounds the error with no L < 1: 41 and 37 factors, where the bound
+        # P_M L / (1-L) takes 195 and 460
+        args = (q, z, 1e-8, DEFAULT_MAX_TERMS)
+        out = eval_qexp(*args)
+        assert (out.order, out.method) == (factors, "product")
+        assert _outcome(eval_qexp, *args) == _outcome(reference_product, *args)
+
+    def test_first_stop_after_one_factor(self):
+        # at q = 2^-80 the bound at M = 0 is 0.0086, within tol = 0.5, but
+        # the first stop test follows the first term: the value is P_1, not
+        # P_0 = 1
+        args = (Fraction(1, 2 ** 80), Fraction(210701, 25000000), 0.5, 2)
+        out = eval_qexp(*args)
+        assert (out.order, out.method) == (1, "product") and out.value > 1
+        assert _outcome(eval_qexp, *args) == _outcome(reference_product, *args)
 
     @pytest.mark.parametrize("q, z", [(Fraction(1, 2), Fraction(1)),
                                       (Fraction(1, 3), Fraction(-1, 2)),
@@ -1305,16 +1360,20 @@ class TestMpmathOracle:
               (Fraction(9, 10), Fraction(99, 10)), (Fraction(9, 10), Fraction(-99, 10)),
               (Fraction(3, 4), Fraction(-3573, 1000)), (Fraction(4, 5), Fraction(4479, 1000)))
 
-    #: Points on E_q's product route, 1999/1000 at 0.9995 of the radius
+    #: Points on E_q's product route, 1999/1000 at 0.9995 of the radius. A
+    #: z < 0 stops on the bound |P_(M+1) - P_M| / (1-q), which the last two,
+    #: near q = 1, reach far sooner than P_M L / (1-L)
     PRODUCT_POINTS = ((Fraction(1, 2), Fraction(1999, 1000)),
-                      (Fraction(3, 4), Fraction(-3573, 1000)), (Fraction(4, 5), Fraction(4479, 1000)))
+                      (Fraction(3, 4), Fraction(-3573, 1000)), (Fraction(4, 5), Fraction(4479, 1000)),
+                      (Fraction(49, 50), Fraction(-4999, 100)), (Fraction(99, 100), Fraction(-999, 10)))
 
     @staticmethod
     def reference(mpmath, q, z):
+        # mpmath's own cap, 50 factors per bit of precision, is too few at q = 99/100
         mq, mz = mpmath.mpf(q.numerator) / q.denominator, mpmath.mpf(z.numerator) / z.denominator
         if q < 1:
-            return 1 / mpmath.qp((1 - mq) * mz, mq)
-        return mpmath.qp(-(1 - 1 / mq) * mz, 1 / mq)
+            return 1 / mpmath.qp((1 - mq) * mz, mq, maxterms=10 ** 5)
+        return mpmath.qp(-(1 - 1 / mq) * mz, 1 / mq, maxterms=10 ** 5)
 
     @pytest.mark.parametrize("q, z", POINTS)
     def test_against_product_formula(self, q, z):
