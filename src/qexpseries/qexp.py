@@ -27,14 +27,14 @@ the same kernel sums (:func:`_product_steps`): it stops where |E_q(z) - P_M|
 <= P_M L / (1-L) is within tol, L bounding the omitted factors' log, or for
 z < 0, where every later term ratio is at most q, |t_M| / (1-q); a ball it
 leaves open goes to the exact sum over the same steps. A float argument
-selects plain binary64 arithmetic over the same sweep: each [k]_q and c_k is
-the correctly rounded int / int quotient of its integers, and the sum's own
-rounding is outside the certificate; a finite real sum that meets a [k]_q
-past DBL_MAX goes to the exact value of z. Each evaluator decides
-once whether its later terms vanish, and on every path a tail bound that
-underflows while they do not is the least subnormal, never 0.0
-(:func:`_tail`). A value or a complex |z| beyond the binary64 range raises
-DomainError; so does a float z^k of the log series, but on the rim of q > 1.
+selects plain binary64 arithmetic over the same sweep: each [k]_q and each
+term ratio c_{k+1} / c_k of the log is the correctly rounded int / int
+quotient of its integers, and the sum's own rounding is outside the
+certificate; a finite real sum that meets a [k]_q past DBL_MAX goes to the
+exact value of z. Each evaluator decides once whether its later terms
+vanish, and on every path a tail bound that underflows while they do not is
+the least subnormal, never 0.0 (:func:`_tail`). A value or a complex |z|
+beyond the binary64 range raises DomainError.
 """
 
 from __future__ import annotations
@@ -302,15 +302,15 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
     tail majorant whenever the cap is below 1. For q > 1 one rule hands the
     call to log(eval_qexp(z)) (:func:`_log_via_qexp`, ``method``
     "log_of_qexp"): outside that disk (|z| >= q/(q-1)), and on its rim for a
-    real z whose log series does not settle within max_terms or before a
-    float z^k leaves the binary64 range; for an exact z, where a lower bound
-    on the terms shows that no bound within max_terms reaches tol, before
-    the first term. A complex z gets the principal log of E_q(z) there, not
-    the series' continuation: it can be off the sum of the factors' logs by
-    a multiple of 2 pi i (4 pi i at q = 11/10, z = 11j), so on the rim a
-    complex z raises :class:`ConvergenceError`. Elsewhere a
-    float z^k beyond the binary64 range raises :class:`DomainError`; the
-    same z as an exact rational does not.
+    real z whose log series does not settle within max_terms; for an exact
+    z, where a lower bound on the terms shows that no bound within max_terms
+    reaches tol, before the first term. A complex z gets the principal log
+    of E_q(z) there, not the series' continuation: it can be off the sum of
+    the factors' logs by a multiple of 2 pi i (4 pi i at q = 11/10, z =
+    11j), so on the rim a complex z raises :class:`ConvergenceError`. A
+    float z walks the term ratio, t_{k+1} = t_k (z c_{k+1} / c_k), so no
+    power z^k forms; for q <= 1 a cap that rounds onto 1 inside the radius
+    raises :class:`ConvergenceError`, as no bound can reach tol.
     """
     q, a, b, z, tol, max_terms = _arguments(q, z, tol, max_terms)
     # every term of ln E_q(z) after the first is nonzero iff z != 0 and q != 1
@@ -340,45 +340,34 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
                         - tol_num.bit_length())
                 if 3 * max_terms * ((a + b) * w - cap_num) <= 2 * cap_num * bits:
                     raise _not_converged(tol, max_terms)
-                try:
-                    return _sum_fixed((u, w), partial(_log_steps, a, b, w, cap_num, cap_den),
-                                      1, tol, max_terms, live, scale < 0)
-                except OverflowError:
-                    raise DomainError(f"ln E_q(z) exceeds the binary64 range at "
-                                      f"q = {shown(q)}, z = {shown(z)}") from None
+                return _sum_fixed((u, w), partial(_log_steps, a, b, w, cap_num, cap_den),
+                                  1, tol, max_terms, live, scale < 0)
         else:
-            # the doubles float * Fraction gives: |z| * float(q - 1) / float(q) and
-            # |z| * float(1 - q), each quotient of coprime integers correctly
-            # rounded; |z| * float((q - 1) / q) rounds differently at some z
-            z_abs = _modulus(q, z)
-            try:
-                r_cap = z_abs * ((a - b) / b) / (a / b) if a > b else z_abs * ((b - a) / b)
-            except OverflowError:    # q past DBL_MAX, where (q - 1) / q rounds to 1
-                r_cap = z_abs
-            if r_cap >= 1 and a <= b:    # float rounding pushed |z|(1-q) onto 1 at the radius
-                raise DomainError(f"|z| = {z_abs} is too close to the radius of convergence "
-                                  f"for a certified log series at q = {shown(q)}; "
-                                  "pass z as an exact rational")
+            # the cap cap_num / cap_den as |z| * (|b-a| / max(a, b)), rounded once;
+            # |rho_k| <= |b-a| / max(a, b) as S_{k+1} >= max(a, b) S_k, so no
+            # |z rho_k| rounds above it and no term grows
+            r_cap = _modulus(q, z) * (abs(b - a) / max(a, b))
             if r_cap < 1:
-                coeffs = starmap(operator.truediv, _log_coeff_pairs(a, b))    # c_k, rounded once
-                zpow, c_k, total = z, next(coeffs), 0.0    # z^k, c_k and the sum
+                numbers = q_number_numerators(a, b)
+                number, term, total = next(numbers), z, 0.0    # S_k, t_k and the sum
                 for k in range(1, max_terms + 1):
-                    total = total + c_k * zpow
-                    zpow = zpow * z
-                    c_k = next(coeffs)
-                    bound = abs(c_k * zpow) / (1 - r_cap)
+                    total = total + term
+                    next_number = next(numbers)
+                    # t_{k+1} = t_k (z rho_k), rho_k = c_{k+1} / c_k rounded once
+                    term = term * (z * ((b - a) * k * number / ((k + 1) * next_number)))
+                    bound = abs(term) / (1 - r_cap)
                     if bound <= tol:
+                        if not cmath.isfinite(total):
+                            raise OverflowError
                         return Evaluation(total, k, _tail(bound, live), "series")
-                    # the sum stops being finite only once z^k has run off to inf, and
-                    # from then on every bound is inf or nan: the float test keeps
-                    # isfinite off the hot path
-                    if not bound < math.inf and not cmath.isfinite(total):
-                        if rim:
-                            break     # a series that cannot settle, as at max_terms
-                        raise DomainError(f"z^k left the binary64 range in ln E_q(z) at "
-                                          f"q = {shown(q)}, z = {shown(z)}; "
-                                          "an exact rational z avoids this")
+                    number = next_number
+            # no bound reached tol, or for q <= 1 rounding took the cap onto 1
+            # inside the radius
+            if r_cap < 1 or a <= b:
                 raise _not_converged(tol, max_terms)
+    except OverflowError:
+        raise DomainError(f"ln E_q(z) exceeds the binary64 range at "
+                          f"q = {shown(q)}, z = {shown(z)}") from None
     except ConvergenceError:
         if not rim:
             raise
@@ -411,7 +400,8 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
     mul >= 0 and div > 0, gives |t_{k+1}| = |t_k| mul / div, the sign turning
     at every step if ``flip``, and, if gap > 0, the tail bound |t_{k+1}| lift
     / gap, where gap <= lift; ``live`` tells :func:`_tail` whether the terms
-    after t_order are nonzero. An integer T_k within e_k of |t_k| 2^p
+    after t_order are nonzero, and where they are not the bound is 0.0,
+    whatever the ball's radius. An integer T_k within e_k of |t_k| 2^p
     carries each term, its sign apart, and the partial sum is carried times
     the sign of its last term, so no step reads a sign; the constant term
     ``base``, an integer, is exact in its start value. One floor per step,
@@ -465,7 +455,8 @@ def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,
                     # so the sum are past the binary64 range, and this raises
                     (abs(total) - total_err) / scale
                     break           # the ball straddles DBL_MAX: the exact sum decides
-                bound = _settled(_tail(low / (gap << p), live), _tail(high / (gap << p), live))
+                bound = (_settled(_tail(low / (gap << p), live), _tail(high / (gap << p), live))
+                         if live else 0.0)
                 if value is None or bound is None:
                     break
                 return Evaluation(value, k, bound, method)

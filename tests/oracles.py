@@ -4,8 +4,9 @@ The package's :class:`~qexpseries.TruncatedSeries` keeps construction,
 equality, the product, log and exp. The constants and the coefficientwise
 sum and difference that the test oracles build on live here, apart from
 the code under test, as does :func:`reference_arguments`, the evaluators'
-argument gate through the package's validators and Fraction arithmetic, and
-:func:`reference_product`, E_q's product route in Fractions.
+argument gate through the package's validators and Fraction arithmetic,
+:func:`reference_product`, E_q's product route in Fractions, and
+:func:`reference_float_log`, the binary64 log series over reduced Fractions.
 :func:`int_digit_cap` sets CPython's default cap on int <-> str digits.
 """
 
@@ -20,6 +21,7 @@ import pytest
 
 from qexpseries import (ConvergenceError, DomainError, Evaluation, TruncatedSeries,
                         radius_of_convergence)
+from qexpseries.qnumbers import q_numbers
 from qexpseries.scalars import check_int, check_q, check_tol, shown
 
 
@@ -99,6 +101,37 @@ def reference_product(q, z, tol, max_terms):
             bound = product * omitted / (1 - omitted) if omitted < 1 else None
         if bound is not None and bound <= tol_cmp:
             return Evaluation(float(product), m, float(bound) or math.ulp(0.0), "product")
+    raise ConvergenceError(f"tail bound did not reach tol={shown(tol)} within {max_terms} terms")
+
+
+def reference_float_log(q, z, tol, max_terms):
+    """ln E_q(z) by its series in binary64 for a float or complex z: t_1 = z
+    and t_(k+1) = t_k (z rho_k), each term ratio rho_k = c_(k+1) / c_k = (1-q)
+    k [k]_q / ((k+1) [k+1]_q) a reduced Fraction converted by float(), to the
+    first k from 1 to max_terms with |t_(k+1)| / (1 - r) <= tol, r = |z|
+    float(|1-q| / max(1, q)) the ratio cap rounded once. Returns None outside
+    the series' disk of q > 1, r >= 1; for q <= 1 a cap that rounds onto 1
+    raises ConvergenceError, as a sum that does not settle does, and a sum
+    past the binary64 range where it stops raises DomainError."""
+    q = check_q(q)
+    r = abs(z) * float(abs(1 - q) / max(1, q))
+    if r < 1:
+        numbers = q_numbers(*q.as_integer_ratio())
+        qn, term, total = next(numbers), z, 0.0
+        for k in range(1, max_terms + 1):
+            total = total + term
+            qn_next = next(numbers)
+            term = term * (z * float((1 - q) * k * qn / ((k + 1) * qn_next)))
+            bound = abs(term) / (1 - r)
+            if bound <= tol:
+                if not cmath.isfinite(total):
+                    raise DomainError(f"ln E_q(z) exceeds the binary64 range at "
+                                      f"q = {shown(q)}, z = {shown(z)}")
+                live = z != 0 and q != 1
+                return Evaluation(total, k, bound or (math.ulp(0.0) if live else 0.0), "series")
+            qn = qn_next
+    elif q > 1:
+        return None
     raise ConvergenceError(f"tail bound did not reach tol={shown(tol)} within {max_terms} terms")
 
 

@@ -5,8 +5,9 @@ builds [k]_2! = prod (2^i - 1) in plain integers and sums until the terms
 are far below the comparison tolerance. The exact evaluators are also held
 byte for byte to plain Fraction partial-sum loops (``_reference_*``), the
 binary64 branches to loops that convert each reduced Fraction with float()
-(``_reference_float_*``), and, when mpmath is installed, the exact ones to
-the product formulas at 40 digits.
+(``_reference_float_eval_qexp`` and ``oracles.reference_float_log``), and,
+when mpmath is installed, the exact ones to the product formulas at 40
+digits.
 """
 
 import ast
@@ -34,7 +35,7 @@ from qexpseries import (DEFAULT_MAX_TERMS, DEFAULT_QS, DEFAULT_TOL, ConvergenceE
                         qexp_series)
 from qexpseries.qnumbers import q_number_numerators, q_numbers
 from qexpseries.scalars import shown
-from oracles import reference_arguments, reference_product
+from oracles import reference_arguments, reference_float_log, reference_product
 
 qvalues = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=8)
 
@@ -138,36 +139,28 @@ def _reference_float_eval_qexp(q, z, tol, max_terms):
     raise ConvergenceError(f"tail bound did not reach tol={tol} within {max_terms} terms")
 
 
-def _reference_float_eval_log_qexp(q, z, tol, max_terms):
-    """ln E_q(z) for a float or complex z inside the log series' disk in
-    binary64, each c_k a reduced Fraction converted by float() (the
-    replaced loop)."""
-    v = check_q(q)
-    r_cap = abs(z) * (v - 1) / v if v > 1 else abs(z) * (1 - v)
-    assert r_cap < 1
-    numbers = q_numbers(*v.as_integer_ratio())
-    shift = Fraction(1)       # (1-q)^(k-1)
-    zpow = z
-    c_k = float(shift / next(numbers))
-    total = 0.0
-    for k in range(1, max_terms + 1):
-        total = total + c_k * zpow
-        zpow = zpow * z
-        shift *= 1 - v
-        c_k = float(shift / ((k + 1) * next(numbers)))
-        bound = abs(c_k * zpow) / (1 - r_cap)
-        if bound <= tol:
-            return Evaluation(total, k, bound, "series")
-    raise ConvergenceError(f"tail bound did not reach tol={tol} within {max_terms} terms")
+def _rounding_allowance(q, z, binary64, exact):
+    """How far ln E_q's binary64 value at a real z may be from its exact z's,
+    in Fractions: both tail bounds, an ulp of the exact value, and
+    gamma_(3K) |z| / (1 - r) for the float loop's K terms, gamma_n = n u /
+    (1 - n u) with u = 2^-53. Term k takes three roundings per ratio (the
+    quotient, z times it, the term times that) and one per later add, at
+    most 3K in all, and sum |t_k| <= |z| / (1 - r) for the exact ratio cap
+    r = |z| |1-q| / max(1, q)."""
+    q, modulus, n = Fraction(q), Fraction(abs(z)), 3 * binary64.order
+    r = modulus * abs(1 - q) / max(1, q)
+    return (Fraction(binary64.tail_bound) + Fraction(exact.tail_bound)
+            + Fraction(n, 2 ** 53 - n) * modulus / (1 - r) + Fraction(math.ulp(exact.value)))
 
 
 def _outcome(evaluate, *args):
-    """An Evaluation with the reprs of its floats, or the error raised."""
+    """An Evaluation with the reprs of its floats, the error raised, or None
+    where the evaluator returns None."""
     try:
         out = evaluate(*args)
     except (ConvergenceError, DomainError) as err:
         return type(err), str(err)
-    return out, repr(out.value), repr(out.tail_bound)
+    return out and (out, repr(out.value), repr(out.tail_bound))
 
 
 def _series_only(patch):
@@ -684,9 +677,7 @@ class TestEvalLogQExp:
     def test_rim_falls_back_to_the_log_of_qexp(self, z, max_terms):
         # for q > 1 a log series that does not settle within max_terms hands
         # the call to the log of E_q, on the exact and the binary64 path: its
-        # ratio cap |z|(q-1)/q is 1 - 10^-9/3 at the first z. A float z^k
-        # that leaves the binary64 range first, 3^647 at the last two z, is
-        # one more way not to settle
+        # ratio cap |z|(q-1)/q is 1 - 10^-9/3 at the first z
         out = eval_log_qexp(Fraction(3, 2), z, max_terms=max_terms)
         assert out == qexp_module._log_via_qexp(Fraction(3, 2), z, DEFAULT_TOL, max_terms)
         assert out.method == "log_of_qexp" and out.order < max_terms
@@ -848,11 +839,13 @@ class TestEvalLogQExp:
 
     def test_float_rounding_onto_the_radius(self):
         # z is below the radius 4/3 exactly, so the radius guard passes it,
-        # but the binary64 product |z| (1 - q) rounds to 1.0
+        # but the binary64 cap |z| (1 - q) rounds to 1.0: no bound can reach
+        # tol, and the call raises what the same z as an exact rational raises
         z = 1.3333333333333333
         assert Fraction(z) < Fraction(4, 3) and z * (1 - Fraction(1, 4)) == 1.0
-        with pytest.raises(DomainError, match="too close to the radius of convergence"):
-            eval_log_qexp(Fraction(1, 4), z)
+        for x in (z, Fraction(z)):
+            with pytest.raises(ConvergenceError, match="within 1000 terms"):
+                eval_log_qexp(Fraction(1, 4), x)
 
     def test_binary64_overflow(self):
         # ln E_1(z) = z, so a rational z past the binary64 range is a value
@@ -861,6 +854,21 @@ class TestEvalLogQExp:
             with pytest.raises(DomainError, match=r"^ln E_q\(z\) exceeds the binary64 "
                                                   r"range at q = 1, z = -?1000"):
                 eval_log_qexp(1, z)
+
+    def test_float_sum_past_the_binary64_range(self):
+        # at q = 1 + 2^-1025 the log series' disk reaches past DBL_MAX. No
+        # term overflows, and the sum is checked where it stops: at z =
+        # -1.7e308 it is past the range, with the exact z's error, and at
+        # 1.7e308 the value is within the loop's rounding of the exact z's.
+        # A tol of 1e296 stops the series after 30 terms
+        q, tol = Fraction(2 ** 1025 + 1, 2 ** 1025), 1e296
+        for z in (-1.7e308, Fraction(-1.7e308)):
+            with pytest.raises(DomainError, match=r"^ln E_q\(z\) exceeds the binary64 range"):
+                eval_log_qexp(q, z, tol)
+        out, exact = eval_log_qexp(q, 1.7e308, tol), eval_log_qexp(q, Fraction(1.7e308), tol)
+        assert out.method == exact.method == "series" and out.order == exact.order
+        assert abs(Fraction(out.value) - Fraction(exact.value)) <= \
+            _rounding_allowance(q, 1.7e308, out, exact)
 
     @pytest.mark.parametrize("q", [Fraction(1, 2), 1, 2])
     def test_complex_modulus_overflow(self, q):
@@ -878,42 +886,55 @@ class TestEvalLogQExp:
                                       (Fraction(8, 9), 8.9j), (1, 1e160),
                                       (Fraction(3, 2), 2.999999999j)])
     def test_float_power_overflow(self, q, z):
-        # the binary64 loop keeps z^k as a double: 9.5^k is inf from k ~ 316
-        # on, before the bound reaches tol, and at q = 1 c_2 z^2 is 0.0 * inf;
-        # every later term is inf or nan, so the sum says so at max_terms. A
-        # complex z on the rim of q > 1 is not handed over, so it says so too
-        with pytest.raises(DomainError, match=r"^z\^k left the binary64 range in ln E_q\(z\) "
-                                              r"at q = .*; an exact rational z avoids this$"):
-            eval_log_qexp(q, z)
-        if isinstance(z, float):
-            out = eval_log_qexp(q, Fraction(z))
-            assert out.method == "series" and math.isfinite(out.value)
+        # the binary64 loop walks the term ratio, so no power z^k forms:
+        # 9.5^k would be inf from k ~ 316 on, and the series settles at 476
+        # terms, within the loop's rounding allowance of the exact z's value.
+        # ln E_1(z) = z with every later term 0. A complex z near the radius,
+        # or on the rim of q > 1, which is not handed over, does not settle
+        if isinstance(z, complex):
+            with pytest.raises(ConvergenceError, match="within 1000 terms"):
+                eval_log_qexp(q, z)
+        elif q == 1:
+            assert eval_log_qexp(q, z) == Evaluation(1e160, 1, 0.0, "series")
+        else:
+            out, exact = eval_log_qexp(q, z), eval_log_qexp(q, Fraction(z))
+            assert (out.method, out.order) == ("series", 476)
+            assert abs(Fraction(out.value) - Fraction(exact.value)) <= \
+                _rounding_allowance(q, z, out, exact)
 
-    def test_float_power_overflow_stops_at_once(self, monkeypatch):
-        # the loop stops at the first partial sum that is not finite, 9.5^316
-        # being the first power past the binary64 range, whatever max_terms is
-        pairs = qexp_module._log_coeff_pairs
-        draws = []
+    @settings(max_examples=40, deadline=None)
+    @given(qvalues | st.just(Fraction(1)), st.floats(-0.9, 0.9),
+           st.sampled_from((1e-6, 1e-12, 1e-15)))
+    def test_float_agrees_with_its_exact_value(self, q, share, tol):
+        # a real float z at a share of the log series' disk, |z| / R = |share|
+        # for R = max(1, q) / |1-q| (10 at q = 1): the binary64 loop gives the
+        # reference's doubles, and it is within its rounding allowance of the
+        # same z as an exact rational
+        z = float(share * (max(1, q) / abs(1 - q) if q != 1 else 10))
+        out, exact = eval_log_qexp(q, z, tol), eval_log_qexp(q, Fraction(z), tol)
+        assert out == reference_float_log(q, z, tol, DEFAULT_MAX_TERMS)
+        assert out.method == exact.method == "series"
+        assert abs(Fraction(out.value) - Fraction(exact.value)) <= \
+            _rounding_allowance(q, z, out, exact)
 
-        def counted(a, b):
-            for pair in pairs(a, b):
-                draws.append(pair)
-                yield pair
+    def test_vanishing_terms_take_no_exact_sum(self, monkeypatch):
+        # at q = 1 every term after z is 0: the first term's rounding leaves
+        # the ball a radius, but the bound is exactly 0, so the ball settles
+        # the call without the exact sum
+        expected = Evaluation(float(Fraction(1, 3)), 1, 0.0, "series")
+        exact_sum, calls = qexp_module._sum_exact, []
 
-        monkeypatch.setattr(qexp_module, "_log_coeff_pairs", counted)
-        outcomes = []
-        for max_terms in (1000, 100000):
-            draws.clear()
-            with pytest.raises(DomainError) as err:
-                eval_log_qexp(Fraction(9, 10), 9.5, max_terms=max_terms)
-            outcomes.append((str(err.value), len(draws)))
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][1] == 317     # c_1 .. c_317, the last read for the bound
-        # a max_terms that ends just before the first infinite sum still
-        # ends in ConvergenceError, as it did when the check ran at the end
-        for max_terms, error in ((315, ConvergenceError), (316, DomainError)):
-            with pytest.raises(error):
-                eval_log_qexp(Fraction(9, 10), 9.5, max_terms=max_terms)
+        def spied(*args):
+            calls.append(args)
+            return exact_sum(*args)
+
+        monkeypatch.setattr(qexp_module, "_sum_exact", spied)
+        assert eval_log_qexp(1, Fraction(1, 3)) == expected
+        assert not calls
+        monkeypatch.undo()
+        steps = qexp_module._log_steps(1, 1, 3, 0, 3)    # z = 1/3, cap 0/3
+        assert qexp_module._sum_exact((1, 3), steps, 1, DEFAULT_TOL, DEFAULT_MAX_TERMS,
+                                      False, False, 0, "series") == expected
 
     @settings(max_examples=25, deadline=None)
     @given(qvalues, st.fractions(min_value=Fraction(-1, 2), max_value=Fraction(1, 2),
@@ -1182,9 +1203,10 @@ class TestProductPathMatchesReference:
 
 
 class TestFloatPathMatchesReference:
-    """The binary64 branches take [k]_q and c_k as int / int quotients of
-    the integer sweep; they give the same outcomes, float for float, as
-    loops that convert each reduced Fraction with float()."""
+    """The binary64 branches take [k]_q and the log's term ratio c_(k+1) /
+    c_k as int / int quotients of the integer sweep; they give the same
+    outcomes, float for float, as loops that convert each reduced Fraction
+    with float()."""
 
     @staticmethod
     def expected(q, z, tol, max_terms):
@@ -1193,9 +1215,7 @@ class TestFloatPathMatchesReference:
         settle within max_terms, is _log_via_qexp over the reference E_q."""
         q = check_q(q)
         qexp_outcome = _outcome(_reference_float_eval_qexp, q, z, tol, max_terms)
-        log_outcome = None
-        if q <= 1 or abs(z) * (q - 1) / q < 1:
-            log_outcome = _outcome(_reference_float_eval_log_qexp, q, z, tol, max_terms)
+        log_outcome = _outcome(reference_float_log, q, z, tol, max_terms)
         if log_outcome is None or (q > 1 and not isinstance(z, complex)
                                    and log_outcome[0] is ConvergenceError):
             with pytest.MonkeyPatch.context() as patch:
@@ -1239,9 +1259,10 @@ class TestFloatPathMatchesReference:
     def test_log_cap_rounding(self, q, z):
         # the cap |z|(q-1)/q rounds to another double than the once-rounded
         # |z|(a-b)/a here: 0.9096666666666667 against 0.9096666666666666 at
-        # z = 2.729, 0.11040000000000001 against 0.1104 at z = 0.184. The tail
-        # bound shows which cap ran wherever 1 - cap differs too, as at
-        # 2.729 and 0.206; at 0.184 both give 1 - cap = 0.8896
+        # z = 2.729, 0.11040000000000001 against 0.1104 at z = 0.184. The
+        # reference takes the once-rounded cap; the tail bound shows which cap
+        # ran at 2.729. At 0.206 1 - cap differs too but the bound rounds
+        # alike, and at 0.184 both give 1 - cap = 0.8896
         a, b = q.as_integer_ratio()
         assert z * (q - 1) / q != z * ((a - b) / a)
         args = (q, z, 1e-12, 1000)
