@@ -26,15 +26,14 @@ P_M telescopes into the series 1 + sum_{m<M} t_m, t_m = P_{m+1} x_m, which
 the same kernel sums (:func:`_product_steps`): it stops where |E_q(z) - P_M|
 <= P_M L / (1-L) is within tol, L bounding the omitted factors' log, or for
 z < 0, where every later term ratio is at most q, |t_M| / (1-q); a ball it
-leaves open goes to the exact sum over the same steps. A float argument
-selects plain binary64 arithmetic over the same sweep: each [k]_q and each
-term ratio c_{k+1} / c_k of the log is the correctly rounded int / int
-quotient of its integers, and the sum's own rounding is outside the
-certificate; a finite real sum that meets a [k]_q past DBL_MAX goes to the
-exact value of z. Each evaluator decides once whether its later terms
-vanish, and on every path a tail bound that underflows while they do not is
-the least subnormal, never 0.0 (:func:`_tail`). A value or a complex |z|
-beyond the binary64 range raises DomainError.
+leaves open goes to the exact sum over the same steps. A float z takes one
+binary64 loop (:func:`_sum_float`): each term is the last times z times a
+ratio at most 1, 1/[k+1]_q or the log's c_{k+1} / c_k, an int / int quotient
+rounded once; the sum's rounding and a ratio's underflow are outside the
+certificate. Each evaluator decides once whether its later terms vanish, and
+on every path a tail bound that underflows while they do not is the least
+subnormal, never 0.0 (:func:`_tail`). A value or a complex |z| beyond the
+binary64 range raises DomainError.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, islice, starmap
+from itertools import accumulate, islice, repeat, starmap, tee
 from typing import Iterator, Literal
 
 from .errors import ConvergenceError, DomainError
@@ -231,7 +230,8 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL
     so every later term ratio is at most r. For 0 < q < 1 and a rational z
     with |z|(1-q) > q, where that ratio stays above q, the call takes the
     product route (:func:`_product_steps`, ``method`` "product"), on which
-    max_terms caps the factors. A value beyond the binary64 range raises
+    max_terms caps the factors. A float z sums on :func:`_sum_float`, t_{k+1}
+    = t_k (z / [k+1]_q). A value beyond the binary64 range raises
     :class:`DomainError`, at once when z > 0 is itself beyond it, as
     E_q(z) > z there.
     """
@@ -250,34 +250,14 @@ def eval_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT_TOL
             # every term of E_q(z) is nonzero iff z != 0, and t_{k+1} / t_k has the sign of z
             return _sum_fixed((1, 1), partial(_qexp_steps, a, b, abs(u), w), 0, tol,
                               max_terms, u != 0, u < 0)
-        live = z != 0
-        numbers = q_number_numerators(a, b)
-        power = 1                 # b^(j-1) of the last [j]_q read
-        term = total = 1.0
-        scale = next(numbers) / power
-        z_abs = abs(z)
-        for k in range(max_terms):
-            nxt = term * z / scale
-            power *= b
-            try:
-                scale = next(numbers) / power    # [k+2]_q = S_{k+2} / b^(k+1)
-            except OverflowError:    # [k+2]_q past DBL_MAX
-                if type(z) is complex or not math.isfinite(total + nxt):
-                    raise
-                return eval_qexp(q, Fraction(z), tol, max_terms)    # the float's exact value
-            r = z_abs / scale
-            if r < 1:
-                bound = abs(nxt) / (1 - r)
-                if bound <= tol:
-                    return Evaluation(total, k, _tail(bound, live), "series")
-            total = total + nxt
-            term = nxt
-        if not cmath.isfinite(total):    # the sum ran off to inf on the way
-            raise OverflowError
+        # rho_k = 1/[k+1]_q = b^k / S_{k+1}, and the cap is the next quotient
+        ratios, caps = tee(map(operator.truediv, accumulate(repeat(b), operator.mul, initial=1),
+                               q_number_numerators(a, b)))
+        next(caps)
+        return _sum_float(z, 1.0, ratios, caps, 0, tol, max_terms, z != 0)
     except OverflowError:
         raise DomainError(f"E_q(z) exceeds the binary64 range at q = {shown(q)}, "
                           f"z = {shown(z)}") from None
-    raise _not_converged(tol, max_terms)
 
 
 def _qexp_steps(a: int, b: int, u: int, w: int) -> Iterator["tuple[int, int, int, int]"]:
@@ -308,9 +288,8 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
     of E_q(z) there, not the series' continuation: it can be off the sum of
     the factors' logs by a multiple of 2 pi i (4 pi i at q = 11/10, z =
     11j), so on the rim a complex z raises :class:`ConvergenceError`. A
-    float z walks the term ratio, t_{k+1} = t_k (z c_{k+1} / c_k), so no
-    power z^k forms; for q <= 1 a cap that rounds onto 1 inside the radius
-    raises :class:`ConvergenceError`, as no bound can reach tol.
+    float z sums on :func:`_sum_float`, t_{k+1} = t_k (z c_{k+1} / c_k); for
+    q <= 1 its cap rounding onto 1 inside the radius raises ConvergenceError.
     """
     q, a, b, z, tol, max_terms = _arguments(q, z, tol, max_terms)
     # every term of ln E_q(z) after the first is nonzero iff z != 0 and q != 1
@@ -343,27 +322,12 @@ def eval_log_qexp(q, z: "Fraction | int | float | complex", tol: float = DEFAULT
                 return _sum_fixed((u, w), partial(_log_steps, a, b, w, cap_num, cap_den),
                                   1, tol, max_terms, live, scale < 0)
         else:
-            # the cap cap_num / cap_den as |z| * (|b-a| / max(a, b)), rounded once;
-            # |rho_k| <= |b-a| / max(a, b) as S_{k+1} >= max(a, b) S_k, so no
-            # |z rho_k| rounds above it and no term grows
-            r_cap = _modulus(q, z) * (abs(b - a) / max(a, b))
-            if r_cap < 1:
-                numbers = q_number_numerators(a, b)
-                number, term, total = next(numbers), z, 0.0    # S_k, t_k and the sum
-                for k in range(1, max_terms + 1):
-                    total = total + term
-                    next_number = next(numbers)
-                    # t_{k+1} = t_k (z rho_k), rho_k = c_{k+1} / c_k rounded once
-                    term = term * (z * ((b - a) * k * number / ((k + 1) * next_number)))
-                    bound = abs(term) / (1 - r_cap)
-                    if bound <= tol:
-                        if not cmath.isfinite(total):
-                            raise OverflowError
-                        return Evaluation(total, k, _tail(bound, live), "series")
-                    number = next_number
-            # no bound reached tol, or for q <= 1 rounding took the cap onto 1
-            # inside the radius
-            if r_cap < 1 or a <= b:
+            # every |rho_k| is at most the cap, as S_{k+1} >= max(a, b) S_k
+            cap = abs(b - a) / max(a, b)
+            if _modulus(q, z) * cap < 1:
+                return _sum_float(z, z, _log_ratios(a, b), repeat(cap), 1, tol, max_terms,
+                                  live)
+            if a <= b:    # rounding took the cap onto 1 inside the radius
                 raise _not_converged(tol, max_terms)
     except OverflowError:
         raise DomainError(f"ln E_q(z) exceeds the binary64 range at "
@@ -387,6 +351,40 @@ def _log_steps(a: int, b: int, w: int, cap_num: int,
     for next_number in numbers:
         yield cap_num * k * number, (k + 1) * w * next_number, cap_den, gap
         k, number = k + 1, next_number
+
+
+def _log_ratios(a: int, b: int) -> Iterator[float]:
+    """ln E_q's term ratios c_{k+1} / c_k = (b-a) k S_k / ((k+1) S_{k+1}), k >= 1."""
+    numbers = q_number_numerators(a, b)
+    k, number = 1, next(numbers)
+    for next_number in numbers:
+        yield (b - a) * k * number / ((k + 1) * next_number)
+        k, number = k + 1, next_number
+
+
+def _sum_float(z: "float | complex", term: "float | complex", ratios, caps, order: int,
+               tol, max_terms: int, live: bool) -> Evaluation:
+    """0.0 + sum_k t_k in binary64 from t_order = ``term``, t_{k+1} = t_k (z
+    rho_k) for rho_k of ``ratios``, at most 1 in size, so no term overflows
+    where the terms do not. It stops at the first k where r = |z| cap_k < 1,
+    cap_k of ``caps`` bounding every later |rho_j|, and |t_{k+1}| / (1 - r)
+    <= tol, a bound >= |t_{k+1}| as 0 < 1 - r <= 1: the cap is read only once
+    |t_{k+1}| <= tol. The sum's rounding is outside the certificate, as is a
+    ratio that underflows to 0, dropping terms below 2^-51 |t_k| (|z| <
+    2^1024): at q = 10^76, z = 1e160 the bound reads 5e-324, the exact z's
+    1e-180. A sum that is not finite where it stops or at max_terms raises
+    OverflowError, which each evaluator reports as its DomainError."""
+    z_abs, total = abs(z), 0.0
+    for k, ratio, cap in zip(range(order, order + max_terms), ratios, caps):
+        total = total + term
+        term = term * (z * ratio)
+        if abs(term) <= tol and (r := z_abs * cap) < 1 and (bound := abs(term) / (1 - r)) <= tol:
+            if cmath.isfinite(total):
+                return Evaluation(total, k, _tail(bound, live), "series")
+            break
+    if not cmath.isfinite(total):
+        raise OverflowError
+    raise _not_converged(tol, max_terms)
 
 
 def _sum_fixed(first: "tuple[int, int]", steps, order: int, tol, max_terms: int,

@@ -114,28 +114,26 @@ def _reference_eval_log_qexp(q, z, tol, max_terms):
 
 
 def _reference_float_eval_qexp(q, z, tol, max_terms):
-    """E_q(z) for a float or complex z in binary64, each [k]_q a reduced
-    Fraction converted by float(): the loop the integer sweep replaced."""
+    """E_q(z) by its series in binary64 for a float or complex z: t_0 = 1 and
+    t_(k+1) = t_k (z rho_k), each ratio rho_k = 1 / [k+1]_q a reduced
+    Fraction converted by float(), to the first k below max_terms with
+    |t_(k+1)| / (1 - r) <= tol, r = |z| float(1 / [k+2]_q). A sum past the
+    binary64 range where it stops, or at max_terms, raises DomainError."""
     q = check_q(q)
-    numbers = q_numbers(*q.as_integer_ratio())
-    try:
-        term = total = 1.0
-        scale = float(next(numbers))
-        for k in range(max_terms):
-            nxt = term * z / scale
-            scale = float(next(numbers))
-            r = abs(z) / scale
-            if r < 1:
-                bound = abs(nxt) / (1 - r)
-                if bound <= tol:
-                    return Evaluation(total, k, bound, "series")
-            total = total + nxt
-            term = nxt
-        if not cmath.isfinite(total):
-            raise OverflowError
-    except OverflowError:
+    ratios = (float(1 / qn) for qn in q_numbers(*q.as_integer_ratio()))
+    ratio, term, total = next(ratios), 1.0, 0.0
+    for k in range(max_terms):
+        total = total + term
+        term = term * (z * ratio)
+        ratio = next(ratios)
+        r = abs(z) * ratio
+        if r < 1 and (bound := abs(term) / (1 - r)) <= tol:
+            if cmath.isfinite(total):
+                return Evaluation(total, k, bound or (math.ulp(0.0) if z else 0.0), "series")
+            break
+    if not cmath.isfinite(total):
         raise DomainError(f"E_q(z) exceeds the binary64 range at q = {shown(q)}, "
-                          f"z = {shown(z)}") from None
+                          f"z = {shown(z)}")
     raise ConvergenceError(f"tail bound did not reach tol={tol} within {max_terms} terms")
 
 
@@ -751,12 +749,12 @@ class TestEvalLogQExp:
     def test_rim_of_a_float_z_near_a_zero_is_not_certified_to_its_rounding(self):
         # 1e-9 off the zero -3 of E_q at q = 3/2 the binary64 sum of E_q(z)
         # is 2.3e-11, and its own rounding, outside the certificate, is
-        # divided by that |E| in the log: the float z's value is 3.2e-6 off
+        # divided by that |E| in the log: the float z's value is 1.9e-5 off
         # the exact z's, far beyond both reported bounds
         q, z = Fraction(3, 2), -2.999999999
         binary64, exact = eval_log_qexp(q, z), eval_log_qexp(q, Fraction(z))
         assert binary64.method == exact.method == "log_of_qexp"
-        assert 3e-6 < abs(binary64.value - exact.value) < 4e-6
+        assert 1.8e-5 < abs(binary64.value - exact.value) < 2e-5
         assert max(binary64.tail_bound, exact.tail_bound) < 1e-15
 
     def test_complex_z_outside_the_disk_gets_the_principal_log(self):
@@ -1203,10 +1201,10 @@ class TestProductPathMatchesReference:
 
 
 class TestFloatPathMatchesReference:
-    """The binary64 branches take [k]_q and the log's term ratio c_(k+1) /
-    c_k as int / int quotients of the integer sweep; they give the same
-    outcomes, float for float, as loops that convert each reduced Fraction
-    with float()."""
+    """The binary64 branches take E_q's term ratio 1 / [k+1]_q and the log's
+    c_(k+1) / c_k as int / int quotients of the integer sweep; they give the
+    same outcomes, float for float, as loops that convert each reduced
+    Fraction with float()."""
 
     @staticmethod
     def expected(q, z, tol, max_terms):
@@ -1253,6 +1251,40 @@ class TestFloatPathMatchesReference:
         expected = self.expected(q, z, 1e-12, 3000)
         assert expected[0][0] is DomainError
         assert self.got(q, z, 1e-12, 3000) == expected
+
+    @pytest.mark.parametrize("q, z, max_terms, exact", [
+        (10 ** 76, 1e160, 1000, 1.00000001e+252), (10 ** 300, 1e300, 1000, 2e+300),
+        (2 ** 2000, 0.5j, 1000, 1 + 0.5j), (2 ** 2000, 1j, 1000, 1 + 1j),
+        (1, 709.0, 5000, math.exp(709))], ids=["1e160", "1e300", "0.5j", "1j", "709"])
+    def test_no_term_overflows_in_range(self, q, z, max_terms, exact):
+        # z times the ratio 1/[k+1]_q, at most 1, forms before the term does,
+        # so no term leaves the binary64 range where E_q(z) stays in it: t_k z
+        # passed DBL_MAX at 1e160, 1e300 and 709, and [2]_q at q = 2^2000.
+        # There ln E_q(z) is log(1 + z), by its series at 0.5j and, where its
+        # cap rounds onto 1, by the log of E_q at 1j
+        args = (q, z, DEFAULT_TOL, max_terms)
+        got = self.got(*args)
+        assert got == self.expected(*args)
+        out, log = got[0][0], got[1][0]
+        gamma = 4 * out.order / (2 ** 53 - 4 * out.order)    # 3 roundings per term, 1 per add
+        assert abs(out.value - exact) <= out.tail_bound + gamma * abs(exact) + math.ulp(abs(exact))
+        if q == 2 ** 2000:
+            assert log.method == ("series" if z == 0.5j else "log_of_qexp")
+            assert abs(log.value - cmath.log(1 + z)) <= log.tail_bound + 2 * math.ulp(1.0)
+
+    def test_one_binary64_loop(self):
+        # both evaluators' binary64 branches sum on the one kernel: neither
+        # holds a loop of its own, and E_q hands no float to its exact value
+        tree = ast.parse(Path(qexp_module.__file__).read_text(encoding="utf-8"))
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        called = {}
+        for name in ("eval_qexp", "eval_log_qexp"):
+            nodes = list(ast.walk(functions[name]))
+            assert not [node for node in nodes if isinstance(node, (ast.For, ast.While))]
+            called[name] = [getattr(node.func, "id", None) for node in nodes
+                            if isinstance(node, ast.Call)]
+            assert called[name].count("_sum_float") == 1
+        assert "eval_qexp" not in called["eval_qexp"]
 
     @pytest.mark.parametrize("q, z", [(Fraction(3, 2), 2.729), (Fraction(5, 2), 0.184),
                                       (Fraction(5, 2), 0.206)])
