@@ -43,6 +43,7 @@ log coefficients (1-q)^(k-1)/(k [k]_q):
 
 from __future__ import annotations
 
+import inspect
 import json
 import operator
 from collections.abc import Sequence, Set as AbstractSet
@@ -56,16 +57,6 @@ from .scalars import check_int, check_q, rational_str, shown
 from .series import TruncatedSeries
 
 EXACT = "exact"
-
-QBINOMIAL_SUM = "qbinomial_sum"
-RECIPROCAL_PRODUCT = "reciprocal_product"
-REFLECTION_PRODUCT = "reflection_product"
-SCALING_PRODUCT = "scaling_product"
-ROOT_OF_UNITY_PRODUCT = "root_of_unity_product"
-COEFF_SIGN_FLIP = "coeff_sign_flip"
-COEFF_DOUBLE_ORDER = "coeff_double_order"
-COEFF_POWER_SCALE = "coeff_power_scale"
-COEFF_MULTIPLE_ORDER = "coeff_multiple_order"
 
 _WORST = 5
 
@@ -127,7 +118,7 @@ def check_qbinomial_sum(q, k_max: int = 40) -> VerificationReport:
     product = _leibniz(a, b, 1, [0, *weights])
     residuals = _residuals(count(2), zip(product[2:], _geometric(1, b, k_max)[2:]),
                            ((k, 1) for k in count(2)))
-    return _exact_report(QBINOMIAL_SUM, q, {"k_min": 2, "k_max": k_max}, residuals)
+    return _exact_report("qbinomial_sum", q, {"k_min": 2, "k_max": k_max}, residuals)
 
 
 def check_reciprocal_product(q, order: int = 32) -> VerificationReport:
@@ -149,7 +140,7 @@ def check_reciprocal_product(q, order: int = 32) -> VerificationReport:
     # [k]_{1/q}! = q^(-k(k-1)/2) [k]_q!, so E_{1/q}(-z) has x_k = (-1)^k q^(k(k-1)/2)
     product = _leibniz(a, b, 1, _geometric(-1, a, order))
     residuals = _residuals(count(), _coefficients(a, b, 1, product), [(1, 1)] + [(0, 1)] * order)
-    return _exact_report(RECIPROCAL_PRODUCT, q, params, residuals, note)
+    return _exact_report("reciprocal_product", q, params, residuals, note)
 
 
 def check_reflection_product(q, order: int = 32) -> VerificationReport:
@@ -160,12 +151,12 @@ def check_reflection_product(q, order: int = 32) -> VerificationReport:
     s = (1-q)/(1+q) = (b-a)/(b+a) for q = a/b, and its odd ones are 0.
     """
     q = check_q(q)
-    order = check_int(order, "order", 2)
+    order = check_int(order, "order", 1)
     a, b = q.as_integer_ratio()
     lhs = _coefficients(a, b, 1, _leibniz(a, b, 1, _geometric(-1, b, order)))
     rhs = chain.from_iterable(zip(_scaled_qexp(a * a, b * b, (b - a, b + a), order // 2),
                                   repeat((0, 1))))
-    return _exact_report(REFLECTION_PRODUCT, q, {"order": order}, _residuals(count(), lhs, rhs))
+    return _exact_report("reflection_product", q, {"order": order}, _residuals(count(), lhs, rhs))
 
 
 def check_scaling_product(q, n: int, order: int = 32) -> VerificationReport:
@@ -184,7 +175,7 @@ def check_scaling_product(q, n: int, order: int = 32) -> VerificationReport:
     for m in range(1, n):
         product = _leibniz(a, b, n, product, m)
     rhs = _coefficients(a ** n, b ** n, b ** (n - 1), product)
-    return _exact_report(SCALING_PRODUCT, q, {"n": n, "order": order},
+    return _exact_report("scaling_product", q, {"n": n, "order": order},
                          _residuals(count(), lhs, rhs))
 
 
@@ -273,7 +264,7 @@ def check_root_of_unity_product(q, n: int, order: int = 32) -> VerificationRepor
     rhs = _scaled_qexp(a ** n, b ** n, ((b - a) ** (n - 1), _q_number_pair(n, a, b)[0]),
                        order // n)
     residuals = _residuals(count(0, n), map(Fraction.as_integer_ratio, lhs.coeffs), rhs)
-    return _exact_report(ROOT_OF_UNITY_PRODUCT, q, {"n": n, "order": order}, residuals)
+    return _exact_report("root_of_unity_product", q, {"n": n, "order": order}, residuals)
 
 
 def check_coeff_sign_flip(q, k_max: int = 64) -> VerificationReport:
@@ -283,7 +274,7 @@ def check_coeff_sign_flip(q, k_max: int = 64) -> VerificationReport:
     a, b = q.as_integer_ratio()
     flipped = map(_times, cycle(((1, 1), (-1, 1))), _log_coeff_pairs(a, b))
     residuals = _residuals(range(1, k_max + 1), _log_coeff_pairs(b, a), flipped)
-    return _exact_report(COEFF_SIGN_FLIP, q, {"k_max": k_max}, residuals)
+    return _exact_report("coeff_sign_flip", q, {"k_max": k_max}, residuals)
 
 
 def check_coeff_double_order(q, k_max: int = 64) -> VerificationReport:
@@ -294,7 +285,7 @@ def check_coeff_double_order(q, k_max: int = 64) -> VerificationReport:
     """
     q = check_q(q)
     k_max = check_int(k_max, "k_max", 1)
-    return _exact_report(COEFF_DOUBLE_ORDER, q, {"k_max": k_max},
+    return _exact_report("coeff_double_order", q, {"k_max": k_max},
                          _multiple_order_residuals(*q.as_integer_ratio(), 2, k_max))
 
 
@@ -308,7 +299,7 @@ def check_coeff_power_scale(q, n: int, k_max: int = 64) -> VerificationReport:
     n_qk = (_q_number_pair(n, a ** k, b ** k) for k in count(1))    # [n]_{q^k}
     lhs = map(_times, n_qk, _log_coeff_pairs(a ** n, b ** n))
     rhs = map(_times, ((s_n ** k, b_n ** k) for k in count(1)), _log_coeff_pairs(a, b))
-    return _exact_report(COEFF_POWER_SCALE, q, {"n": n, "k_max": k_max},
+    return _exact_report("coeff_power_scale", q, {"n": n, "k_max": k_max},
                          _residuals(range(1, k_max + 1), lhs, rhs))
 
 
@@ -317,7 +308,7 @@ def check_coeff_multiple_order(q, n: int, k_max: int = 64) -> VerificationReport
     q = check_q(q)
     n = check_int(n, "n", 2)
     k_max = check_int(k_max, "k_max", 1)
-    return _exact_report(COEFF_MULTIPLE_ORDER, q, {"n": n, "k_max": k_max},
+    return _exact_report("coeff_multiple_order", q, {"n": n, "k_max": k_max},
                          _multiple_order_residuals(*q.as_integer_ratio(), n, k_max))
 
 
@@ -341,20 +332,13 @@ def _times(x, y):
     return x[0] * y[0], x[1] * y[1]
 
 
-#: The suite's identity table: the arguments each check takes after q, as
-#: SuiteConfig fields, where "n" is the factor count the suite sweeps. The
-#: check is looked up by its module-global name check_<identity> when it runs.
-_ARGUMENTS = {
-    COEFF_DOUBLE_ORDER: ("k_max",),
-    COEFF_MULTIPLE_ORDER: ("n", "k_max"),
-    COEFF_POWER_SCALE: ("n", "k_max"),
-    COEFF_SIGN_FLIP: ("k_max",),
-    QBINOMIAL_SUM: ("k_max",),
-    RECIPROCAL_PRODUCT: ("order",),
-    REFLECTION_PRODUCT: ("order",),
-    ROOT_OF_UNITY_PRODUCT: ("n", "order"),
-    SCALING_PRODUCT: ("n", "order"),
-}
+#: The suite's identity table, read at import from this module's own
+#: check_<identity> functions: the arguments each check takes after q, by
+#: its signature, as SuiteConfig fields, where "n" is the factor count the
+#: suite sweeps. The check is looked up by its module-global name when it runs.
+_ARGUMENTS = {name.removeprefix("check_"): tuple(inspect.signature(check).parameters)[1:]
+              for name, check in list(globals().items())
+              if name.startswith("check_") and check.__module__ == __name__}
 
 #: Identity names in canonical (sorted) report order.
 ALL_IDENTITIES = tuple(sorted(_ARGUMENTS))

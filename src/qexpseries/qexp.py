@@ -191,10 +191,9 @@ def _arguments(q, z, tol, max_terms):
     tol = check_tol(tol)
     max_terms = check_int(max_terms, "max_terms", 1, None)
     if isinstance(z, (float, complex)):
-        w = complex(z)
-        if not cmath.isfinite(w):
-            raise DomainError(f"non-finite numeric value: {w!r}")
-        z = w.real if isinstance(z, float) else w
+        z = float(z) if isinstance(z, float) else complex(z)
+        if not cmath.isfinite(z):
+            raise DomainError(f"non-finite numeric value: {z!r}")
     elif (exact := as_exact(z)) is None:
         raise DomainError(f"unsupported argument type {type(z).__name__}")
     else:

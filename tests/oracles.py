@@ -60,10 +60,9 @@ def reference_arguments(q, z, tol, max_terms):
     if isinstance(z, Rational) and not isinstance(z, bool):
         z, is_exact = Fraction(z), True
     elif isinstance(z, (float, complex)):
-        w = complex(z)
-        if not cmath.isfinite(w):
-            raise DomainError(f"non-finite numeric value: {w!r}")
-        z, is_exact = (w.real if isinstance(z, float) else w), False
+        z, is_exact = (float(z) if isinstance(z, float) else complex(z)), False
+        if not cmath.isfinite(z):
+            raise DomainError(f"non-finite numeric value: {z!r}")
     else:
         raise DomainError(f"unsupported argument type {type(z).__name__}")
     if q < 1:

@@ -274,7 +274,8 @@ class TestErrors:
     traceback."""
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--suite", "reflection_product", "--order", "1"],
+        # every product check takes order >= 1; qbinomial_sum's rows start at k = 2
+        ["verify", "--suite", "reflection_product", "--order", "0"],
         ["verify", "--suite", "qbinomial_sum", "--kmax", "1"],
         ["eval", "--q", "1/2", "--z", "1", "--tol", "inf"],
         ["eval", "--q", "2", "--z", "100000000000000"],

@@ -1,6 +1,7 @@
 """Tests for the identity checks and the verification suite."""
 
 import ast
+import dataclasses
 import hashlib
 import json
 import math
@@ -25,8 +26,7 @@ from qexpseries import (DomainError, QFactorialTable,
                         reports_to_json, run_suite)
 from qexpseries import identities
 from qexpseries import qexp as qexp_module
-from qexpseries.identities import (DEFAULT_QS, QBINOMIAL_SUM, RECIPROCAL_PRODUCT,
-                                   REFLECTION_PRODUCT, SCALING_PRODUCT, _WORST,
+from qexpseries.identities import (ALL_IDENTITIES, DEFAULT_QS, PER_N_IDENTITIES, _WORST,
                                    _exact_report)
 
 from oracles import add, int_digit_cap, one
@@ -117,7 +117,9 @@ class TestReciprocalProduct:
 class TestReflectionProduct:
     @pytest.mark.parametrize("q", GRID + (Fraction(1),))
     def test_passes(self, q):
-        assert check_reflection_product(q, 16).passed
+        # at order 1 both sides are 1 + 0 z
+        for order in (1, 16):
+            assert check_reflection_product(q, order).passed
 
     @settings(max_examples=20, deadline=None)
     @given(qvalues)
@@ -312,7 +314,7 @@ class TestProductChecksFail:
         second = add(qexp_series(1 / q, order).series.scale_substitute(-1),
                      TruncatedSeries([0, 0, 0, delta] + [0] * (order - 3)))
         lhs = qexp_series(q, order).series * second
-        expected = _exact_report(RECIPROCAL_PRODUCT, q, {"order": order},
+        expected = _exact_report("reciprocal_product", q, {"order": order},
                                  enumerate(lhs.compare(one(order))))
         assert self.failed(check_reciprocal_product(q, order)) == expected.residuals
 
@@ -332,7 +334,7 @@ class TestProductChecksFail:
         base = qexp_series(q, order).series
         lhs = base * base.scale_substitute(-1)
         rhs = bent.scale_substitute(1, 2)
-        expected = _exact_report(REFLECTION_PRODUCT, q, {"order": order},
+        expected = _exact_report("reflection_product", q, {"order": order},
                                  enumerate(lhs.compare(rhs)))
         assert self.failed(check_reflection_product(q, order)) == expected.residuals
 
@@ -351,7 +353,7 @@ class TestProductChecksFail:
         lhs = qexp_series(q, order).series.scale_substitute(q_number(n, q) + Fraction(1, 7))
         base = qexp_series(q ** n, order).series
         rhs = math.prod((base.scale_substitute(q ** m) for m in range(1, n)), start=base)
-        expected = _exact_report(SCALING_PRODUCT, q, {"n": n, "order": order},
+        expected = _exact_report("scaling_product", q, {"n": n, "order": order},
                                  enumerate(lhs.compare(rhs)))
         assert self.failed(check_scaling_product(q, n, order)) == expected.residuals
 
@@ -374,7 +376,7 @@ class TestProductChecksFail:
             total = sum(q_binomial(k, j, q) * (1 - q) ** (j - 1)
                         * math.prod(numbers[:j - 1], start=Fraction(1)) for j in range(1, k + 1))
             residuals.append((k, total - k))
-        expected = _exact_report(QBINOMIAL_SUM, q, {"k_min": 2, "k_max": k_max}, residuals)
+        expected = _exact_report("qbinomial_sum", q, {"k_min": 2, "k_max": k_max}, residuals)
         assert self.failed(check_qbinomial_sum(q, k_max)) == expected.residuals
 
 
@@ -582,7 +584,7 @@ class TestSuite:
         # the four Leibniz-product checks at order = k_max = 64, which the
         # default suite runs only for qbinomial_sum
         config = SuiteConfig(order=64, k_max=64, checks=(
-            QBINOMIAL_SUM, RECIPROCAL_PRODUCT, REFLECTION_PRODUCT, SCALING_PRODUCT))
+            "qbinomial_sum", "reciprocal_product", "reflection_product", "scaling_product"))
         reports = run_suite(config)
         assert len(reports) == 6 * (3 + 4) and all(r.passed for r in reports)
 
@@ -647,6 +649,31 @@ class TestSuite:
                                         k_max=10))
         assert len(reports) == 1
         assert reports[0].identity == "qbinomial_sum"
+
+    def test_table_read_from_the_checks(self):
+        # the table is read from the check_<identity> signatures: it is the
+        # literal table the suite once stated, each check in the module is in
+        # it, and each argument after q is a SuiteConfig field or the swept n
+        assert identities._ARGUMENTS == {
+            "coeff_double_order": ("k_max",),
+            "coeff_multiple_order": ("n", "k_max"),
+            "coeff_power_scale": ("n", "k_max"),
+            "coeff_sign_flip": ("k_max",),
+            "qbinomial_sum": ("k_max",),
+            "reciprocal_product": ("order",),
+            "reflection_product": ("order",),
+            "root_of_unity_product": ("n", "order"),
+            "scaling_product": ("n", "order"),
+        }
+        tree = ast.parse(Path(identities.__file__).read_text())
+        defined = {node.name.removeprefix("check_") for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")}
+        assert ALL_IDENTITIES == tuple(sorted(defined))
+        assert PER_N_IDENTITIES == {"coeff_multiple_order", "coeff_power_scale",
+                                    "root_of_unity_product", "scaling_product"}
+        allowed = {field.name for field in dataclasses.fields(SuiteConfig)} | {"n"}
+        for args in identities._ARGUMENTS.values():
+            assert set(args) <= allowed, args
 
 
 def test_identities_rest_on_the_q_numbers():

@@ -402,8 +402,13 @@ class TestEvalQExp:
         assert abs(out.value - direct) < 1e-10
 
     def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            eval_qexp(Fraction(2), float("inf"))
+        # a real z is named as the float it is, a complex one as a complex
+        for z, shown in ((math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+                         (complex(math.inf, 0.0), "(inf+0j)")):
+            for evaluate in (eval_qexp, eval_log_qexp):
+                with pytest.raises(DomainError) as err:
+                    evaluate(Fraction(2), z)
+                assert str(err.value) == f"non-finite numeric value: {shown}"
         # a bool is not an argument value, though Python counts it as an int
         for evaluate in (eval_qexp, eval_log_qexp):
             for flag in (True, False):
@@ -1198,6 +1203,50 @@ class TestProductPathMatchesReference:
         allowance = (Fraction(series.tail_bound) + Fraction(product.tail_bound)
                      + Fraction(math.ulp(series.value)) / 2 + Fraction(math.ulp(product.value)) / 2)
         assert abs(Fraction(series.value) - Fraction(product.value)) <= allowance
+
+
+class TestReciprocalRelations:
+    """No oracle: at a rational z, E_q(z) E_{1/q}(-z) = 1 and ln E_q(z) +
+    ln E_{1/q}(-z) = 0 hold on the returned Evaluations within their bounds
+    and half an ulp of each value, in Fractions, wherever both calls return.
+    A float z is left out: the binary64 branches carry no rounding bound,
+    and near the radius their results can miss this allowance."""
+
+    @staticmethod
+    def error(out):
+        """The truncation bound and half an ulp of the value."""
+        return Fraction(out.tail_bound) + Fraction(math.ulp(out.value)) / 2
+
+    @staticmethod
+    def pair(evaluate, q, z, tol):
+        try:
+            return evaluate(q, z, tol), evaluate(1 / q, -z, tol)
+        except (ConvergenceError, DomainError):
+            return None
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12),
+           st.fractions(min_value=Fraction(-63, 64), max_value=Fraction(63, 64),
+                        max_denominator=64),
+           st.integers(20, 60))
+    def test_reciprocal_relations(self, a, b, t, e):
+        # z is within the radius max(a, b) / |a - b| of whichever of q and
+        # 1/q is below 1, or |z| < 16 at q = 1; the product route is taken
+        # where |z|(1-q) > q
+        q, tol = Fraction(a, b), 2.0 ** -e
+        z = t * (Fraction(max(a, b), abs(a - b)) if a != b else 16)
+        pair = self.pair(eval_qexp, q, z, tol)
+        if pair:
+            first, second = pair
+            d1, d2 = self.error(first), self.error(second)
+            allowance = (d1 * abs(Fraction(second.value)) + d2 * abs(Fraction(first.value))
+                         + d1 * d2)
+            assert abs(Fraction(first.value) * Fraction(second.value) - 1) <= allowance, pair
+        pair = self.pair(eval_log_qexp, q, z, tol)
+        if pair:
+            first, second = pair
+            residual = Fraction(first.value) + Fraction(second.value)
+            assert abs(residual) <= self.error(first) + self.error(second), pair
 
 
 class TestFloatPathMatchesReference:
